@@ -23,8 +23,10 @@ __all__ = [
     "nakagami_xi",
     "rician_factor",
     "rician_power_pdf",
+    "rician_scalar_pdf",
     "rician_power_cdf",
     "nakagami_power_pdf",
+    "nakagami_scalar_pdf",
     "nakagami_power_cdf",
     "noise_power_pdf",
     "path_loss",
@@ -121,6 +123,25 @@ def rician_power_pdf(x, k: float):
     return out[()] if x.ndim == 0 else out
 
 
+def rician_scalar_pdf(k: float):
+    """``rician_power_pdf`` at fixed k as a float -> float function of x >= 0.
+
+    Built once per channel state for quadrature integrands: k is checked
+    here, and each evaluation uses ``math`` and one scalar ``i0e`` call.
+    """
+    if k < 0:
+        raise DomainError("Rician factor must be nonnegative")
+    k1 = k + 1.0
+    kk1 = k * k1
+    exp, sqrt, i0e = math.exp, math.sqrt, special.i0e
+
+    def pdf(x: float) -> float:
+        arg = 2.0 * sqrt(kk1 * x)
+        return k1 * exp(-k - k1 * x + arg) * i0e(arg)
+
+    return pdf
+
+
 def rician_power_cdf(x: float, k: float, exact: bool = True) -> float:
     """CDF of the unit-mean Rician power, 1 - Q1(sqrt(2k), sqrt(2(k+1)x))."""
     if x < 0 or k < 0:
@@ -145,6 +166,26 @@ def nakagami_power_pdf(x, s: int):
         float(s == 1),
     )
     return out[()] if x.ndim == 0 else out
+
+
+def nakagami_scalar_pdf(s: int):
+    """``nakagami_power_pdf`` at fixed s as a float -> float function of x.
+
+    Built once per channel state for quadrature integrands: s >= 1 is
+    checked here and the constant s ln s - ln Gamma(s) is folded in once.
+    """
+    if not s >= 1:
+        raise DomainError("Nakagami shape must be >= 1")
+    const = s * math.log(s) - math.lgamma(s)
+    at_zero = float(s == 1)
+    exp, log = math.exp, math.log
+
+    def pdf(x: float) -> float:
+        if x > 0:
+            return exp(const + (s - 1) * log(x) - s * x)
+        return at_zero
+
+    return pdf
 
 
 def nakagami_power_cdf(x, s: int):

@@ -57,6 +57,13 @@ def _fmt(x) -> str:
     return "%.10g" % float(x)
 
 
+def _json_cell(x):
+    """A row cell for ``--json``: floats rounded to 10 significant digits."""
+    if isinstance(x, (float, np.floating)):
+        return float(_fmt(x))
+    return x
+
+
 def _apply_axis(scn: Scenario, axis: str, value: float) -> Scenario:
     if axis == "rho":
         return replace(scn, noise=NoiseModel(sigma_n2=scn.noise.sigma_n2,
@@ -74,9 +81,15 @@ def _apply_axis(scn: Scenario, axis: str, value: float) -> Scenario:
     raise A2GError(f"unknown sweep axis {axis!r}")
 
 
+# Stable ids that place each (mode, metric) column of a sweep row in the
+# seed entropy; never renumber them, or MC outputs change.
+_MODE_IDS = {"om": 0, "dm": 1}
+_MC_METRIC_IDS = {"dep": 0, "outage": 1, "csc": 2}
+
+
 def _row_seed(seed: int, axis_index: int, mode: str, metric: str) -> int:
-    token = (int(seed), int(axis_index), mode, metric)
-    entropy = (token[0], token[1], sum(map(ord, mode)), sum(map(ord, metric)))
+    entropy = (int(seed), int(axis_index), _MODE_IDS[mode],
+               _MC_METRIC_IDS[metric])
     return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
 
 
@@ -118,7 +131,9 @@ def _emit(rows: list[dict], header: list[str], meta: list[str], args) -> None:
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
         if args.json:
-            doc = {"metadata": meta, "rows": rows}
+            doc = {"metadata": meta,
+                   "rows": [{k: _json_cell(v) for k, v in row.items()}
+                            for row in rows]}
             out.write(json.dumps(doc, indent=2, default=_fmt) + "\n")
         else:
             for line in meta:

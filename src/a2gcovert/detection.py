@@ -18,11 +18,11 @@ import numpy as np
 from scipy import integrate
 
 from .channel import (
-    nakagami_power_pdf,
+    nakagami_scalar_pdf,
     nakagami_xi,
     path_loss,
     rician_factor,
-    rician_power_pdf,
+    rician_scalar_pdf,
 )
 from .errors import DomainError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
@@ -239,7 +239,8 @@ def _exact_state_average(unit: float, pdf, x_tail: float,
     Integrates (1 - [ln(rho*unit*x + sigma^2) - ln sigma^2] / (2 ln rho))
     against the fading-power pdf over [0, min(cutoff, tail)], where the
     cutoff is the gain beyond which the warden detects perfectly and the
-    tail bound carries negligible probability mass.
+    tail bound carries negligible probability mass.  ``pdf`` is a float ->
+    float density from ``rician_scalar_pdf`` or ``nakagami_scalar_pdf``.
     """
     cut = varrho(unit, sigma_n2, rho)
     upper = min(cut, x_tail)
@@ -247,10 +248,11 @@ def _exact_state_average(unit: float, pdf, x_tail: float,
         return 0.0
     log_s = math.log(sigma_n2)
     denom = 2.0 * math.log(rho)
+    gain = rho * unit
+    log = math.log
 
     def integrand(x):
-        level = 1.0 - (math.log(rho * unit * x + sigma_n2) - log_s) / denom
-        return level * float(pdf(x))
+        return (1.0 - (log(gain * x + sigma_n2) - log_s) / denom) * pdf(x)
 
     val, _ = integrate.quad(integrand, 0.0, upper, limit=300,
                             epsabs=1e-12, epsrel=1e-10)
@@ -282,9 +284,8 @@ def expected_min_dep_om(scn: Scenario, alice: NodePosition | None = None,
         unit = p_a * path_loss(link.d, scn.om.pathloss(los))
         k = rician_factor(link.theta_rad, scn.om.rician, los)
         x_tail = (math.sqrt(2.0 * k) + 12.0) ** 2 / (2.0 * (k + 1.0))
-        pdf = lambda x, k=k: rician_power_pdf(x, k)
-        terms[label] = p_state * _exact_state_average(unit, pdf, x_tail,
-                                                      sigma_n2, rho)
+        terms[label] = p_state * _exact_state_average(
+            unit, rician_scalar_pdf(k), x_tail, sigma_n2, rho)
     return ExpectedDep(value=sum(terms.values()), terms=terms)
 
 
@@ -325,9 +326,8 @@ def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
             unit = p_a * g_alice * g_w * path_loss(link.d, scn.dm.pathloss(los))
             s = nak.shape(los)
             x_tail = (60.0 + 20.0 * s) / s
-            pdf = lambda x, s=s: nakagami_power_pdf(x, s)
-            terms[label] = p_state * _exact_state_average(unit, pdf, x_tail,
-                                                          sigma_n2, rho)
+            terms[label] = p_state * _exact_state_average(
+                unit, nakagami_scalar_pdf(s), x_tail, sigma_n2, rho)
     return ExpectedDep(value=sum(terms.values()), terms=terms)
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     elevation_angle_deg,
     los_probability,
 )
+from .specfun import MARCUM_ARG_MAX
 
 __all__ = [
     "BandModel",
@@ -233,9 +234,22 @@ def _antenna(values: dict, who: str) -> AntennaSpec:
     )
 
 
+# The microwave outage evaluates the Marcum-Q surrogate at a = sqrt(2k), which
+# is verified only up to MARCUM_ARG_MAX; k(theta) <= k_half_pi at every
+# elevation, so bounding the anchor bounds every position.
+_K_HALF_PI_MAX = 0.5 * MARCUM_ARG_MAX * MARCUM_ARG_MAX
+_K_HALF_PI_MAX_DB = 10.0 * math.log10(_K_HALF_PI_MAX)
+
+
 def _build(values: dict[str, float | int]) -> Scenario:
     if values["noise.rho_db"] <= 0:
         raise ScenarioError("noise.rho_db must be > 0 (rho = 1 is a perfect detector)")
+    if db_to_linear(values["om.k_half_pi_db"]) > _K_HALF_PI_MAX:
+        raise ScenarioError(
+            f"om.k_half_pi_db = {values['om.k_half_pi_db']:g} dB exceeds "
+            f"{_K_HALF_PI_MAX_DB:.1f} dB: Rice factors above "
+            f"{_K_HALF_PI_MAX:g} lie outside the range of the Marcum-Q "
+            "surrogate used by the microwave outage")
     for key in ("dm.s_los", "dm.s_nlos"):
         if not float(values[key]).is_integer():
             raise ScenarioError(f"{key} must be an integer Nakagami shape")

@@ -1,9 +1,13 @@
 """Receiver-side performance: outage probability, ECR and ergodic capacity.
 
-Outage probabilities come from closed forms built on the exponential-type CDF
-surrogates plus the log-uniform noise average.  The ergodic (Shannon) capacity
-uses the exact fading PDFs under a dilogarithm kernel, evaluated by adaptive
-quadrature.
+The microwave outage is a closed form built on the exponential-type Marcum-Q
+surrogate plus the log-uniform noise average; the mmWave outage averages the
+exact regularized gamma CDF over the noise with a fixed 64-node Gauss-Legendre
+rule.  The ergodic (Shannon) capacity integrates the dilogarithm kernel
+spence(1 + c y) against the exact fading density by adaptive quadrature.  The
+density is a float -> float function built once per channel state
+(``rician_scalar_pdf`` / ``nakagami_scalar_pdf``), so the integrand does plain
+float arithmetic and its domain is checked once, before the quadrature.
 """
 
 from __future__ import annotations
@@ -14,16 +18,16 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import (
-    nakagami_power_pdf,
+    nakagami_scalar_pdf,
     nakagami_xi,
     path_loss,
     rician_factor,
-    rician_power_pdf,
+    rician_scalar_pdf,
 )
 from .errors import DomainError, QuadratureError
 from .geometry import lobe_gains
 from .scenario import NodePosition, Scenario
-from .specfun import dilog_li2, exp_integral_ei, marcum_mu_nu
+from .specfun import exp_integral_ei, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
@@ -228,12 +232,21 @@ def ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
 
 
 def _li2_fading_average(unit_power: float, x: float, pdf) -> float:
-    """Quadrature of Li2(-unit_power * x * y) against a unit-mean power pdf."""
+    """Quadrature of Li2(-unit_power * x * y) against a unit-mean power pdf.
+
+    ``pdf`` is a float -> float density from ``rician_scalar_pdf`` or
+    ``nakagami_scalar_pdf``.  Li2(-c y) = spence(1 + c y) for c y >= 0, so
+    the sign of c is checked once here instead of at every node.
+    """
     if unit_power == 0.0:
         return 0.0
+    c = unit_power * x
+    if not c >= 0.0:
+        raise DomainError("dilogarithm argument scale must be nonnegative")
+    spence = special.spence
 
     def integrand(y):
-        return float(dilog_li2(-unit_power * x * y)) * float(pdf(y))
+        return spence(1.0 + c * y) * pdf(y)
 
     val, err = integrate.quad(integrand, 0.0, np.inf,
                               points=None, limit=300,
@@ -264,7 +277,7 @@ def csc_om(scn: Scenario, alice: NodePosition | None = None,
         loss = path_loss(link.d, scn.om.pathloss(los))
         k = rician_factor(link.theta_rad, scn.om.rician, los)
         unit = p_a * loss
-        pdf = lambda y, k=k: rician_power_pdf(y, k)
+        pdf = rician_scalar_pdf(k)
         f_lo = _li2_fading_average(unit, 1.0 / hi, pdf)
         f_hi = _li2_fading_average(unit, rho / scn.noise.sigma_n2, pdf)
         total += w * p_state * (f_lo - f_hi) / (2.0 * math.log(2.0) * math.log(rho))
@@ -294,7 +307,7 @@ def csc_dm(scn: Scenario, alice: NodePosition | None = None,
             loss = path_loss(link.d, scn.dm.pathloss(los))
             s = nak.shape(los)
             unit = p_a * a_tab.g_main * g_bob * loss
-            pdf = lambda y, s=s: nakagami_power_pdf(y, s)
+            pdf = nakagami_scalar_pdf(s)
             f_lo = _li2_fading_average(unit, 1.0 / hi, pdf)
             f_hi = _li2_fading_average(unit, rho / scn.noise.sigma_n2, pdf)
             total += (w * p_state * (f_lo - f_hi)

@@ -13,12 +13,14 @@ from a2gcovert.channel import (
     RicianLaw,
     nakagami_power_cdf,
     nakagami_power_pdf,
+    nakagami_scalar_pdf,
     nakagami_xi,
     noise_power_pdf,
     path_loss,
     rician_factor,
     rician_power_cdf,
     rician_power_pdf,
+    rician_scalar_pdf,
     sample_nakagami_power,
     sample_noise_power,
     sample_rician_power,
@@ -84,6 +86,30 @@ class TestRicianPower:
         k = np.array([0.0, 5.0, 20.0])
         draws = sample_rician_power(k, rng)
         assert draws.shape == (3,)
+
+
+class TestScalarPdfs:
+    X_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 40.0, 200)))
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 3.16, 10.0, 31.6, 50.0])
+    def test_rician_matches_array_pdf(self, k):
+        pdf = rician_scalar_pdf(k)
+        got = np.array([pdf(float(x)) for x in self.X_GRID])
+        np.testing.assert_allclose(got, rician_power_pdf(self.X_GRID, k),
+                                   rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_nakagami_matches_array_pdf(self, s):
+        pdf = nakagami_scalar_pdf(s)
+        got = np.array([pdf(float(x)) for x in self.X_GRID])
+        np.testing.assert_allclose(got, nakagami_power_pdf(self.X_GRID, s),
+                                   rtol=1e-13, atol=1e-300)
+
+    def test_parameters_checked_when_built(self):
+        with pytest.raises(DomainError):
+            rician_scalar_pdf(-0.1)
+        with pytest.raises(DomainError):
+            nakagami_scalar_pdf(0)
 
 
 class TestNakagamiPower:

@@ -1,8 +1,10 @@
 import json
+import pathlib
 
 import pytest
 
-from a2gcovert.cli import main
+from a2gcovert import __version__
+from a2gcovert.cli import _row_seed, main
 
 
 def run_cli(args, capsys):
@@ -17,6 +19,15 @@ def parse_csv(text):
     header = body[0].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in body[1:]]
     return meta, header, rows
+
+
+class TestRowSeed:
+    def test_mode_metric_seeds_of_a_row_differ(self):
+        for seed, i in ((0, 0), (0, 3), (12345, 7)):
+            seeds = {_row_seed(seed, i, mode, metric)
+                     for mode in ("om", "dm")
+                     for metric in ("dep", "outage", "csc")}
+            assert len(seeds) == 6
 
 
 class TestSweep:
@@ -69,6 +80,17 @@ class TestSweep:
         doc = json.loads(out)
         assert "metadata" in doc and "rows" in doc
         assert len(doc["rows"]) == 4
+        # numbers carry the CSV's 10 significant digits, as JSON numbers
+        code, csv_out, _ = run_cli(
+            ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
+             "--points", "2", "--metrics", "dep"], capsys)
+        _, _, csv_rows = parse_csv(csv_out)
+        for row, csv_row in zip(doc["rows"], csv_rows):
+            value = row["dep"]
+            assert isinstance(value, float)
+            assert value == float(csv_row["dep"])
+            digits = repr(value).split("e")[0].replace(".", "").lstrip("0-")
+            assert len(digits.rstrip("0")) <= 10
 
     def test_unknown_metric_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -191,3 +213,20 @@ class TestDeterminism:
              "--metrics", "dep", "--config", "/nonexistent/scn.txt"], capsys)
         assert code == 2
         assert "error" in err
+
+
+class TestVersion:
+    def test_package_metadata_reads_the_module_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            conf = tomllib.load(fh)
+        assert "version" not in conf["project"]
+        assert "version" in conf["project"]["dynamic"]
+        attr = conf["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        assert attr == "a2gcovert.__version__"
+
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.strip() == f"a2gcovert {__version__}"

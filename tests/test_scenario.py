@@ -102,6 +102,13 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             loads_scenario("epsilon = 1.5")
 
+    def test_rice_factor_above_marcum_range_rejected(self):
+        # a = sqrt(2k) > 120 lies outside the Marcum-Q surrogate's range
+        with pytest.raises(ScenarioError, match=r"om\.k_half_pi_db.*38\.6 dB"):
+            loads_scenario("om.k_half_pi_db = 40")
+        s = loads_scenario("om.k_half_pi_db = 38.5")
+        assert s.om.rician.k_half_pi < 7200.0
+
     def test_beamwidth_override(self):
         s = loads_scenario("antenna.alice.theta_ed_rad = 0.3")
         assert s.ant_alice.theta_ed == 0.3

@@ -17,6 +17,7 @@ from a2gcovert.specfun import (
     marcum_q1_approx,
     marcum_q1_exact,
 )
+from a2gcovert.specfun import _fitted_mu_nu
 
 
 class TestWrappers:
@@ -90,6 +91,39 @@ class TestMarcumExact:
         bs = np.linspace(0.0, 12.0, 40)
         qs = [marcum_q1_exact(a, float(b)) for b in bs]
         assert all(x >= y - 1e-12 for x, y in zip(qs, qs[1:]))
+
+
+    def test_array_matches_scalar_calls_and_ncx2(self):
+        for a in (0.0, 0.5, 2.9, 5.35, 10.0, 40.0, 120.0):
+            bs = np.linspace(0.0, a + 10.0, 101)
+            q = marcum_q1_exact(a, bs)
+            assert isinstance(q, np.ndarray) and q.shape == bs.shape
+            scalar = np.array([marcum_q1_exact(a, float(b)) for b in bs])
+            assert np.array_equal(q, scalar)
+            np.testing.assert_allclose(
+                q, stats.ncx2.sf(bs * bs, df=2, nc=a * a), rtol=0, atol=1e-13)
+
+    def test_array_rejects_any_negative_b(self):
+        with pytest.raises(DomainError):
+            marcum_q1_exact(2.0, np.array([0.5, -0.1]))
+
+
+class TestFittedMuNu:
+    # (mu, nu) returned at these operating arguments by the earlier version
+    # of _fitted_mu_nu, which evaluated Q1 by adaptive quadrature of its
+    # integral; Nelder-Mead ends anywhere within its xatol = 1e-7.
+    REFERENCE = {
+        2.9: (-4.352583317292513, 3.549115746891208),
+        4.3: (-7.879772396028008, 5.044014593817947),
+        5.35: (-10.905351439003056, 6.2045298559283),
+    }
+
+    @pytest.mark.parametrize("a", sorted(REFERENCE))
+    def test_matches_quadrature_based_fit(self, a):
+        mu, nu = _fitted_mu_nu(a)
+        ref_mu, ref_nu = self.REFERENCE[a]
+        assert mu == pytest.approx(ref_mu, abs=1e-6)
+        assert nu == pytest.approx(ref_nu, abs=1e-6)
 
 
 class TestMarcumApprox:
