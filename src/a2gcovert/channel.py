@@ -32,6 +32,7 @@ __all__ = [
     "path_loss",
     "sample_rician_power",
     "sample_nakagami_power",
+    "sample_noise_exponent",
     "sample_noise_power",
 ]
 
@@ -93,6 +94,10 @@ class NoiseModel:
     @property
     def support(self) -> tuple[float, float]:
         return (self.sigma_n2 / self.rho, self.sigma_n2 * self.rho)
+
+    def power(self, u):
+        """Noise power sigma_n2 * rho^u at exponent(s) u in [-1, 1]."""
+        return self.sigma_n2 * self.rho ** u
 
 
 def nakagami_xi(s: int) -> float:
@@ -243,7 +248,14 @@ def sample_nakagami_power(s, rng: np.random.Generator, size=None):
     return out
 
 
+def sample_noise_exponent(rng: np.random.Generator, size=None):
+    """Exponent u ~ U[-1, 1] of the log-uniform noise power sigma_n2 * rho^u.
+
+    One draw of u serves every rho: ``NoiseModel.power(u)`` maps it.
+    """
+    return rng.uniform(-1.0, 1.0, size=size)
+
+
 def sample_noise_power(n: NoiseModel, rng: np.random.Generator, size=None):
     """Log-uniform noise power sigma^2 = sigma_n2 * rho^u with u ~ U[-1, 1]."""
-    u = rng.uniform(-1.0, 1.0, size=size)
-    return n.sigma_n2 * n.rho ** u
+    return n.power(sample_noise_exponent(rng, size))

@@ -20,14 +20,14 @@ from . import __version__
 from .channel import NoiseModel
 from .detection import expected_min_dep
 from .errors import A2GError
-from .oracle import mc_ergodic_capacity, mc_expected_min_dep, mc_outage
+from .oracle import McEstimate, mc_expected_min_dep, mc_receiver_points
 from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
     NodePosition,
     Scenario,
     db_to_linear,
     dbm_to_mw,
-    loads_scenario,
+    scenario_from_flat,
     scenario_hash,
     scenario_to_flat,
 )
@@ -110,21 +110,32 @@ def _analytic_metric(scn: Scenario, mode: str, metric: str) -> float:
     raise A2GError(f"unknown metric {metric!r}")
 
 
-def _mc_metric(scn: Scenario, mode: str, metric: str, n: int, seed: int,
-               workers: int):
-    if metric == "dep":
-        est = mc_expected_min_dep(scn, mode=mode, n=n, seed=seed,
-                                  workers=workers)
-    elif metric == "outage":
-        g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-        est = mc_outage(scn, gamma_th=g, mode=mode, n=n, seed=seed,
-                        workers=workers)
-    elif metric == "csc":
-        est = mc_ergodic_capacity(scn, mode=mode, n=n, seed=seed,
-                                  workers=workers)
-    else:
-        return None
-    return est
+def _mc_metrics(scn: Scenario, mode: str, metrics: list[str], n: int,
+                seed: int, axis_index: int,
+                workers: int) -> dict[str, McEstimate]:
+    """Monte Carlo estimates of a sweep row's dep, outage and csc columns.
+
+    Outage and csc come from one draw set of the receiver link, seeded as
+    the outage column when both are asked for.
+    """
+    out = {}
+    if "dep" in metrics:
+        out["dep"] = mc_expected_min_dep(
+            scn, mode=mode, n=n, seed=_row_seed(seed, axis_index, mode, "dep"),
+            workers=workers)
+    bob = [m for m in ("outage", "csc") if m in metrics]
+    if bob:
+        gammas = ((float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz)),)
+                  if "outage" in bob else ())
+        (est,) = mc_receiver_points(
+            scn, [(scn.p_a, scn.noise.rho, gammas)], mode=mode, n=n,
+            seed=_row_seed(seed, axis_index, mode, bob[0]), workers=workers,
+            capacity="csc" in bob)
+        if gammas:
+            out["outage"] = est.outage[0]
+        if est.capacity is not None:
+            out["csc"] = est.capacity
+    return out
 
 
 def _emit(rows: list[dict], header: list[str], meta: list[str], args) -> None:
@@ -159,7 +170,7 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     flat = scenario_to_flat(text)
-    scn = loads_scenario(text)
+    scn = scenario_from_flat(flat)
     if getattr(args, "seed", None) is not None:
         scn = replace(scn, seed=int(args.seed))
     return scn, flat
@@ -194,14 +205,13 @@ def _cmd_sweep(args) -> int:
             if mode not in modes and "hybrid" not in modes:
                 continue
             row = {"axis_value": float(v), "mode": mode}
+            mc = (_mc_metrics(point, mode, metrics, args.samples, scn.seed, i,
+                              args.workers) if args.mc else {})
             for metric in metrics:
                 row[metric] = _analytic_metric(point, mode, metric)
-                if args.mc and metric in ("dep", "outage", "csc"):
-                    est = _mc_metric(point, mode, metric, args.samples,
-                                     _row_seed(scn.seed, i, mode, metric),
-                                     args.workers)
-                    row[f"mc_{metric}"] = est.mean
-                    row[f"mc_{metric}_stderr"] = est.std_error
+                if metric in mc:
+                    row[f"mc_{metric}"] = mc[metric].mean
+                    row[f"mc_{metric}_stderr"] = mc[metric].std_error
             per_mode[mode] = row
         for mode in modes:
             if mode == "hybrid":

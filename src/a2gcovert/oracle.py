@@ -1,16 +1,32 @@
 """Monte Carlo validation oracle for the closed-form performance metrics.
 
 Sampling is organised in fixed-size batches.  Batch ``i`` always draws from
-the generator seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))`` and
-batch statistics are combined with an ordered pairwise reduction, so results
-are bit-identical for any worker count, including 1.
+the generator seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))``.
+Each batch reduces every statistic to its count, mean and sum of squared
+deviations (M2) before it computes the next one, and the batch moments are
+merged by the update of Chan, Golub and LeVeque in a fixed pairwise order,
+so results are bit-identical for any worker count, including 1, and the
+standard error does not cancel for samples far from zero (capacities of
+10^6-10^8 b/s).
 
-The DEP estimator draws channel states and fading, then evaluates the exact
-conditional minimum-DEP kernel per draw: given the received power and the
-noise-uncertainty bounds, the infinite-observation radiometer statistic is
-deterministic, so no per-threshold simulation is needed.  A separate
-finite-observation radiometer estimator is provided as a slow cross-check of
-that limit.
+Draws are shared between operating points.  A call samples one link once
+per batch: Alice to Willie (``mc_dep_points``) or Alice to Bob
+(``mc_receiver_points``).  A draw is the LoS state, the fading power, the
+receive lobe in mode "dm" and, on Bob's link, the noise exponent u of the
+noise power sigma_n2 * rho^u.  Every point of the call is evaluated on the
+same draws: each (p_a, rho) for the warden's DEP; each (p_a, rho), its SNR
+thresholds and the ergodic capacity for the receiver.  This is the method
+of common random numbers: each estimate is unbiased with its own n-draw
+standard error, but the estimates of one call are correlated: an outage
+estimate never rises with p_a, and a capacity estimate never falls.
+``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
+one-point calls of these two.
+
+The DEP estimator evaluates the exact conditional minimum-DEP kernel per
+draw: given the received power and the noise-uncertainty bounds, the
+infinite-observation radiometer statistic is deterministic, so no
+per-threshold simulation is needed.  A separate finite-observation
+radiometer estimator is provided as a slow cross-check of that limit.
 """
 
 from __future__ import annotations
@@ -26,17 +42,20 @@ from .channel import (
     path_loss,
     rician_factor,
     sample_nakagami_power,
-    sample_noise_power,
+    sample_noise_exponent,
     sample_rician_power,
 )
 from .detection import min_dep_values, threshold_breakpoints
 from .errors import DomainError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
-from .scenario import NodePosition, Scenario
+from .scenario import LinkGeometry, NodePosition, Scenario
 
 __all__ = [
     "McEstimate",
+    "ReceiverEstimates",
     "BATCH_SIZE",
+    "mc_dep_points",
+    "mc_receiver_points",
     "mc_expected_min_dep",
     "mc_outage",
     "mc_ergodic_capacity",
@@ -56,24 +75,62 @@ class McEstimate:
     seed: int
 
 
+@dataclass(frozen=True)
+class ReceiverEstimates:
+    """Receiver estimates at one operating point, all on the same draws.
+
+    ``outage`` holds P(SNR < gamma_th) for each requested threshold, in
+    order; ``capacity`` is E[W log2(1 + SNR)], or None if not requested.
+    """
+
+    outage: tuple[McEstimate, ...]
+    capacity: McEstimate | None
+
+
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
 
 
-def _pairwise(values: list[float]) -> float:
+def _moments(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of one batch statistic; overwrites ``x``."""
+    mean = float(np.mean(x))
+    x -= mean
+    np.square(x, out=x)
+    return x.size, mean, float(np.sum(x))
+
+
+def _indicator_moments(hits: int, m: int) -> tuple[int, float, float]:
+    """(count, mean, M2) of m indicator draws of which ``hits`` are 1."""
+    return m, hits / m, hits * (m - hits) / m
+
+
+def _merge(a, b):
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (nb / n),
+            m2_a + m2_b + delta * delta * (na * nb / n))
+
+
+def _pairwise(values: list, combine):
     """Ordered pairwise reduction; the tree shape depends only on the count."""
-    if not values:
-        return 0.0
     while len(values) > 1:
-        nxt = [values[i] + values[i + 1] if i + 1 < len(values) else values[i]
-               for i in range(0, len(values), 2)]
-        values = nxt
+        values = [combine(values[i], values[i + 1]) if i + 1 < len(values)
+                  else values[i] for i in range(0, len(values), 2)]
     return values[0]
 
 
-def _run_batches(sample_batch, n: int, seed: int, workers: int) -> McEstimate:
-    """Split n draws into fixed batches, evaluate, reduce deterministically."""
+def _run_batches(sample_batch, n: int, seed: int,
+                 workers: int) -> list[McEstimate]:
+    """Split n draws into fixed batches, evaluate, reduce deterministically.
+
+    ``sample_batch(rng, m)`` does all of one batch's work and returns one
+    (count, mean, M2) triple per statistic; the result holds one estimate
+    per statistic, in the same order.
+    """
     if n < 1:
         raise DomainError("need at least one sample")
     sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
@@ -83,24 +140,20 @@ def _run_batches(sample_batch, n: int, seed: int, workers: int) -> McEstimate:
 
     def run(task):
         idx, m = task
-        vals = sample_batch(_batch_rng(seed, idx), m)
-        vals = np.asarray(vals, dtype=float)
-        return float(np.sum(vals)), float(np.sum(vals * vals))
+        return sample_batch(_batch_rng(seed, idx), m)
 
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, tasks))
+            batches = list(pool.map(run, tasks))
     else:
-        stats = [run(t) for t in tasks]
-    total = _pairwise([s for s, _ in stats])
-    total_sq = _pairwise([q for _, q in stats])
-    mean = total / n
-    if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        se = math.sqrt(var / n)
-    else:
-        se = float("inf")
-    return McEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
+        batches = [run(t) for t in tasks]
+    out = []
+    for stat in zip(*batches):
+        count, mean, m2 = _pairwise(list(stat), _merge)
+        se = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
+        out.append(McEstimate(mean=mean, std_error=se, n_samples=n,
+                              seed=seed))
+    return out
 
 
 def _check_common(scn: Scenario, mode: str, p_a: float, n: int):
@@ -112,24 +165,117 @@ def _check_common(scn: Scenario, mode: str, p_a: float, n: int):
         raise DomainError("oracle estimates need n >= 1000")
 
 
-def _willie_fading(scn: Scenario, mode: str, link, rng, m: int):
-    """Draw (per-sample deterministic gain-times-loss, fading power)."""
-    los = rng.random(m) < link.p_los
+def _unit_power_sampler(scn: Scenario, mode: str, link: LinkGeometry,
+                        lobe=None):
+    """``draw(rng, m)`` of one link's received power per unit transmit power.
+
+    A draw is the LoS state, then the fading power, then, when ``lobe`` =
+    (transmit gain, receive ``LobeGainTable``) is given, the receive lobe.
+    Everything that does not vary per draw is computed here, once.
+    """
+    band = scn.band(mode)
+    loss_los = path_loss(link.d, band.pl_los)
+    loss_nlos = path_loss(link.d, band.pl_nlos)
     if mode == "om":
-        k_los = rician_factor(link.theta_rad, scn.om.rician, True)
-        k = np.where(los, k_los, 0.0)
-        h2 = sample_rician_power(k, rng)
-        loss = np.where(los,
-                        path_loss(link.d, scn.om.pl_los),
-                        path_loss(link.d, scn.om.pl_nlos))
-        return loss, h2
-    nak = scn.dm.nakagami
-    s = np.where(los, nak.s_los, nak.s_nlos)
-    h2 = sample_nakagami_power(s, rng)
-    loss = np.where(los,
-                    path_loss(link.d, scn.dm.pl_los),
-                    path_loss(link.d, scn.dm.pl_nlos))
-    return loss, h2
+        fading_los = rician_factor(link.theta_rad, band.rician, True)
+        fading_nlos, sample = 0.0, sample_rician_power
+    else:
+        fading_los, fading_nlos = band.nakagami.s_los, band.nakagami.s_nlos
+        sample = sample_nakagami_power
+
+    def draw(rng, m):
+        los = rng.random(m) < link.p_los
+        unit = sample(np.where(los, fading_los, fading_nlos), rng)
+        unit *= np.where(los, loss_los, loss_nlos)
+        if lobe is not None:
+            g_tx, rx = lobe
+            main = rng.random(m) < rx.p_main
+            unit *= g_tx * np.where(main, rx.g_main, rx.g_side)
+        return unit
+
+    return draw
+
+
+def mc_dep_points(scn: Scenario, points, alice: NodePosition | None = None,
+                  mode: str = "om", n: int = 10**6, seed: int | None = None,
+                  workers: int = 1) -> list[McEstimate]:
+    """Estimate the fading-averaged minimum DEP at each (p_a, rho) point.
+
+    Every point is evaluated on one shared set of n draws of Willie's link;
+    the result holds one estimate per point, in order.
+    """
+    alice = alice if alice is not None else scn.alice
+    seed = scn.seed if seed is None else int(seed)
+    points = [(float(p_a), float(rho)) for p_a, rho in points]
+    if not points:
+        raise DomainError("need at least one operating point")
+    for p_a, rho in points:
+        _check_common(scn, mode, p_a, n)
+        if rho <= 1:
+            raise DomainError("noise uncertainty factor rho must exceed 1")
+    lobe = None
+    if mode == "dm":
+        a_tab = lobe_gains(scn.ant_alice)
+        covers = alice_main_lobe_covers_willie(alice, scn.bob, scn.willie,
+                                               scn.ant_alice)
+        lobe = (a_tab.g_main if covers else a_tab.g_side,
+                lobe_gains(scn.ant_willie))
+    draw = _unit_power_sampler(scn, mode, scn.link(alice, scn.willie), lobe)
+    sigma_n2 = scn.noise.sigma_n2
+
+    def batch(rng, m):
+        unit = draw(rng, m)
+        return [_moments(min_dep_values(p_a * unit, sigma_n2, rho))
+                for p_a, rho in points]
+
+    return _run_batches(batch, n, seed, workers)
+
+
+def mc_receiver_points(scn: Scenario, points,
+                       alice: NodePosition | None = None, mode: str = "om",
+                       n: int = 10**6, seed: int | None = None,
+                       workers: int = 1,
+                       capacity: bool = True) -> list[ReceiverEstimates]:
+    """Estimate outages and ergodic capacity at each (p_a, rho, gamma_ths).
+
+    Every point, threshold and capacity is evaluated on one shared set of n
+    draws of Bob's link (fading, lobe state, noise exponent); the result
+    holds one ``ReceiverEstimates`` per point, in order.
+    """
+    alice = alice if alice is not None else scn.alice
+    seed = scn.seed if seed is None else int(seed)
+    checked = []
+    for p_a, rho, gammas in points:
+        p_a, gammas = float(p_a), tuple(float(g) for g in gammas)
+        _check_common(scn, mode, p_a, n)
+        if any(g < 0 for g in gammas):
+            raise DomainError("gamma_th must be nonnegative")
+        checked.append((p_a, NoiseModel(scn.noise.sigma_n2, float(rho)),
+                        gammas))
+    if not any(gammas or capacity for _, _, gammas in checked):
+        raise DomainError("need at least one statistic to estimate")
+    lobe = None
+    if mode == "dm":
+        lobe = (lobe_gains(scn.ant_alice).g_main, lobe_gains(scn.ant_bob))
+    draw = _unit_power_sampler(scn, mode, scn.link(alice, scn.bob), lobe)
+    w = scn.band(mode).bandwidth_hz
+
+    def batch(rng, m):
+        unit = draw(rng, m)
+        u = sample_noise_exponent(rng, m)
+        stats = []
+        for p_a, noise, gammas in checked:
+            snr = p_a * unit / noise.power(u)
+            stats += [_indicator_moments(int(np.count_nonzero(snr < g)), m)
+                      for g in gammas]
+            if capacity:
+                stats.append(_moments(w * np.log2(1.0 + snr)))
+        return stats
+
+    flat = iter(_run_batches(batch, n, seed, workers))
+    return [ReceiverEstimates(outage=tuple(next(flat) for _ in gammas),
+                              capacity=next(flat) if capacity else None)
+            for _, _, gammas in checked]
 
 
 def mc_expected_min_dep(scn: Scenario, alice: NodePosition | None = None,
@@ -138,62 +284,10 @@ def mc_expected_min_dep(scn: Scenario, alice: NodePosition | None = None,
                         rho: float | None = None,
                         workers: int = 1) -> McEstimate:
     """Estimate the fading-averaged minimum DEP by direct sampling."""
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else float(p_a)
-    seed = scn.seed if seed is None else int(seed)
-    rho = scn.noise.rho if rho is None else float(rho)
-    _check_common(scn, mode, p_a, n)
-    link = scn.link(alice, scn.willie)
-    sigma_n2 = scn.noise.sigma_n2
-
-    if mode == "dm":
-        a_tab = lobe_gains(scn.ant_alice)
-        w_tab = lobe_gains(scn.ant_willie)
-        g_alice = (a_tab.g_main
-                   if alice_main_lobe_covers_willie(alice, scn.bob, scn.willie,
-                                                    scn.ant_alice)
-                   else a_tab.g_side)
-
-    def batch(rng, m):
-        loss, h2 = _willie_fading(scn, mode, link, rng, m)
-        if mode == "dm":
-            main = rng.random(m) < w_tab.p_main
-            gain = g_alice * np.where(main, w_tab.g_main, w_tab.g_side)
-        else:
-            gain = 1.0
-        k_a = p_a * gain * loss * h2
-        return min_dep_values(k_a, sigma_n2, rho)
-
-    return _run_batches(batch, n, seed, workers)
-
-
-def _bob_snr_batch(scn: Scenario, mode: str, alice: NodePosition,
-                   p_a: float, rho: float, rng, m: int):
-    """One batch of receiver SNR draws (fading, lobe state, noise)."""
-    link = scn.link(alice, scn.bob)
-    los = rng.random(m) < link.p_los
-    if mode == "om":
-        k_los = rician_factor(link.theta_rad, scn.om.rician, True)
-        k = np.where(los, k_los, 0.0)
-        h2 = sample_rician_power(k, rng)
-        loss = np.where(los,
-                        path_loss(link.d, scn.om.pl_los),
-                        path_loss(link.d, scn.om.pl_nlos))
-        gain = 1.0
-    else:
-        nak = scn.dm.nakagami
-        s = np.where(los, nak.s_los, nak.s_nlos)
-        h2 = sample_nakagami_power(s, rng)
-        loss = np.where(los,
-                        path_loss(link.d, scn.dm.pl_los),
-                        path_loss(link.d, scn.dm.pl_nlos))
-        a_tab = lobe_gains(scn.ant_alice)
-        b_tab = lobe_gains(scn.ant_bob)
-        main = rng.random(m) < b_tab.p_main
-        gain = a_tab.g_main * np.where(main, b_tab.g_main, b_tab.g_side)
-    noise = NoiseModel(sigma_n2=scn.noise.sigma_n2, rho=rho)
-    sigma_b2 = sample_noise_power(noise, rng, size=m)
-    return p_a * gain * loss * h2 / sigma_b2
+    p_a = scn.p_a if p_a is None else p_a
+    rho = scn.noise.rho if rho is None else rho
+    return mc_dep_points(scn, [(p_a, rho)], alice=alice, mode=mode, n=n,
+                         seed=seed, workers=workers)[0]
 
 
 def mc_outage(scn: Scenario, alice: NodePosition | None = None,
@@ -201,22 +295,16 @@ def mc_outage(scn: Scenario, alice: NodePosition | None = None,
               mode: str = "om", n: int = 10**6, seed: int | None = None,
               rho: float | None = None, workers: int = 1) -> McEstimate:
     """Estimate P(SNR < gamma_th) at the receiver by direct sampling."""
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else float(p_a)
-    seed = scn.seed if seed is None else int(seed)
-    rho = scn.noise.rho if rho is None else float(rho)
-    _check_common(scn, mode, p_a, n)
+    p_a = scn.p_a if p_a is None else p_a
+    rho = scn.noise.rho if rho is None else rho
     if gamma_th is None:
         from .throughput import snr_threshold
+        _check_common(scn, mode, float(p_a), n)  # before scn.band(mode)
         gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-    if gamma_th < 0:
-        raise DomainError("gamma_th must be nonnegative")
-
-    def batch(rng, m):
-        snr = _bob_snr_batch(scn, mode, alice, p_a, rho, rng, m)
-        return (snr < gamma_th).astype(float)
-
-    return _run_batches(batch, n, seed, workers)
+    (est,) = mc_receiver_points(scn, [(p_a, rho, (gamma_th,))], alice=alice,
+                                mode=mode, n=n, seed=seed, workers=workers,
+                                capacity=False)
+    return est.outage[0]
 
 
 def mc_ergodic_capacity(scn: Scenario, alice: NodePosition | None = None,
@@ -225,18 +313,11 @@ def mc_ergodic_capacity(scn: Scenario, alice: NodePosition | None = None,
                         rho: float | None = None,
                         workers: int = 1) -> McEstimate:
     """Estimate E[W log2(1 + SNR)] at the receiver by direct sampling."""
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else float(p_a)
-    seed = scn.seed if seed is None else int(seed)
-    rho = scn.noise.rho if rho is None else float(rho)
-    _check_common(scn, mode, p_a, n)
-    w = scn.band(mode).bandwidth_hz
-
-    def batch(rng, m):
-        snr = _bob_snr_batch(scn, mode, alice, p_a, rho, rng, m)
-        return w * np.log2(1.0 + snr)
-
-    return _run_batches(batch, n, seed, workers)
+    p_a = scn.p_a if p_a is None else p_a
+    rho = scn.noise.rho if rho is None else rho
+    (est,) = mc_receiver_points(scn, [(p_a, rho, ())], alice=alice,
+                                mode=mode, n=n, seed=seed, workers=workers)
+    return est.capacity
 
 
 def mc_min_dep_radiometer(k_a: float, sigma_n2: float, rho: float,

@@ -34,6 +34,7 @@ __all__ = [
     "load_scenario",
     "loads_scenario",
     "scenario_to_flat",
+    "scenario_from_flat",
     "scenario_hash",
 ]
 
@@ -318,6 +319,15 @@ def default_scenario(**overrides) -> Scenario:
 def scenario_to_flat(values_text: str | None = None) -> dict[str, float | int]:
     """Flat key/value view of a scenario file (defaults merged in)."""
     return _parse_flat(values_text or "")
+
+
+def scenario_from_flat(flat: dict[str, float | int]) -> Scenario:
+    """Build the scenario of a flat key/value view such as ``scenario_to_flat``
+    returns; omitted keys take the default values."""
+    unknown = sorted(set(flat) - set(DEFAULT_FLAT))
+    if unknown:
+        raise ScenarioError(f"unknown keys {unknown}")
+    return _build({**DEFAULT_FLAT, **flat})
 
 
 def scenario_hash(flat: dict[str, float | int]) -> str:

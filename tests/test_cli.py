@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from a2gcovert import __version__
+from a2gcovert import __version__, scenario
 from a2gcovert.cli import _row_seed, main
 
 
@@ -71,6 +71,28 @@ class TestSweep:
         for row in rows:
             gap = abs(float(row["outage"]) - float(row["mc_outage"]))
             assert gap < max(0.03, 5 * float(row["mc_outage_stderr"]))
+
+    def test_mc_outage_and_csc_share_the_outage_seed(self, capsys):
+        from a2gcovert.cli import _fmt
+        from a2gcovert.oracle import mc_ergodic_capacity, mc_outage
+        from a2gcovert.scenario import db_to_linear, default_scenario
+        n, seed = 20000, 4
+        code, out, _ = run_cli(
+            ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
+             "--points", "2", "--metrics", "outage,csc", "--modes", "dm",
+             "--mc", "--samples", str(n), "--seed", str(seed)], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        scn = default_scenario(seed=seed)
+        for i, row in enumerate(rows):
+            rho = db_to_linear(float(row["axis_value"]))
+            row_seed = _row_seed(seed, i, "dm", "outage")
+            est = mc_outage(scn, rho=rho, mode="dm", n=n, seed=row_seed)
+            cap = mc_ergodic_capacity(scn, rho=rho, mode="dm", n=n,
+                                      seed=row_seed)
+            assert row["mc_outage"] == _fmt(est.mean)
+            assert row["mc_csc"] == _fmt(cap.mean)
+            assert row["mc_csc_stderr"] == _fmt(cap.std_error)
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -206,6 +228,24 @@ class TestDeterminism:
         from a2gcovert.scenario import scenario_hash, scenario_to_flat
         want = scenario_hash(scenario_to_flat(cfg.read_text()))
         assert f"scenario_hash={want}" in meta
+
+    def test_config_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        parse = scenario._parse_flat
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(scenario, "_parse_flat", counting)
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text("alice.x = 400\np_a_dbm = 10\n")
+        code, _, _ = run_cli(
+            ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
+             "--points", "2", "--metrics", "dep", "--modes", "om",
+             "--config", str(cfg)], capsys)
+        assert code == 0
+        assert calls == [cfg.read_text()]
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from a2gcovert import oracle
 from a2gcovert.detection import min_dep_values
 from a2gcovert.errors import DomainError
 from a2gcovert.oracle import (
     BATCH_SIZE,
+    mc_dep_points,
     mc_ergodic_capacity,
     mc_expected_min_dep,
     mc_min_dep_radiometer,
     mc_outage,
+    mc_receiver_points,
 )
+from a2gcovert.throughput import snr_threshold
 
 N_SMOKE = 50_000
 SEED = 123
@@ -67,6 +71,76 @@ class TestEstimates:
         with pytest.raises(DomainError):
             mc_expected_min_dep(scn, mode="om", p_a=-1.0, n=N_SMOKE,
                                 seed=SEED)
+
+
+class TestVarianceMerge:
+    def test_standard_error_of_large_offset_samples(self):
+        # 1e8 + N(0, 1): sum(x^2) - n mean^2 cancels every digit of the
+        # variance here; merged (n, mean, M2) moments keep it.
+        n = 3 * BATCH_SIZE + 1234
+        seed = 7
+
+        def batch(rng, m):
+            return [oracle._moments(1e8 + rng.standard_normal(m))]
+
+        (est,) = oracle._run_batches(batch, n, seed, 1)
+        sizes = [BATCH_SIZE] * 3 + [1234]
+        draws = np.concatenate([
+            1e8 + oracle._batch_rng(seed, i).standard_normal(m)
+            for i, m in enumerate(sizes)])
+        want_se = np.std(draws, ddof=1) / np.sqrt(n)
+        assert est.std_error == pytest.approx(want_se, rel=1e-9)
+        assert est.mean == pytest.approx(np.mean(draws), rel=1e-15)
+        assert est.n_samples == n
+
+    def test_indicator_moments_match_float_moments(self):
+        x = (np.random.default_rng(3).random(1001) < 0.3).astype(float)
+        hits = int(x.sum())
+        n, mean, m2 = oracle._indicator_moments(hits, x.size)
+        assert n == x.size
+        assert mean == pytest.approx(x.mean(), rel=1e-15)
+        assert m2 == pytest.approx(np.sum((x - x.mean()) ** 2), rel=1e-12)
+
+
+class TestSharedDraws:
+    POINTS = ((1.0, 10 ** 0.2), (10 ** 1.5, 10 ** 0.4), (100.0, 10 ** 0.2))
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    def test_dep_call_is_one_point_of_the_multi_point_call(self, scn, mode):
+        multi = mc_dep_points(scn, self.POINTS, mode=mode, n=N_SMOKE,
+                              seed=SEED)
+        for (p_a, rho), est in zip(self.POINTS, multi):
+            one = mc_expected_min_dep(scn, p_a=p_a, rho=rho, mode=mode,
+                                      n=N_SMOKE, seed=SEED)
+            assert one == est
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    def test_receiver_calls_are_points_of_the_multi_point_call(self, scn,
+                                                               mode):
+        w = scn.band(mode).bandwidth_hz
+        gammas = tuple(float(snr_threshold(r, w)) for r in (0.5e6, 2e6))
+        multi = mc_receiver_points(
+            scn, [(p_a, rho, gammas) for p_a, rho in self.POINTS],
+            mode=mode, n=N_SMOKE, seed=SEED)
+        for (p_a, rho), est in zip(self.POINTS, multi):
+            for g, out in zip(gammas, est.outage):
+                assert mc_outage(scn, p_a=p_a, rho=rho, gamma_th=g,
+                                 mode=mode, n=N_SMOKE, seed=SEED) == out
+            assert mc_ergodic_capacity(scn, p_a=p_a, rho=rho, mode=mode,
+                                       n=N_SMOKE, seed=SEED) == est.capacity
+
+    def test_bad_point_raises_before_drawing(self, scn, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew samples for an invalid point")
+
+        monkeypatch.setattr(oracle, "_run_batches", no_draws)
+        with pytest.raises(DomainError):
+            mc_dep_points(scn, [(1.0, 2.0), (-1.0, 2.0)], n=N_SMOKE)
+        with pytest.raises(DomainError):
+            mc_receiver_points(scn, [(1.0, 2.0, (1.0,)), (-1.0, 2.0, ())],
+                               n=N_SMOKE)
+        with pytest.raises(DomainError):
+            mc_receiver_points(scn, [(1.0, 2.0, (1.0, -1.0))], n=N_SMOKE)
 
 
 class TestRadiometerCrossCheck:

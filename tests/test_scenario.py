@@ -10,6 +10,7 @@ from a2gcovert.scenario import (
     dbm_to_mw,
     default_scenario,
     loads_scenario,
+    scenario_from_flat,
     scenario_hash,
     scenario_to_flat,
 )
@@ -113,6 +114,16 @@ class TestParsing:
         s = loads_scenario("antenna.alice.theta_ed_rad = 0.3")
         assert s.ant_alice.theta_ed == 0.3
         assert s.ant_alice.theta_h == pytest.approx(math.sqrt(0.5))
+
+    def test_scenario_from_flat_matches_text_loading(self):
+        text = "alice.x = 400\np_a_dbm = 10\ndm.s_los = 4\n"
+        assert scenario_from_flat(scenario_to_flat(text)) == (
+            loads_scenario(text))
+        assert scenario_from_flat({"alice.x": 400.0}).alice.x == 400.0
+        with pytest.raises(ScenarioError, match="not_a_key"):
+            scenario_from_flat({"not_a_key": 1.0})
+        with pytest.raises(ScenarioError):
+            scenario_from_flat({"epsilon": 1.5})
 
 
 class TestSafeDistance:
