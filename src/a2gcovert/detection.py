@@ -6,25 +6,33 @@ the false-alarm and missed-detection probabilities are piecewise logarithmic
 in ``tau``; their sum has a closed-form minimum over ``tau``.  Averaging that
 minimum over fading and over the discrete channel / lobe states gives the
 covertness metric the transmitter can actually evaluate.
+
+The fading averages of both modes go through one kernel,
+``_state_averages``: a composite Gauss-Legendre rule whose nodes and
+weights are built once, applied to all states of a mode in one array
+operation.  Rician states are integrated in the amplitude
+b = sqrt(2 (k+1) x), on a window of fixed width around sqrt(2k), and gamma
+states in the power x between the law's tail quantiles; the DEP cutoff is
+a panel edge, and panels are graded toward 0 when the noise uncertainty
+rho is large.  A 16-node rule on the same panels gives each state an
+error estimate; ``ExpectedDep.abs_err`` carries their weighted sum, and an
+estimate above 1e-8 raises ``QuadratureError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from scipy import integrate
+# ``integrate`` is unused here but kept as a module attribute: bench/spans.py
+# counts quadrature calls per module by replacing it.
+from scipy import integrate, special  # noqa: F401
 
-from .channel import (
-    nakagami_scalar_pdf,
-    nakagami_xi,
-    path_loss,
-    rician_factor,
-    rician_scalar_pdf,
-)
-from .errors import DomainError
+from .channel import nakagami_xi, path_loss, rician_factor
+from .errors import DomainError, QuadratureError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
 from .scenario import NodePosition, Scenario
 from .specfun import lower_inc_gamma, marcum_mu_nu
@@ -67,11 +75,15 @@ class ExpectedDep:
     """Fading-averaged minimum DEP with its per-state breakdown.
 
     ``terms`` maps a state label (e.g. "los", "main/nlos") to that state's
-    contribution; the contributions sum to ``value``.
+    contribution; the contributions sum to ``value``.  ``abs_err`` is the
+    quadrature error estimate of ``value``: each state's estimate times the
+    state's probability, summed; 0 for the closed forms and for a silent
+    transmitter.
     """
 
     value: float
     terms: dict[str, float]
+    abs_err: float = 0.0
 
 
 def _check_noise(sigma_n2: float, rho: float):
@@ -232,31 +244,169 @@ def _dep_term(unit_power: float, trunc_mean: float, cdf_at_cutoff: float,
     return cdf_at_cutoff * min(1.0, max(0.0, level))
 
 
-def _exact_state_average(unit: float, pdf, x_tail: float,
-                         sigma_n2: float, rho: float) -> float:
-    """Exact fading average of the minimum-DEP kernel for one channel state.
+@dataclass(frozen=True, eq=False)
+class _CompositeRule:
+    """Gauss-Legendre rule applied on every panel of a state's window.
 
-    Integrates (1 - [ln(rho*unit*x + sigma^2) - ln sigma^2] / (2 ln rho))
-    against the fading-power pdf over [0, min(cutoff, tail)], where the
-    cutoff is the gain beyond which the warden detects perfectly and the
-    tail bound carries negligible probability mass.  ``pdf`` is a float ->
-    float density from ``rician_scalar_pdf`` or ``nakagami_scalar_pdf``.
+    ``nodes`` holds the n-node rule followed by the lower-order estimate
+    rule, both on [-1, 1], so one pass evaluates the integrand for both;
+    row 0 of ``weights`` gives the n-node sum and row 1 the estimate.
     """
-    cut = varrho(unit, sigma_n2, rho)
-    upper = min(cut, x_tail)
-    if upper <= 0.0:
-        return 0.0
-    log_s = math.log(sigma_n2)
-    denom = 2.0 * math.log(rho)
-    gain = rho * unit
-    log = math.log
 
-    def integrand(x):
-        return (1.0 - (log(gain * x + sigma_n2) - log_s) / denom) * pdf(x)
+    panels: int
+    nodes: np.ndarray
+    weights: np.ndarray
 
-    val, _ = integrate.quad(integrand, 0.0, upper, limit=300,
-                            epsabs=1e-12, epsrel=1e-10)
-    return min(1.0, max(0.0, val))
+
+def _composite_rule(panels: int, n: int, n_est: int) -> _CompositeRule:
+    t, w = np.polynomial.legendre.leggauss(n)
+    t_est, w_est = np.polynomial.legendre.leggauss(n_est)
+    weights = np.zeros((2, n + n_est))
+    weights[0, :n] = w
+    weights[1, n:] = w_est
+    return _CompositeRule(panels, np.concatenate((t, t_est)), weights)
+
+
+_RULE = _composite_rule(panels=4, n=24, n_est=16)
+# ratio of consecutive panels graded toward the window start
+_GRADE = 4.0
+# half-width of the Rician window in the amplitude b, around sqrt(2k)
+_RICIAN_HALF_WIDTH = 12.0
+# probability left out below and above the gamma window
+_GAMMA_TAIL = 1e-18
+# largest error estimate a state average may carry
+_ABS_TOL = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _layout(rule: _CompositeRule, graded: int) -> tuple[np.ndarray, ...]:
+    """Nodes on [0, 1], their weights and the estimate rule's weights.
+
+    The panels are the rule's uniform ones, the first of them split
+    ``graded`` times geometrically toward 0.  The weights are two vectors,
+    applied by matrix-vector products: a matrix-matrix product would
+    allocate BLAS gemm buffers, 128 KB of peak memory that nothing else in
+    the planner needs.
+    """
+    first = 1.0 / rule.panels
+    edges = np.concatenate((
+        [0.0], first * _GRADE ** -np.arange(graded, 0, -1.0),
+        np.linspace(first, 1.0, rule.panels)))
+    half = 0.5 * np.diff(edges)
+    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * rule.nodes)
+    weights = half[:, None] * rule.weights[:, None, :]
+    out = (nodes.ravel(), weights[0].ravel(), weights[1].ravel())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gamma_law(s: int) -> tuple[float, float, float]:
+    """Log-density constant and the window's quantiles for shape s."""
+    return (s * math.log(s) - math.lgamma(s),
+            float(special.gammaincinv(s, _GAMMA_TAIL)) / s,
+            float(special.gammainccinv(s, _GAMMA_TAIL)) / s)
+
+
+def _state_averages(law: str, params, units, sigma_n2: float,
+                    rho: float) -> tuple[list[float], list[float]]:
+    """Fading averages of the minimum-DEP kernel over a list of states.
+
+    State i has the fading law ``law`` ("rician" with Rice factor
+    params[i], or "gamma" with integer shape params[i]) and the received
+    unit power units[i].  Below the cutoff x = varrho, beyond which the
+    warden detects perfectly, the kernel is
+    1 - ln(1 + rho unit x / sigma^2) / (2 ln rho); above it, zero.  Returns
+    the averages, clipped to [0, 1], and their error estimates.  An
+    estimate above 1e-8 raises ``QuadratureError`` naming the state.
+
+    One composite Gauss-Legendre rule (4 panels of 24 nodes) integrates
+    every state over its own window, all states and nodes in one array
+    operation:
+
+    - a Rician state in the amplitude b = sqrt(2 (k+1) x), where the
+      density is b exp(-(b - a)^2 / 2) i0e(a b) with a = sqrt(2k), on
+      [max(0, a - 12), min(a + 12, sqrt(2 (k+1) varrho))]: 24 wide for
+      every k, with the mass outside below 1e-30;
+    - a gamma state in x, between the law's 1e-18 quantiles and cut at
+      varrho.
+
+    When varrho bounds the window it is the last panel edge.  The
+    logarithm has a branch point at x = -varrho / (rho^2 - 1), that is at
+    b = +-i sqrt(2 (k+1) varrho / (rho^2 - 1)); its distance from the
+    window start is at least 1 / (rho^2 - 1) of the window's width in x,
+    and the square root of that in b.  The first panel is therefore split
+    geometrically toward the start until it is no wider than that
+    distance, which matters above rho ~ 10 dB.  The estimate is the
+    difference to a 16-node rule on the same panels.
+    """
+    _check_noise(sigma_n2, rho)
+    rician = law == "rician"
+    rr = rho * rho - 1.0
+    lo, width, cols = [], [], []
+    for p, unit in zip(params, units):
+        if unit < 0:
+            raise DomainError("received unit power must be nonnegative")
+        g = rho * unit / sigma_n2
+        cut = rr / g if g > 0.0 else math.inf
+        if rician:
+            if p < 0:
+                raise DomainError("Rician factor must be nonnegative")
+            a = math.sqrt(2.0 * p)
+            k2 = 2.0 * (p + 1.0)
+            start = max(a - _RICIAN_HALF_WIDTH, 0.0)
+            end = min(a + _RICIAN_HALF_WIDTH, math.sqrt(k2 * cut))
+            cols.append((a, g / k2))
+        else:
+            if p < 1:
+                raise DomainError("Nakagami shape must be >= 1")
+            const, start, end = _gamma_law(int(p))
+            end = min(cut, end)
+            cols.append((const, p, g))
+        lo.append(start)
+        width.append(max(end - start, 0.0))
+    delta = 1.0 / math.sqrt(rr) if rician else 1.0 / rr
+    graded = math.ceil(math.log(1.0 / (_RULE.panels * delta), _GRADE))
+    nodes, w_val, w_est = _layout(_RULE, max(0, graded))
+    w = np.array(width)
+    y = np.array(lo)[:, None] + w[:, None] * nodes  # states x nodes
+    inv = 1.0 / (2.0 * math.log(rho))
+    if rician:
+        a, c = np.array(cols).T[..., None]
+        f = (y * np.exp(-0.5 * (y - a) ** 2) * special.i0e(a * y)
+             * (1.0 - inv * np.log1p(c * y * y)))
+    else:
+        const, s, gain = np.array(cols).T[..., None]
+        f = (np.exp(const + (s - 1.0) * np.log(y) - s * y)
+             * (1.0 - inv * np.log1p(gain * y)))
+    val = (f @ w_val) * w
+    vals = val.tolist()
+    errs = np.abs(val - (f @ w_est) * w).tolist()
+    worst = max(range(len(errs)), key=errs.__getitem__)
+    if errs[worst] > _ABS_TOL:
+        name, var = ("k", "b") if rician else ("s", "x")
+        raise QuadratureError(
+            f"DEP fading average did not converge: {law} state "
+            f"{name} = {params[worst]:g}, unit power {units[worst]:.6g}, "
+            f"window {var} in [{lo[worst]:.6g}, "
+            f"{lo[worst] + width[worst]:.6g}], error estimate "
+            f"{errs[worst]:.3g} > {_ABS_TOL:g}")
+    return [min(1.0, max(0.0, v)) for v in vals], errs
+
+
+def _expected_dep(law: str, labels, probs, units, params, sigma_n2: float,
+                  rho: float) -> ExpectedDep:
+    vals, errs = _state_averages(law, params, units, sigma_n2, rho)
+    terms = {label: p * v for label, p, v in zip(labels, probs, vals)}
+    return ExpectedDep(value=sum(terms.values()), terms=terms,
+                       abs_err=sum(p * e for p, e in zip(probs, errs)))
+
+
+def _silent(labels, probs) -> ExpectedDep:
+    """A silent transmitter: the warden errs with certainty in every state."""
+    terms = {label: p * 1.0 for label, p in zip(labels, probs)}
+    return ExpectedDep(value=sum(terms.values()), terms=terms)
 
 
 def expected_min_dep_om(scn: Scenario, alice: NodePosition | None = None,
@@ -271,22 +421,19 @@ def expected_min_dep_om(scn: Scenario, alice: NodePosition | None = None,
     alice = alice if alice is not None else scn.alice
     p_a = scn.p_a if p_a is None else p_a
     rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
     link = scn.link(alice, scn.willie)
-    terms: dict[str, float] = {}
-    for los, label in ((True, "los"), (False, "nlos")):
-        p_state = link.p_los if los else 1.0 - link.p_los
-        if p_a == 0.0:
-            terms[label] = p_state * 1.0
-            continue
-        unit = p_a * path_loss(link.d, scn.om.pathloss(los))
-        k = rician_factor(link.theta_rad, scn.om.rician, los)
-        x_tail = (math.sqrt(2.0 * k) + 12.0) ** 2 / (2.0 * (k + 1.0))
-        terms[label] = p_state * _exact_state_average(
-            unit, rician_scalar_pdf(k), x_tail, sigma_n2, rho)
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
+    labels = ("los", "nlos")
+    probs = (link.p_los, 1.0 - link.p_los)
+    if p_a == 0.0:
+        return _silent(labels, probs)
+    states = (True, False)
+    return _expected_dep(
+        "rician", labels, probs,
+        [p_a * path_loss(link.d, scn.om.pathloss(los)) for los in states],
+        [rician_factor(link.theta_rad, scn.om.rician, los) for los in states],
+        scn.noise.sigma_n2, rho)
 
 
 def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
@@ -303,7 +450,6 @@ def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
     alice = alice if alice is not None else scn.alice
     p_a = scn.p_a if p_a is None else p_a
     rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
     link = scn.link(alice, scn.willie)
@@ -314,21 +460,19 @@ def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
                                                 scn.ant_alice)
                else a_tab.g_side)
     nak = scn.dm.nakagami
-    terms: dict[str, float] = {}
+    labels, probs, units, shapes = [], [], [], []
     for lobe, p_lobe, g_w in (("main", w_tab.p_main, w_tab.g_main),
                               ("side", w_tab.p_side, w_tab.g_side)):
         for los, blabel in ((True, "los"), (False, "nlos")):
-            label = f"{lobe}/{blabel}"
-            p_state = p_lobe * (link.p_los if los else 1.0 - link.p_los)
-            if p_a == 0.0:
-                terms[label] = p_state * 1.0
-                continue
-            unit = p_a * g_alice * g_w * path_loss(link.d, scn.dm.pathloss(los))
-            s = nak.shape(los)
-            x_tail = (60.0 + 20.0 * s) / s
-            terms[label] = p_state * _exact_state_average(
-                unit, nakagami_scalar_pdf(s), x_tail, sigma_n2, rho)
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
+            labels.append(f"{lobe}/{blabel}")
+            probs.append(p_lobe * (link.p_los if los else 1.0 - link.p_los))
+            units.append(p_a * g_alice * g_w
+                         * path_loss(link.d, scn.dm.pathloss(los)))
+            shapes.append(nak.shape(los))
+    if p_a == 0.0:
+        return _silent(labels, probs)
+    return _expected_dep("gamma", labels, probs, units, shapes,
+                         scn.noise.sigma_n2, rho)
 
 
 def expected_min_dep_om_closed_form(scn: Scenario,

@@ -18,4 +18,5 @@ class DegenerateArrayError(A2GError, ValueError):
 
 
 class QuadratureError(A2GError, RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """A quadrature missed its tolerance: adaptive quadrature did not
+    converge, or a fixed rule's error estimate exceeded its bound."""

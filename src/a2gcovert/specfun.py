@@ -140,6 +140,42 @@ def _bisect_q_level(a: float, level: float, lo: float, hi: float) -> float:
     return optimize.brentq(f, lo, hi, xtol=1e-10)
 
 
+def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
+                          qs_x: np.ndarray):
+    """Objective (mu, nu) -> error of the Marcum fit in truncated means.
+
+    ``xs`` is a uniform grid of the power variable x = b^2 / (2(k+1))
+    starting at 0, ``bs_x`` the b of each x and ``qs_x`` exact Q1 there.
+    With d(x) the CDF mismatch of exp(-e^mu b^nu), the error induced in a
+    truncated mean with upper limit x is x d(x) - integral_0^x d, by
+    integration by parts (trapezoid rule here); the objective is its
+    maximum over the grid.  ln b is taken once, and every evaluation works
+    in two buffers of its own.
+    """
+    log_b = np.log(np.maximum(bs_x, 1e-300))
+    half_dx = 0.5 * (xs[1] - xs[0])
+    d = np.empty_like(xs)
+    run = np.zeros_like(xs)
+    tail = run[1:]
+
+    def trunc_mean_err(p):
+        mu, nu = p
+        np.multiply(nu, log_b, out=d)
+        np.add(mu, d, out=d)
+        np.exp(d, out=d)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        np.subtract(qs_x, d, out=d)  # = F_exact - F_fit
+        np.add(d[1:], d[:-1], out=tail)
+        np.multiply(tail, half_dx, out=tail)
+        np.cumsum(tail, out=tail)
+        np.multiply(xs, d, out=d)
+        np.subtract(d, run, out=d)
+        return float(np.max(np.abs(d, out=d)))
+
+    return trunc_mean_err
+
+
 @lru_cache(maxsize=4096)
 def _fitted_mu_nu(a: float) -> tuple[float, float]:
     """Fit of exp(-e^mu b^nu) to exact Q1(a, .) for 0 < a < 10.
@@ -162,37 +198,24 @@ def _fitted_mu_nu(a: float) -> tuple[float, float]:
     qs = marcum_q1_exact(a, bs)
 
     # initialise from the linearisation ln(-ln Q) = mu + nu ln b
+    log_bs = np.log(bs)
     mask = (qs > 1e-4) & (qs < 0.9999)
     t = np.log(-np.log(qs[mask]))
-    coef = np.polyfit(np.log(bs[mask]), t, 1)
+    coef = np.polyfit(log_bs[mask], t, 1)
     nu0, mu0 = float(coef[0]), float(coef[1])
 
     def resid(p):
         mu, nu = p
-        return np.exp(-np.exp(mu + nu * np.log(bs))) - qs
+        return np.exp(-np.exp(mu + nu * log_bs)) - qs
 
     sol = optimize.least_squares(resid, x0=[mu0, nu0], method="lm")
 
-    # refine on the truncated-mean criterion: with d(x) the CDF mismatch in
-    # the normalised power variable x = b^2 / (2(k+1)), the error induced in
-    # a truncated mean with upper limit x is x*d(x) - integral_0^x d, by
-    # integration by parts; minimise its maximum over x.
+    # refine on the truncated-mean criterion (see _trunc_mean_objective)
     k1 = a * a / 2.0 + 1.0  # k + 1
     xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
     bs_x = np.sqrt(2.0 * k1 * xs)
-    qs_x = marcum_q1_exact(a, bs_x)
-    dx = xs[1] - xs[0]
-
-    def trunc_mean_err(p):
-        mu, nu = p
-        with np.errstate(divide="ignore"):
-            q_fit = np.exp(-np.exp(mu + nu * np.log(np.maximum(bs_x, 1e-300))))
-        d = qs_x - q_fit  # = F_exact - F_fit
-        run = np.concatenate(
-            ([0.0], np.cumsum((d[1:] + d[:-1]) * (0.5 * dx))))
-        return float(np.max(np.abs(xs * d - run)))
-
-    ref = optimize.minimize(trunc_mean_err, x0=sol.x, method="Nelder-Mead",
+    objective = _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
+    ref = optimize.minimize(objective, x0=sol.x, method="Nelder-Mead",
                             options={"xatol": 1e-7, "fatol": 1e-10,
                                      "maxiter": 800})
     mu, nu = float(ref.x[0]), float(ref.x[1])

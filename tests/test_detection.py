@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from a2gcovert.channel import nakagami_xi
+from a2gcovert import detection
+from a2gcovert.channel import (
+    nakagami_power_pdf,
+    nakagami_xi,
+    rician_power_pdf,
+)
 from a2gcovert.detection import (
     dep_at_threshold,
     expected_min_dep,
@@ -23,8 +28,8 @@ from a2gcovert.detection import (
     truncated_mean_rician,
     varrho,
 )
-from a2gcovert.errors import DomainError
-from a2gcovert.scenario import NodePosition
+from a2gcovert.errors import A2GError, DomainError, QuadratureError
+from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
 
 SIGMA = 1e-8
@@ -210,3 +215,111 @@ class TestExpectedMinDep:
         far = NodePosition(2000.0, 0.0, 500.0)
         assert expected_min_dep_om(scn, alice=far).value > (
             expected_min_dep_om(scn, alice=near).value)
+
+
+def _tight_quad_average(law, param, cut, rho):
+    """The state average by QUADPACK in the power x over [0, min(cut, tail)],
+    with the tail bounds of the former per-state quadrature."""
+    log_r2 = 2.0 * math.log(rho)
+    g = (rho * rho - 1.0) / cut
+    if law == "rician":
+        tail = (math.sqrt(2.0 * param) + 12.0) ** 2 / (2.0 * (param + 1.0))
+        peak = 1.0
+
+        def pdf(x):
+            return float(rician_power_pdf(x, param))
+    else:
+        tail = (60.0 + 20.0 * param) / param
+        peak = (param - 1.0) / param
+
+        def pdf(x):
+            return float(nakagami_power_pdf(x, param))
+    upper = min(cut, tail)
+    points = [q for q in (0.9 * peak, peak, 1.1 * peak) if 0.0 < q < upper]
+    points += [upper * f for f in (1e-4, 1e-3, 1e-2, 0.1)]
+    val, _ = integrate.quad(
+        lambda x: (1.0 - math.log1p(g * x) / log_r2) * pdf(x), 0.0, upper,
+        points=sorted(points), limit=2000, epsabs=1e-14, epsrel=1e-13)
+    return min(1.0, max(0.0, val))
+
+
+class TestDepKernel:
+    def test_matches_tight_quadrature_on_random_states(self):
+        # Rice factors up to the parser's ceiling, gamma shapes up to 300
+        # (half of them 1 to 3, whose density does not vanish fast at 0),
+        # rho up to 20 dB (where the graded panels matter) and cutoffs from
+        # 1e-3 to 1e2 times the mean power
+        rng = np.random.default_rng(20261018)
+        sigma_n2 = 1e-8
+        worst = (0.0, None)
+        for i in range(240):
+            law = ("rician", "gamma")[i % 2]
+            if law == "rician":
+                param = float(rng.choice([rng.uniform(0.0, 7200.0),
+                                          10.0 ** rng.uniform(-2.0, 3.86)]))
+            else:
+                param = int(rng.choice([rng.integers(1, 4),
+                                        rng.integers(1, 301)]))
+            rho_db = 20.0 if i % 8 < 2 else float(rng.uniform(1e-5, 20.0))
+            rho = 10.0 ** (rho_db / 10.0)
+            cut = float(10.0 ** rng.uniform(-3.0, 2.0))
+            unit = (rho * rho - 1.0) * sigma_n2 / (rho * cut)
+            (val,), (est,) = detection._state_averages(
+                law, [param], [unit], sigma_n2, rho)
+            assert est <= 1e-8
+            err = abs(val - _tight_quad_average(law, param, cut, rho))
+            if err > worst[0]:
+                worst = (err, (law, param, rho_db, cut))
+        assert worst[0] <= 1e-9, f"kernel error {worst[0]:.3g} at {worst[1]}"
+
+    def test_error_estimate_carried_and_small(self, scn):
+        for mode in ("om", "dm"):
+            res = expected_min_dep(scn, mode)
+            assert 0.0 <= res.abs_err <= 1e-8
+            assert expected_min_dep(scn, mode, p_a=0.0).abs_err == 0.0
+
+    def test_starved_rule_raises_naming_the_state(self, monkeypatch):
+        scn = scenario_from_flat({
+            "om.k_half_pi_db": 10.0 * math.log10(7200.0),
+            "alice.x": 1000.0, "alice.y": 0.0,
+            "willie.x": 1000.0, "willie.y": 0.0})
+        assert expected_min_dep_om(scn).abs_err <= 1e-8
+        monkeypatch.setattr(detection, "_RULE",
+                            detection._composite_rule(panels=1, n=4, n_est=2))
+        with pytest.raises(QuadratureError) as info:
+            expected_min_dep_om(scn)
+        msg = str(info.value)
+        assert "rician" in msg and "k = 7200" in msg
+        assert "unit power" in msg and "window b in [108" in msg
+
+
+@st.composite
+def _corner_scenarios(draw):
+    k0_db = draw(st.floats(-10.0, 10.0))
+    flat = {
+        "noise.rho_db": draw(st.floats(1e-5, 20.0)),
+        "om.k0_db": k0_db,
+        "om.k_half_pi_db": draw(st.floats(k0_db, 38.6)),
+        "dm.s_los": draw(st.integers(1, 300)),
+        "dm.s_nlos": draw(st.integers(1, 300)),
+        "alice.h": draw(st.floats(1.0, 2000.0)),
+    }
+    if draw(st.booleans()):  # directly above the warden
+        flat["alice.x"], flat["alice.y"] = 1000.0, 0.0
+    else:
+        flat["alice.x"] = draw(st.floats(-3000.0, 3000.0))
+    return flat
+
+
+class TestDepProperties:
+    @given(_corner_scenarios(), st.sampled_from(["om", "dm"]))
+    @settings(max_examples=60, deadline=None)
+    def test_in_unit_interval_and_nonincreasing_in_power(self, flat, mode):
+        powers = [0.0, 1e-30, 1e-18, 1e-9] + list(np.logspace(-6, 3, 10))
+        try:
+            scn = scenario_from_flat(flat)
+            vals = [expected_min_dep(scn, mode, p_a=p).value for p in powers]
+        except A2GError:
+            return
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:])), vals

@@ -17,7 +17,7 @@ from a2gcovert.specfun import (
     marcum_q1_approx,
     marcum_q1_exact,
 )
-from a2gcovert.specfun import _fitted_mu_nu
+from a2gcovert.specfun import _fitted_mu_nu, _trunc_mean_objective
 
 
 class TestWrappers:
@@ -124,6 +124,32 @@ class TestFittedMuNu:
         ref_mu, ref_nu = self.REFERENCE[a]
         assert mu == pytest.approx(ref_mu, abs=1e-6)
         assert nu == pytest.approx(ref_nu, abs=1e-6)
+
+    @pytest.mark.parametrize("a", [0.7, 4.3, 9.5])
+    def test_objective_equals_the_written_out_formula_bit_for_bit(self, a):
+        k1 = a * a / 2.0 + 1.0
+        xs = np.linspace(0.0, max(6.0, (a + 6.0) ** 2 / (2.0 * k1)), 801)
+        bs_x = np.sqrt(2.0 * k1 * xs)
+        qs_x = marcum_q1_exact(a, bs_x)
+        dx = xs[1] - xs[0]
+
+        def written_out(p):
+            mu, nu = p
+            with np.errstate(divide="ignore"):
+                q_fit = np.exp(-np.exp(
+                    mu + nu * np.log(np.maximum(bs_x, 1e-300))))
+            d = qs_x - q_fit
+            run = np.concatenate(
+                ([0.0], np.cumsum((d[1:] + d[:-1]) * (0.5 * dx))))
+            return float(np.max(np.abs(xs * d - run)))
+
+        objective = _trunc_mean_objective(xs, bs_x, qs_x)
+        rng = np.random.default_rng(int(a * 100))
+        points = np.column_stack((rng.uniform(-12.0, 1.0, 300),
+                                  rng.uniform(0.5, 8.0, 300)))
+        # repeated calls reuse the objective's buffers
+        for p in np.concatenate((points, points[::-1])):
+            assert objective(p) == written_out(p)
 
 
 class TestMarcumApprox:
