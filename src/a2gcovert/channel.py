@@ -2,24 +2,33 @@
 
 All powers are linear milliwatts; all gain/loss factors are linear ratios.
 Distribution evaluators are pure; samplers take an explicit numpy Generator.
+``link_states`` describes the discrete states of one link (LoS, and in mode
+"dm" the receive lobe) once; every primary metric is evaluated over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
+from .geometry import NodePosition, alice_main_lobe_covers_willie, lobe_gains
 from .specfun import bessel_i0_scaled, marcum_q1_approx, marcum_q1_exact
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 __all__ = [
     "RicianLaw",
     "NakagamiLaw",
     "PathLoss",
     "NoiseModel",
+    "LinkStates",
+    "link_states",
     "nakagami_xi",
     "rician_factor",
     "rician_power_pdf",
@@ -223,6 +232,67 @@ def path_loss(d: float, pl: PathLoss) -> float:
     if d <= 0:
         raise DomainError("distance must be positive")
     return pl.beta * d ** (-pl.alpha)
+
+
+@dataclass(frozen=True)
+class LinkStates:
+    """The discrete states of one link in one mode, with their fading laws.
+
+    State i occurs with probability probs[i] and is called labels[i]: "los"
+    and "nlos" in mode "om"; "main/los", "main/nlos", "side/los" and
+    "side/nlos" in mode "dm", by the receive lobe.  Its unit-mean fading
+    power follows ``law``: "rician" with Rice factor params[i], or "gamma"
+    with integer shape params[i].  Its mean received power per mW of
+    transmit power is tx_gain * rx_gains[i] * losses[i].
+    """
+
+    law: str
+    labels: tuple[str, ...]
+    probs: tuple[float, ...]
+    params: tuple[float, ...]
+    tx_gain: float
+    rx_gains: tuple[float, ...]
+    losses: tuple[float, ...]
+
+    def received(self, p_a: float) -> list[float]:
+        """Mean received power of each state at transmit power p_a (mW)."""
+        return [p_a * self.tx_gain * g * loss
+                for g, loss in zip(self.rx_gains, self.losses)]
+
+
+def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
+                receiver: str) -> LinkStates:
+    """State table of the link from ``alice`` (None: ``scn.alice``) to
+    "bob" or "willie".
+
+    In mode "dm" Alice's beam is steered at Bob: Bob sees her main lobe,
+    Willie her main lobe only inside it (``alice_main_lobe_covers_willie``)
+    and her side lobe otherwise.  The receiver's own lobe is random, main
+    with its pointing probability.
+    """
+    if mode not in ("om", "dm"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if receiver not in ("bob", "willie"):
+        raise DomainError(f"unknown receiver {receiver!r}")
+    alice = scn.alice if alice is None else alice
+    band = scn.band(mode)
+    link = scn.link(alice, getattr(scn, receiver))
+    probs = (link.p_los, 1.0 - link.p_los)
+    losses = (path_loss(link.d, band.pl_los), path_loss(link.d, band.pl_nlos))
+    if mode == "om":
+        return LinkStates("rician", ("los", "nlos"), probs, tuple(
+            rician_factor(link.theta_rad, band.rician, los)
+            for los in (True, False)), 1.0, (1.0, 1.0), losses)
+    a_tab = lobe_gains(scn.ant_alice)
+    covered = receiver == "bob" or alice_main_lobe_covers_willie(
+        alice, scn.bob, scn.willie, scn.ant_alice)
+    rx = lobe_gains(getattr(scn, f"ant_{receiver}"))
+    return LinkStates(
+        "gamma", ("main/los", "main/nlos", "side/los", "side/nlos"),
+        tuple(p_lobe * p for p_lobe in (rx.p_main, rx.p_side) for p in probs),
+        (band.nakagami.s_los, band.nakagami.s_nlos) * 2,
+        a_tab.g_main if covered else a_tab.g_side,
+        (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2)
 
 
 def sample_rician_power(k, rng: np.random.Generator, size=None):

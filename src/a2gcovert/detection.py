@@ -7,16 +7,16 @@ in ``tau``; their sum has a closed-form minimum over ``tau``.  Averaging that
 minimum over fading and over the discrete channel / lobe states gives the
 covertness metric the transmitter can actually evaluate.
 
-The fading averages of both modes go through one kernel,
-``_state_averages``: a composite Gauss-Legendre rule whose nodes and
-weights are built once, applied to all states of a mode in one array
-operation.  Rician states are integrated in the amplitude
-b = sqrt(2 (k+1) x), on a window of fixed width around sqrt(2k), and gamma
-states in the power x between the law's tail quantiles; the DEP cutoff is
-a panel edge, and panels are graded toward 0 when the noise uncertainty
-rho is large.  A 16-node rule on the same panels gives each state an
-error estimate; ``ExpectedDep.abs_err`` carries their weighted sum, and an
-estimate above 1e-8 raises ``QuadratureError``.
+``dep_over_states`` averages over the warden link's state table
+(``channel.link_states``), for the public functions and the planner alike,
+by ``_state_averages``: one composite Gauss-Legendre rule, built once and
+applied to all states in one array operation.  Rician states are integrated
+in the amplitude b = sqrt(2 (k+1) x), on a window of fixed width around
+sqrt(2k), and gamma states in the power x between the law's tail quantiles;
+the DEP cutoff is a panel edge, and panels are graded toward 0 when the
+noise uncertainty rho is large.  A 16-node rule on the same panels gives each
+state an error estimate; ``ExpectedDep.abs_err`` carries their weighted sum,
+and an estimate above 1e-8 raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import numpy as np
 # counts quadrature calls per module by replacing it.
 from scipy import integrate, special  # noqa: F401
 
-from .channel import nakagami_xi, path_loss, rician_factor
+from .channel import LinkStates, link_states, nakagami_xi
 from .errors import DomainError, QuadratureError
-from .geometry import alice_main_lobe_covers_willie, lobe_gains
 from .scenario import NodePosition, Scenario
 from .specfun import lower_inc_gamma, marcum_mu_nu
 
@@ -47,6 +46,7 @@ __all__ = [
     "min_dep",
     "min_dep_values",
     "varrho",
+    "dep_over_states",
     "truncated_mean_rician",
     "truncated_mean_nakagami",
     "expected_min_dep_om",
@@ -236,14 +236,6 @@ def truncated_mean_nakagami(a: float, s: int) -> float:
     return total
 
 
-def _dep_term(unit_power: float, trunc_mean: float, cdf_at_cutoff: float,
-              sigma_n2: float, rho: float) -> float:
-    """State contribution: CDF weight times the log-average error level."""
-    inner = rho * unit_power * trunc_mean + sigma_n2
-    level = 1.0 - (math.log(inner) - math.log(sigma_n2)) / (2.0 * math.log(rho))
-    return cdf_at_cutoff * min(1.0, max(0.0, level))
-
-
 @dataclass(frozen=True, eq=False)
 class _CompositeRule:
     """Gauss-Legendre rule applied on every panel of a state's window.
@@ -395,45 +387,34 @@ def _state_averages(law: str, params, units, sigma_n2: float,
     return [min(1.0, max(0.0, v)) for v in vals], errs
 
 
-def _expected_dep(law: str, labels, probs, units, params, sigma_n2: float,
-                  rho: float) -> ExpectedDep:
-    vals, errs = _state_averages(law, params, units, sigma_n2, rho)
-    terms = {label: p * v for label, p, v in zip(labels, probs, vals)}
+def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
+                    rho: float) -> ExpectedDep:
+    """Fading-averaged minimum DEP over the states of the warden's link.
+
+    Each state's exact fading density is integrated against the minimum-DEP
+    kernel by ``_state_averages``; a silent transmitter leaves the warden
+    erring with certainty in every state.
+    """
+    if p_a < 0:
+        raise DomainError("transmit power must be nonnegative")
+    if p_a == 0.0:
+        vals, errs = [1.0] * len(states.probs), [0.0] * len(states.probs)
+    else:
+        vals, errs = _state_averages(states.law, states.params,
+                                     states.received(p_a), sigma_n2, rho)
+    terms = {label: p * v for label, p, v in zip(states.labels, states.probs,
+                                                  vals)}
     return ExpectedDep(value=sum(terms.values()), terms=terms,
-                       abs_err=sum(p * e for p, e in zip(probs, errs)))
-
-
-def _silent(labels, probs) -> ExpectedDep:
-    """A silent transmitter: the warden errs with certainty in every state."""
-    terms = {label: p * 1.0 for label, p in zip(labels, probs)}
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
+                       abs_err=sum(p * e for p, e in zip(states.probs, errs)))
 
 
 def expected_min_dep_om(scn: Scenario, alice: NodePosition | None = None,
                         p_a: float | None = None,
                         rho: float | None = None) -> ExpectedDep:
-    """Fading-averaged minimum DEP in the omnidirectional microwave mode.
-
-    Mixture over the LoS/NLoS state of the transmitter-warden link; within
-    each state the exact Rician power density is integrated against the
-    minimum-DEP kernel.
-    """
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    link = scn.link(alice, scn.willie)
-    labels = ("los", "nlos")
-    probs = (link.p_los, 1.0 - link.p_los)
-    if p_a == 0.0:
-        return _silent(labels, probs)
-    states = (True, False)
-    return _expected_dep(
-        "rician", labels, probs,
-        [p_a * path_loss(link.d, scn.om.pathloss(los)) for los in states],
-        [rician_factor(link.theta_rad, scn.om.rician, los) for los in states],
-        scn.noise.sigma_n2, rho)
+    """Fading-averaged minimum DEP in the omnidirectional microwave mode:
+    a mixture over the LoS/NLoS state of the transmitter-warden link, each
+    with its exact Rician power density."""
+    return expected_min_dep(scn, "om", alice=alice, p_a=p_a, rho=rho)
 
 
 def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
@@ -442,37 +423,50 @@ def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
     """Fading-averaged minimum DEP in the directional mmWave mode.
 
     Double mixture: the warden's receive lobe (main with its pointing
-    probability, side otherwise) and the LoS/NLoS state; the exact gamma
-    power density is integrated against the minimum-DEP kernel.  The
-    transmitter's lobe toward the warden is deterministic given the beam
-    steered at the intended receiver.
+    probability, side otherwise) and the LoS/NLoS state, each with its
+    exact gamma power density.  The transmitter's lobe toward the warden is
+    deterministic given the beam steered at the intended receiver.
     """
-    alice = alice if alice is not None else scn.alice
+    return expected_min_dep(scn, "dm", alice=alice, p_a=p_a, rho=rho)
+
+
+def _closed_form(scn: Scenario, mode: str, alice: NodePosition | None,
+                 p_a: float | None, rho: float | None,
+                 surrogate) -> ExpectedDep:
+    """DEP state mixture under a surrogate law: ``surrogate(param, cutoff)``
+    gives its CDF at the cutoff and its truncated mean below it."""
     p_a = scn.p_a if p_a is None else p_a
     rho = scn.noise.rho if rho is None else rho
+    sigma_n2 = scn.noise.sigma_n2
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
-    link = scn.link(alice, scn.willie)
-    a_tab = lobe_gains(scn.ant_alice)
-    w_tab = lobe_gains(scn.ant_willie)
-    g_alice = (a_tab.g_main
-               if alice_main_lobe_covers_willie(alice, scn.bob, scn.willie,
-                                                scn.ant_alice)
-               else a_tab.g_side)
-    nak = scn.dm.nakagami
-    labels, probs, units, shapes = [], [], [], []
-    for lobe, p_lobe, g_w in (("main", w_tab.p_main, w_tab.g_main),
-                              ("side", w_tab.p_side, w_tab.g_side)):
-        for los, blabel in ((True, "los"), (False, "nlos")):
-            labels.append(f"{lobe}/{blabel}")
-            probs.append(p_lobe * (link.p_los if los else 1.0 - link.p_los))
-            units.append(p_a * g_alice * g_w
-                         * path_loss(link.d, scn.dm.pathloss(los)))
-            shapes.append(nak.shape(los))
-    if p_a == 0.0:
-        return _silent(labels, probs)
-    return _expected_dep("gamma", labels, probs, units, shapes,
-                         scn.noise.sigma_n2, rho)
+    states = link_states(scn, mode, alice, "willie")
+    terms: dict[str, float] = {}
+    for label, p_state, param, unit in zip(states.labels, states.probs,
+                                           states.params,
+                                           states.received(p_a)):
+        term = 1.0  # a silent transmitter
+        if p_a > 0.0:
+            # CDF weight at the cutoff times the log-average error level
+            cdf, t = surrogate(param, varrho(unit, sigma_n2, rho))
+            level = 1.0 - (math.log(rho * unit * t + sigma_n2)
+                           - math.log(sigma_n2)) / (2.0 * math.log(rho))
+            term = cdf * min(1.0, max(0.0, level))
+        terms[label] = p_state * term
+    return ExpectedDep(value=sum(terms.values()), terms=terms)
+
+
+def _rician_surrogate(k: float, cut: float) -> tuple[float, float]:
+    c = marcum_mu_nu(math.sqrt(2.0 * k))
+    z = math.exp(c.mu) * (2.0 * cut * (k + 1.0)) ** (c.nu / 2.0)
+    return 1.0 - math.exp(-z), truncated_mean_rician(cut, k)
+
+
+def _gamma_surrogate(s: int, cut: float) -> tuple[float, float]:
+    xi = nakagami_xi(s)
+    cdf = sum(math.comb(s, r) * (-1.0) ** r * math.exp(-r * xi * cut)
+              for r in range(0, s + 1))
+    return min(1.0, max(0.0, cdf)), truncated_mean_nakagami(cut, s)
 
 
 def expected_min_dep_om_closed_form(scn: Scenario,
@@ -487,28 +481,7 @@ def expected_min_dep_om_closed_form(scn: Scenario,
     exact average by more than a tenth in absolute DEP at high power.  Use
     ``expected_min_dep_om`` for accuracy-sensitive work.
     """
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    link = scn.link(alice, scn.willie)
-    terms: dict[str, float] = {}
-    for los, label in ((True, "los"), (False, "nlos")):
-        p_state = link.p_los if los else 1.0 - link.p_los
-        if p_a == 0.0:
-            terms[label] = p_state * 1.0
-            continue
-        unit = p_a * path_loss(link.d, scn.om.pathloss(los))
-        k = rician_factor(link.theta_rad, scn.om.rician, los)
-        rho_cut = varrho(unit, sigma_n2, rho)
-        c = marcum_mu_nu(math.sqrt(2.0 * k))
-        z = math.exp(c.mu) * (2.0 * rho_cut * (k + 1.0)) ** (c.nu / 2.0)
-        cdf = 1.0 - math.exp(-z)
-        t = truncated_mean_rician(rho_cut, k)
-        terms[label] = p_state * _dep_term(unit, t, cdf, sigma_n2, rho)
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
+    return _closed_form(scn, "om", alice, p_a, rho, _rician_surrogate)
 
 
 def expected_min_dep_dm_closed_form(scn: Scenario,
@@ -522,48 +495,14 @@ def expected_min_dep_dm_closed_form(scn: Scenario,
     five absolute percentage points at mid-range arguments, so use
     ``expected_min_dep_dm`` for accuracy-sensitive work.
     """
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    link = scn.link(alice, scn.willie)
-    a_tab = lobe_gains(scn.ant_alice)
-    w_tab = lobe_gains(scn.ant_willie)
-    g_alice = (a_tab.g_main
-               if alice_main_lobe_covers_willie(alice, scn.bob, scn.willie,
-                                                scn.ant_alice)
-               else a_tab.g_side)
-    nak = scn.dm.nakagami
-    terms: dict[str, float] = {}
-    for lobe, p_lobe, g_w in (("main", w_tab.p_main, w_tab.g_main),
-                              ("side", w_tab.p_side, w_tab.g_side)):
-        for los, blabel in ((True, "los"), (False, "nlos")):
-            label = f"{lobe}/{blabel}"
-            p_state = p_lobe * (link.p_los if los else 1.0 - link.p_los)
-            if p_a == 0.0:
-                terms[label] = p_state * 1.0
-                continue
-            unit = p_a * g_alice * g_w * path_loss(link.d, scn.dm.pathloss(los))
-            s = nak.shape(los)
-            rho_cut = varrho(unit, sigma_n2, rho)
-            xi = nakagami_xi(s)
-            cdf = sum(math.comb(s, r) * (-1.0) ** r * math.exp(-r * xi * rho_cut)
-                      for r in range(0, s + 1))
-            cdf = min(1.0, max(0.0, cdf))
-            t = truncated_mean_nakagami(rho_cut, s)
-            terms[label] = p_state * _dep_term(unit, t, cdf, sigma_n2, rho)
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
+    return _closed_form(scn, "dm", alice, p_a, rho, _gamma_surrogate)
 
 
 def expected_min_dep(scn: Scenario, mode: str,
                      alice: NodePosition | None = None,
                      p_a: float | None = None,
                      rho: float | None = None) -> ExpectedDep:
-    """Dispatch on transmission mode ('om' or 'dm')."""
-    if mode == "om":
-        return expected_min_dep_om(scn, alice=alice, p_a=p_a, rho=rho)
-    if mode == "dm":
-        return expected_min_dep_dm(scn, alice=alice, p_a=p_a, rho=rho)
-    raise DomainError(f"unknown mode {mode!r}")
+    """Fading-averaged minimum DEP in mode "om" or "dm"."""
+    return dep_over_states(link_states(scn, mode, alice, "willie"),
+                           scn.p_a if p_a is None else p_a, scn.noise.sigma_n2,
+                           scn.noise.rho if rho is None else rho)

@@ -259,18 +259,26 @@ def mc_receiver_points(scn: Scenario, points,
         lobe = (lobe_gains(scn.ant_alice).g_main, lobe_gains(scn.ant_bob))
     draw = _unit_power_sampler(scn, mode, scn.link(alice, scn.bob), lobe)
     w = scn.band(mode).bandwidth_hz
+    by_rho: dict[float, list[int]] = {}
+    for i, (_, noise, _) in enumerate(checked):
+        by_rho.setdefault(noise.rho, []).append(i)
 
     def batch(rng, m):
         unit = draw(rng, m)
         u = sample_noise_exponent(rng, m)
-        stats = []
-        for p_a, noise, gammas in checked:
-            snr = p_a * unit / noise.power(u)
-            stats += [_indicator_moments(int(np.count_nonzero(snr < g)), m)
-                      for g in gammas]
-            if capacity:
-                stats.append(_moments(w * np.log2(1.0 + snr)))
-        return stats
+        stats = [None] * len(checked)
+        for members in by_rho.values():
+            # one noise power array per distinct rho, freed before the next
+            power = checked[members[0]][1].power(u)
+            for i in members:
+                p_a, _, gammas = checked[i]
+                snr = p_a * unit / power
+                stats[i] = [_indicator_moments(int(np.count_nonzero(snr < g)),
+                                               m) for g in gammas]
+                if capacity:
+                    stats[i].append(_moments(w * np.log2(1.0 + snr)))
+            del power
+        return [stat for point in stats for stat in point]
 
     flat = iter(_run_batches(batch, n, seed, workers))
     return [ReceiverEstimates(outage=tuple(next(flat) for _ in gammas),

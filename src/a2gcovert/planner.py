@@ -5,6 +5,10 @@ falls), so the optimal power is the covertness limit capped at the power
 budget, found by geometric bisection.  The ECR problem additionally searches
 the target rate with a deterministic grid plus local polish, since the rate
 objective need not be concave.
+
+A solve builds the state tables of the warden's and the receiver's link
+(``channel.link_states``) once; the bisection, the rate grid and the polish
+call the DEP, outage and CSC kernels on them directly.
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .channel import path_loss
-from .detection import expected_min_dep
+from .channel import link_states
+from .detection import dep_over_states
 from .errors import DomainError
-from .geometry import lobe_gains
 from .scenario import NodePosition, Scenario
-from .throughput import csc, outage, snr_threshold
+from .throughput import csc_over_states, outage_over_states, snr_threshold
 
 __all__ = [
     "OptimizationResult",
@@ -67,16 +70,6 @@ class ModeDecision:
         return max(self.objective_om, self.objective_dm)
 
 
-def _dep_value(scn: Scenario, mode: str, alice: NodePosition | None,
-               p_a: float) -> float:
-    return expected_min_dep(scn, mode, alice=alice, p_a=p_a).value
-
-
-def _is_covert(scn: Scenario, mode: str, alice: NodePosition | None,
-               p_a: float) -> bool:
-    return _dep_value(scn, mode, alice, p_a) >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
-
-
 def max_rate(scn: Scenario, mode: str, alice: NodePosition | None = None) -> float:
     """Upper edge of the rate grid: capacity at P_max with unit fading gain.
 
@@ -84,17 +77,13 @@ def max_rate(scn: Scenario, mode: str, alice: NodePosition | None = None) -> flo
     i.e. the most favourable deterministic link, so the true optimum rate is
     always inside the grid.
     """
-    alice = alice if alice is not None else scn.alice
-    band = scn.band(mode)
-    link = scn.link(alice, scn.bob)
-    gain = 1.0
-    if mode == "dm":
-        gain = lobe_gains(scn.ant_alice).g_main * lobe_gains(scn.ant_bob).g_main
-    snr = scn.p_max * gain * path_loss(link.d, band.pl_los) / scn.noise.sigma_n2
-    return band.bandwidth_hz * math.log2(1.0 + snr)
+    bob = link_states(scn, mode, alice, "bob")
+    # state 0 is the LoS state (in the main lobe in mode "dm")
+    snr = bob.received(scn.p_max)[0] / scn.noise.sigma_n2
+    return scn.band(mode).bandwidth_hz * math.log2(1.0 + snr)
 
 
-def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition,
+def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition | None,
                         rel_tol: float = 1e-6) -> tuple[float, str] | None:
     """Largest transmit power satisfying the covertness constraint, capped at
     P_max; geometric bisection (expected DEP is nonincreasing in power).
@@ -102,15 +91,22 @@ def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition,
     Returns (power, binding constraint name), or None when even vanishing
     power is not covert at this geometry.
     """
-    if _is_covert(scn, mode, alice, scn.p_max):
+    willie = link_states(scn, mode, alice, "willie")
+    sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+
+    def is_covert(p_a: float) -> bool:
+        dep = dep_over_states(willie, p_a, sigma_n2, rho).value
+        return dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
+
+    if is_covert(scn.p_max):
         return scn.p_max, "power"
     lo = scn.p_max * 1e-12
-    if not _is_covert(scn, mode, alice, lo):
+    if not is_covert(lo):
         return None
     hi = scn.p_max
     while (hi - lo) > rel_tol * hi:
         mid = math.sqrt(lo * hi)
-        if _is_covert(scn, mode, alice, mid):
+        if is_covert(mid):
             lo = mid
         else:
             hi = mid
@@ -131,18 +127,19 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
         raise DomainError(f"unknown mode {mode!r}")
     if n_rate < 2:
         raise DomainError("rate grid needs at least two points")
-    alice = alice if alice is not None else scn.alice
     band = scn.band(mode)
     limit = _covert_power_limit(scn, mode, alice)
     if limit is None:
         return OptimizationResult(p_a_opt=0.0, r_b_opt=0.0, objective=0.0,
                                   binding="covertness", feasible=False)
     p_opt, binding = limit
+    bob = link_states(scn, mode, alice, "bob")
+    sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
     r_hi = max_rate(scn, mode, alice)
     rates = np.linspace(r_hi / n_rate, r_hi, n_rate)
     gammas = snr_threshold(rates, band.bandwidth_hz)
-    p_out = outage(scn, mode, alice=alice, p_a=p_opt, gamma_th=gammas)
-    obj = rates * (1.0 - np.asarray(p_out))
+    obj = rates * (1.0 - outage_over_states(bob, p_opt, gammas, sigma_n2,
+                                            rho))
     j = int(np.argmax(obj))
     r_opt, objective = float(rates[j]), float(obj[j])
     if refine:
@@ -151,8 +148,8 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
 
         def neg_ecr(r: float) -> float:
             g = float(snr_threshold(r, band.bandwidth_hz))
-            return -r * (1.0 - float(outage(scn, mode, alice=alice,
-                                            p_a=p_opt, gamma_th=g)))
+            return -r * (1.0 - outage_over_states(bob, p_opt, g, sigma_n2,
+                                                  rho))
 
         sol = optimize.minimize_scalar(neg_ecr, bounds=(lo, hi),
                                        method="bounded",
@@ -169,14 +166,15 @@ def maximize_csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
     """Largest covert power (capacity is monotone in power), by bisection."""
     if mode not in ("om", "dm"):
         raise DomainError(f"unknown mode {mode!r}")
-    alice = alice if alice is not None else scn.alice
     limit = _covert_power_limit(scn, mode, alice, rel_tol=rel_tol)
     if limit is None:
         # vanishing power cannot satisfy the constraint at this geometry
         return OptimizationResult(p_a_opt=0.0, r_b_opt=None, objective=0.0,
                                   binding="covertness", feasible=False)
     p_opt, binding = limit
-    objective = csc(scn, mode, alice=alice, p_a=p_opt)
+    objective = csc_over_states(link_states(scn, mode, alice, "bob"), p_opt,
+                                scn.noise.sigma_n2, scn.noise.rho,
+                                scn.band(mode).bandwidth_hz)
     return OptimizationResult(p_a_opt=p_opt, r_b_opt=None,
                               objective=objective, binding=binding,
                               feasible=True)

@@ -39,6 +39,7 @@ __all__ = [
     "bessel_i0",
     "bessel_i0_scaled",
     "lower_inc_gamma",
+    "gammainc_int",
     "exp_integral_ei",
     "dilog_li2",
     "marcum_q1_exact",
@@ -95,6 +96,33 @@ def lower_inc_gamma(s: float, x) -> float:
         raise DomainError("lower_inc_gamma requires x >= 0")
     out = special.gammainc(s, x) * special.gamma(s)
     return out[()] if x.ndim == 0 else out
+
+
+# the largest shape whose Poisson sum is cheaper than special.gammainc
+_POISSON_SHAPE_MAX = 64
+
+
+def gammainc_int(s: int, x):
+    """Regularised lower incomplete gamma P(s, x), integer s >= 1, x >= 0.
+
+    Up to shape 64 this is the finite Poisson sum
+    P(s, x) = -expm1(-x) - sum_{k=1}^{s-1} t_k with t_k = e^(-x) x^k / k!,
+    built by t_k = t_(k-1) x / k from t_0 = e^(-x).  Each t_k is a Poisson
+    probability, so nothing overflows, and where e^(-x) underflows
+    (x > 708) the terms left out sum to less than 1e-200 for these shapes.
+    Larger shapes go to ``scipy.special.gammainc``, which is then cheaper.
+    """
+    x = np.asarray(x, dtype=float)
+    if s > _POISSON_SHAPE_MAX:
+        return special.gammainc(s, x)
+    neg = -x
+    t = np.exp(neg)
+    acc = np.expm1(neg)
+    for k in range(1, s):
+        t *= x
+        t /= k
+        acc += t
+    return -acc
 
 
 def exp_integral_ei(x):

@@ -1,13 +1,22 @@
 """Receiver-side performance: outage probability, ECR and ergodic capacity.
 
-The microwave outage is a closed form built on the exponential-type Marcum-Q
-surrogate plus the log-uniform noise average; the mmWave outage averages the
-exact regularized gamma CDF over the noise with a fixed 64-node Gauss-Legendre
-rule.  The ergodic (Shannon) capacity integrates the dilogarithm kernel
-spence(1 + c y) against the exact fading density by adaptive quadrature.  The
-density is a float -> float function built once per channel state
-(``rician_scalar_pdf`` / ``nakagami_scalar_pdf``), so the integrand does plain
-float arithmetic and its domain is checked once, before the quadrature.
+Each metric is a kernel over the state table of Alice's link to Bob
+(``channel.link_states``): ``outage_over_states`` and ``csc_over_states``.
+The public functions build the table and call the kernel; the planner
+builds it once per solve and calls the kernels directly.
+
+In a Rician ("om") state the outage is a closed form built on the
+exponential-type Marcum-Q surrogate plus the log-uniform noise average; its
+exponent is formed in log space, so no power of it overflows.  In a gamma
+("dm") state the exact regularized gamma CDF is averaged over the noise
+with a fixed 64-node Gauss-Legendre rule; for integer shapes up to 64 the
+CDF is a finite Poisson sum (``specfun.gammainc_int``).  The ergodic
+(Shannon) capacity integrates the dilogarithm kernel spence(1 + c y)
+against the exact fading density by adaptive quadrature.  The density is a
+float -> float function built once per channel state
+(``rician_scalar_pdf`` / ``nakagami_scalar_pdf``), so the integrand does
+plain float arithmetic and its domain is checked once, before the
+quadrature.
 """
 
 from __future__ import annotations
@@ -18,24 +27,25 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import (
+    LinkStates,
+    link_states,
     nakagami_scalar_pdf,
     nakagami_xi,
-    path_loss,
-    rician_factor,
     rician_scalar_pdf,
 )
 from .errors import DomainError, QuadratureError
-from .geometry import lobe_gains
 from .scenario import NodePosition, Scenario
-from .specfun import exp_integral_ei, marcum_mu_nu
+from .specfun import exp_integral_ei, gammainc_int, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
+    "outage_over_states",
     "outage_om",
     "outage_dm",
     "outage_dm_closed_form",
     "outage",
     "ecr",
+    "csc_over_states",
     "csc_om",
     "csc_dm",
     "csc",
@@ -53,112 +63,123 @@ def snr_threshold(r_b: float, bandwidth_hz: float):
     return out[()] if r_b.ndim == 0 else out
 
 
-def _noise_bounds(scn: Scenario, rho: float | None) -> tuple[float, float, float]:
-    rho = scn.noise.rho if rho is None else rho
-    if rho <= 1:
-        raise DomainError("noise uncertainty factor rho must exceed 1")
-    return rho, scn.noise.sigma_n2 * rho, scn.noise.sigma_n2 / rho
-
-
-def outage_om(scn: Scenario, alice: NodePosition | None = None,
-              p_a=None, gamma_th=None, rho: float | None = None):
-    """Outage probability at the receiver in the microwave mode.
-
-    ``p_a`` and ``gamma_th`` broadcast, so callers can evaluate a whole
-    power-rate grid in one shot.
-    """
-    alice = alice if alice is not None else scn.alice
-    p_a = np.asarray(scn.p_a if p_a is None else p_a, dtype=float)
-    gamma_th = np.asarray(
-        snr_threshold(scn.r_b, scn.om.bandwidth_hz) if gamma_th is None
-        else gamma_th, dtype=float)
-    if np.any(p_a < 0) or np.any(gamma_th < 0):
-        raise DomainError("p_a and gamma_th must be nonnegative")
-    rho, hi, lo = _noise_bounds(scn, rho)
-    link = scn.link(alice, scn.bob)
-    p_a_b, g_b = np.broadcast_arrays(p_a, gamma_th)
-    scalar = p_a_b.ndim == 0
-    p_a_b = np.atleast_1d(p_a_b).astype(float)
-    g_b = np.atleast_1d(g_b).astype(float)
-    total = np.zeros(p_a_b.shape)
-    for los in (True, False):
-        p_state = link.p_los if los else 1.0 - link.p_los
-        loss = path_loss(link.d, scn.om.pathloss(los))
-        k = rician_factor(link.theta_rad, scn.om.rician, los)
-        c = marcum_mu_nu(math.sqrt(2.0 * k))
-        prob = np.ones(p_a_b.shape)
-        active = (p_a_b > 0) & (g_b > 0)
-        if np.any(active):
-            base = 2.0 * (k + 1.0) * g_b[active] / (p_a_b[active] * loss)
-            f_hi = exp_integral_ei(
-                -math.exp(c.mu) * (base * hi) ** (c.nu / 2.0)) / (
-                c.nu * math.log(rho))
-            f_lo = exp_integral_ei(
-                -math.exp(c.mu) * (base * lo) ** (c.nu / 2.0)) / (
-                c.nu * math.log(rho))
-            prob[active] = np.clip(1.0 - f_hi + f_lo, 0.0, 1.0)
-        prob[g_b == 0] = 0.0
-        total += p_state * prob
-    total = np.clip(total, 0.0, 1.0)
-    return float(total[0]) if scalar else total.reshape(
-        np.broadcast(p_a, gamma_th).shape)
-
-
 # Gauss-Legendre rule for the bounded log-uniform noise average; the
 # integrand is analytic in the log-noise variable, so 64 nodes are far
 # beyond the accuracy needed anywhere in this package.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Ei(-e^z) is 0 in floating point from z = 6.7 on, and gamma + z below -40
+_EI_Z_MAX, _EI_Z_MIN = 6.7, -40.0
+
+
+def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
+                   rho: float):
+    """Surrogate outage of a Rician state at log(gamma_th / p_a).
+
+    It is the mean of 1 - exp(-e^z), z = ln(e^mu (2 (k+1) gamma_th noise /
+    (p_a unit))^(nu/2)), over the noise, where z spans nu ln(rho): the Ei
+    difference below, or where that cancels (span < 4) a Gauss rule in z.
+    """
+    c = marcum_mu_nu(math.sqrt(2.0 * k))
+    width = c.nu * math.log(rho)
+    z = c.mu + 0.5 * c.nu * (
+        log_ratio + math.log(2.0 * (k + 1.0) * sigma_n2 / unit))
+    if width < 4.0:
+        zs = np.minimum(z[:, None] + 0.5 * width * _GL_NODES, _EI_Z_MAX)
+        return 0.5 * (-np.expm1(-np.exp(zs)) @ _GL_WEIGHTS)
+    zs = z[:, None] + [0.5 * width, -0.5 * width]
+    # the clipped argument is never 0, where Ei is singular
+    ei = special.expi(-np.exp(np.minimum(np.maximum(zs, _EI_Z_MIN),
+                                         _EI_Z_MAX)))
+    ei += np.minimum(zs - _EI_Z_MIN, 0.0)
+    out = 1.0 - (ei[:, 0] - ei[:, 1]) / width
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
+                  rho: float):
+    """Exact outage of a gamma state at log(gamma_th / p_a), averaged over
+    the noise by the Gauss-Legendre rule."""
+    # s gamma_th / (p_a unit), capped where the CDF is 1 at every node
+    scale = np.exp(np.minimum(log_ratio + math.log(s / unit), 700.0))
+    x = scale[:, None] * (sigma_n2 * rho ** _GL_NODES)
+    return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
+
+
+def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
+                  rho: float):
+    """Outage of a gamma state under Alzer's bound of its CDF."""
+    xi = nakagami_xi(s)
+    base = np.exp(log_ratio) / unit
+    acc = 1.0
+    for r in range(1, s + 1):
+        coef = math.comb(s, r) * (-1.0) ** r / (2.0 * math.log(rho))
+        acc = acc + coef * (exp_integral_ei(-r * xi * base * (sigma_n2 * rho))
+                            - exp_integral_ei(-r * xi * base * (sigma_n2 / rho)))
+    return np.clip(acc, 0.0, 1.0)
+
+
+def _mixture(states: LinkStates, p_a, gamma_th, sigma_n2: float, rho: float,
+             state_outage):
+    """Outage over the states; ``state_outage(param, unit,
+    log(gamma_th / p_a), sigma_n2, rho)`` gives each state's."""
+    p_a, gamma_th = np.broadcast_arrays(np.asarray(p_a, dtype=float),
+                                        np.asarray(gamma_th, dtype=float))
+    if (p_a < 0).any() or (gamma_th < 0).any():
+        raise DomainError("p_a and gamma_th must be nonnegative")
+    if rho <= 1:
+        raise DomainError("noise uncertainty factor rho must exceed 1")
+    p, g = p_a.ravel(), gamma_th.ravel()
+    # a silent transmitter is in outage in every state, a zero rate in none
+    total = np.where(g > 0, sum(states.probs), 0.0)
+    active = (p > 0) & (g > 0)
+    if active.any():
+        log_ratio = np.log(g[active]) - np.log(p[active])
+        acc = 0.0
+        for prob, param, unit in zip(states.probs, states.params,
+                                     states.received(1.0)):
+            acc = acc + prob * state_outage(param, unit, log_ratio, sigma_n2,
+                                            rho)
+        total[active] = acc
+    total = np.minimum(np.maximum(total, 0.0), 1.0)
+    return float(total[0]) if p_a.ndim == 0 else total.reshape(p_a.shape)
+
+
+def outage_over_states(states: LinkStates, p_a, gamma_th, sigma_n2: float,
+                       rho: float):
+    """Outage probability P(SNR < gamma_th) over the states of Bob's link.
+
+    ``p_a`` and ``gamma_th`` broadcast, so callers can evaluate a whole
+    power-rate grid in one shot; two scalars give a float.
+    """
+    return _mixture(states, p_a, gamma_th, sigma_n2, rho,
+                    _rician_outage if states.law == "rician"
+                    else _gamma_outage)
+
+
+def outage(scn: Scenario, mode: str, alice: NodePosition | None = None,
+           p_a=None, gamma_th=None, rho: float | None = None):
+    """Outage probability at the receiver in mode "om" or "dm", averaged
+    over its link states; ``gamma_th`` defaults to that of the rate r_b."""
+    states = link_states(scn, mode, alice, "bob")
+    if gamma_th is None:
+        gamma_th = snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz)
+    return outage_over_states(states, scn.p_a if p_a is None else p_a,
+                              gamma_th, scn.noise.sigma_n2,
+                              scn.noise.rho if rho is None else rho)
+
+
+def outage_om(scn: Scenario, alice: NodePosition | None = None,
+              p_a=None, gamma_th=None, rho: float | None = None):
+    """Outage probability in the microwave mode (Marcum-Q surrogate)."""
+    return outage(scn, "om", alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
 
 
 def outage_dm(scn: Scenario, alice: NodePosition | None = None,
               p_a=None, gamma_th=None, rho: float | None = None):
-    """Outage probability in the mmWave mode, averaged over the receiver's
-    lobe state and the LoS/NLoS state.
-
-    Evaluates the exact regularized gamma CDF under the log-uniform noise
-    average by fixed-order quadrature; the binomial-exponential closed form
-    is available as ``outage_dm_closed_form``.
-    """
-    alice = alice if alice is not None else scn.alice
-    p_a = np.asarray(scn.p_a if p_a is None else p_a, dtype=float)
-    gamma_th = np.asarray(
-        snr_threshold(scn.r_b, scn.dm.bandwidth_hz) if gamma_th is None
-        else gamma_th, dtype=float)
-    if np.any(p_a < 0) or np.any(gamma_th < 0):
-        raise DomainError("p_a and gamma_th must be nonnegative")
-    rho, hi, lo = _noise_bounds(scn, rho)
-    link = scn.link(alice, scn.bob)
-    a_tab = lobe_gains(scn.ant_alice)
-    b_tab = lobe_gains(scn.ant_bob)
-    nak = scn.dm.nakagami
-    # noise draws sigma_b^2 = sigma_n2 * rho^u with u uniform on [-1, 1]
-    noise_nodes = scn.noise.sigma_n2 * rho ** _GL_NODES
-    p_a_b, g_b = np.broadcast_arrays(p_a, gamma_th)
-    scalar = p_a_b.ndim == 0
-    p_a_b = np.atleast_1d(p_a_b).astype(float)
-    g_b = np.atleast_1d(g_b).astype(float)
-    flat_p = p_a_b.reshape(-1)
-    flat_g = g_b.reshape(-1)
-    total = np.zeros(flat_p.shape)
-    for p_lobe, g_bob in ((b_tab.p_main, b_tab.g_main),
-                          (b_tab.p_side, b_tab.g_side)):
-        for los in (True, False):
-            p_state = p_lobe * (link.p_los if los else 1.0 - link.p_los)
-            loss = path_loss(link.d, scn.dm.pathloss(los))
-            s = nak.shape(los)
-            gain = a_tab.g_main * g_bob * loss
-            prob = np.ones(flat_p.shape)
-            active = (flat_p > 0) & (flat_g > 0)
-            if np.any(active):
-                arg = (s * flat_g[active, None] * noise_nodes[None, :]
-                       / (flat_p[active, None] * gain))
-                cdf = special.gammainc(s, arg)
-                prob[active] = 0.5 * cdf @ _GL_WEIGHTS
-            prob[flat_g == 0] = 0.0
-            total += p_state * prob
-    total = np.clip(total, 0.0, 1.0).reshape(p_a_b.shape)
-    return float(total[0]) if scalar else total.reshape(
-        np.broadcast(p_a, gamma_th).shape)
+    """Outage probability in the mmWave mode: the exact gamma CDF under the
+    noise average; the binomial-exponential closed form is
+    ``outage_dm_closed_form``."""
+    return outage(scn, "dm", alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
 
 
 def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
@@ -170,55 +191,12 @@ def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
     mid-range outage levels, so use ``outage_dm`` for accuracy-sensitive
     work.
     """
-    alice = alice if alice is not None else scn.alice
-    p_a = np.asarray(scn.p_a if p_a is None else p_a, dtype=float)
-    gamma_th = np.asarray(
-        snr_threshold(scn.r_b, scn.dm.bandwidth_hz) if gamma_th is None
-        else gamma_th, dtype=float)
-    if np.any(p_a < 0) or np.any(gamma_th < 0):
-        raise DomainError("p_a and gamma_th must be nonnegative")
-    rho, hi, lo = _noise_bounds(scn, rho)
-    link = scn.link(alice, scn.bob)
-    a_tab = lobe_gains(scn.ant_alice)
-    b_tab = lobe_gains(scn.ant_bob)
-    nak = scn.dm.nakagami
-    p_a_b, g_b = np.broadcast_arrays(p_a, gamma_th)
-    scalar = p_a_b.ndim == 0
-    p_a_b = np.atleast_1d(p_a_b).astype(float)
-    g_b = np.atleast_1d(g_b).astype(float)
-    total = np.zeros(p_a_b.shape)
-    for p_lobe, g_bob in ((b_tab.p_main, b_tab.g_main),
-                          (b_tab.p_side, b_tab.g_side)):
-        for los in (True, False):
-            p_state = p_lobe * (link.p_los if los else 1.0 - link.p_los)
-            loss = path_loss(link.d, scn.dm.pathloss(los))
-            s = nak.shape(los)
-            xi = nakagami_xi(s)
-            gain = a_tab.g_main * g_bob * loss
-            prob = np.ones(p_a_b.shape)
-            active = (p_a_b > 0) & (g_b > 0)
-            if np.any(active):
-                base = g_b[active] / (p_a_b[active] * gain)
-                acc = np.ones(base.shape)
-                for r in range(1, s + 1):
-                    coef = math.comb(s, r) * (-1.0) ** r / (2.0 * math.log(rho))
-                    acc = acc + coef * (exp_integral_ei(-r * xi * base * hi)
-                                        - exp_integral_ei(-r * xi * base * lo))
-                prob[active] = np.clip(acc, 0.0, 1.0)
-            prob[g_b == 0] = 0.0
-            total += p_state * prob
-    total = np.clip(total, 0.0, 1.0)
-    return float(total[0]) if scalar else total.reshape(
-        np.broadcast(p_a, gamma_th).shape)
-
-
-def outage(scn: Scenario, mode: str, alice: NodePosition | None = None,
-           p_a=None, gamma_th=None, rho: float | None = None):
-    if mode == "om":
-        return outage_om(scn, alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
-    if mode == "dm":
-        return outage_dm(scn, alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
-    raise DomainError(f"unknown mode {mode!r}")
+    if gamma_th is None:
+        gamma_th = snr_threshold(scn.r_b, scn.dm.bandwidth_hz)
+    return _mixture(link_states(scn, "dm", alice, "bob"),
+                    scn.p_a if p_a is None else p_a, gamma_th,
+                    scn.noise.sigma_n2, scn.noise.rho if rho is None else rho,
+                    _alzer_outage)
 
 
 def ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
@@ -259,66 +237,44 @@ def _li2_fading_average(unit_power: float, x: float, pdf) -> float:
     return val
 
 
-def csc_om(scn: Scenario, alice: NodePosition | None = None,
-           p_a: float | None = None, rho: float | None = None) -> float:
-    """Ergodic covert Shannon capacity (bits/s) in the microwave mode."""
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else float(p_a)
+def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
+                    rho: float, bandwidth_hz: float) -> float:
+    """Ergodic covert Shannon capacity (bits/s) over the states of Bob's
+    link, each averaged by QUADPACK against its exact fading density."""
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
     if p_a == 0.0:
         return 0.0
-    rho, hi, lo = _noise_bounds(scn, rho)
-    link = scn.link(alice, scn.bob)
-    w = scn.om.bandwidth_hz
+    if rho <= 1:
+        raise DomainError("noise uncertainty factor rho must exceed 1")
+    pdf_of = rician_scalar_pdf if states.law == "rician" else nakagami_scalar_pdf
     total = 0.0
-    for los in (True, False):
-        p_state = link.p_los if los else 1.0 - link.p_los
-        loss = path_loss(link.d, scn.om.pathloss(los))
-        k = rician_factor(link.theta_rad, scn.om.rician, los)
-        unit = p_a * loss
-        pdf = rician_scalar_pdf(k)
-        f_lo = _li2_fading_average(unit, 1.0 / hi, pdf)
-        f_hi = _li2_fading_average(unit, rho / scn.noise.sigma_n2, pdf)
-        total += w * p_state * (f_lo - f_hi) / (2.0 * math.log(2.0) * math.log(rho))
-    return max(0.0, total)
-
-
-def csc_dm(scn: Scenario, alice: NodePosition | None = None,
-           p_a: float | None = None, rho: float | None = None) -> float:
-    """Ergodic covert Shannon capacity (bits/s) in the mmWave mode."""
-    alice = alice if alice is not None else scn.alice
-    p_a = scn.p_a if p_a is None else float(p_a)
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    if p_a == 0.0:
-        return 0.0
-    rho, hi, lo = _noise_bounds(scn, rho)
-    link = scn.link(alice, scn.bob)
-    a_tab = lobe_gains(scn.ant_alice)
-    b_tab = lobe_gains(scn.ant_bob)
-    nak = scn.dm.nakagami
-    w = scn.dm.bandwidth_hz
-    total = 0.0
-    for p_lobe, g_bob in ((b_tab.p_main, b_tab.g_main),
-                          (b_tab.p_side, b_tab.g_side)):
-        for los in (True, False):
-            p_state = p_lobe * (link.p_los if los else 1.0 - link.p_los)
-            loss = path_loss(link.d, scn.dm.pathloss(los))
-            s = nak.shape(los)
-            unit = p_a * a_tab.g_main * g_bob * loss
-            pdf = nakagami_scalar_pdf(s)
-            f_lo = _li2_fading_average(unit, 1.0 / hi, pdf)
-            f_hi = _li2_fading_average(unit, rho / scn.noise.sigma_n2, pdf)
-            total += (w * p_state * (f_lo - f_hi)
-                      / (2.0 * math.log(2.0) * math.log(rho)))
+    for prob, param, unit in zip(states.probs, states.params,
+                                 states.received(p_a)):
+        pdf = pdf_of(param)
+        f_lo = _li2_fading_average(unit, 1.0 / (sigma_n2 * rho), pdf)
+        f_hi = _li2_fading_average(unit, rho / sigma_n2, pdf)
+        total += (bandwidth_hz * prob * (f_lo - f_hi)
+                  / (2.0 * math.log(2.0) * math.log(rho)))
     return max(0.0, total)
 
 
 def csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
         p_a: float | None = None, rho: float | None = None) -> float:
-    if mode == "om":
-        return csc_om(scn, alice=alice, p_a=p_a, rho=rho)
-    if mode == "dm":
-        return csc_dm(scn, alice=alice, p_a=p_a, rho=rho)
-    raise DomainError(f"unknown mode {mode!r}")
+    """Ergodic covert Shannon capacity (bits/s) in mode "om" or "dm"."""
+    states = link_states(scn, mode, alice, "bob")
+    return csc_over_states(states, scn.p_a if p_a is None else float(p_a),
+                           scn.noise.sigma_n2, scn.noise.rho if rho is None
+                           else rho, scn.band(mode).bandwidth_hz)
+
+
+def csc_om(scn: Scenario, alice: NodePosition | None = None,
+           p_a: float | None = None, rho: float | None = None) -> float:
+    """Ergodic covert Shannon capacity (bits/s) in the microwave mode."""
+    return csc(scn, "om", alice=alice, p_a=p_a, rho=rho)
+
+
+def csc_dm(scn: Scenario, alice: NodePosition | None = None,
+           p_a: float | None = None, rho: float | None = None) -> float:
+    """Ergodic covert Shannon capacity (bits/s) in the mmWave mode."""
+    return csc(scn, "dm", alice=alice, p_a=p_a, rho=rho)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from a2gcovert import oracle
+from a2gcovert.channel import NoiseModel
 from a2gcovert.detection import min_dep_values
 from a2gcovert.errors import DomainError
 from a2gcovert.oracle import (
@@ -128,6 +129,27 @@ class TestSharedDraws:
                                  mode=mode, n=N_SMOKE, seed=SEED) == out
             assert mc_ergodic_capacity(scn, p_a=p_a, rho=rho, mode=mode,
                                        n=N_SMOKE, seed=SEED) == est.capacity
+
+    def test_noise_power_once_per_distinct_rho(self, scn, monkeypatch):
+        # rho values repeat and are not adjacent; each point's estimates
+        # equal its one-point call bit for bit
+        rhos = (10 ** 0.2, 10 ** 0.4, 10 ** 0.2, 10 ** 0.4, 10 ** 0.2)
+        points = [(p_a, rho, (0.5, 2.0)) for p_a, rho in
+                  zip((1.0, 3.0, 10.0, 30.0, 100.0), rhos)]
+        calls = []
+        power = NoiseModel.power
+
+        def counted(self, u):
+            calls.append(self.rho)
+            return power(self, u)
+
+        monkeypatch.setattr(NoiseModel, "power", counted)
+        multi = mc_receiver_points(scn, points, mode="dm", n=N_SMOKE,
+                                   seed=SEED)
+        assert sorted(calls) == sorted(set(rhos))  # one batch
+        for point, est in zip(points, multi):
+            assert mc_receiver_points(scn, [point], mode="dm", n=N_SMOKE,
+                                      seed=SEED) == [est]
 
     def test_bad_point_raises_before_drawing(self, scn, monkeypatch):
         def no_draws(*args, **kwargs):

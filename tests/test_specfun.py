@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
@@ -12,6 +12,7 @@ from a2gcovert.specfun import (
     bessel_i0_scaled,
     dilog_li2,
     exp_integral_ei,
+    gammainc_int,
     lower_inc_gamma,
     marcum_mu_nu,
     marcum_q1_approx,
@@ -201,3 +202,23 @@ class TestMarcumApprox:
     def test_approx_stays_in_unit_range(self, a, b):
         q = marcum_q1_approx(a, b)
         assert 0.0 <= q <= 1.0
+
+
+class TestIntegerShapeGammaCdf:
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 30, 64, 300, 1000, 5000])
+    def test_matches_gammainc(self, s):
+        # x = s * power: the unit-mean law's 1e-18 quantile window, below it
+        # down to 0, and beyond it to where e^-x underflows and further
+        lo = special.gammaincinv(s, 1e-18)
+        hi = special.gammainccinv(s, 1e-18)
+        x = np.concatenate((
+            [0.0, 1e-300, 1e-30], np.geomspace(lo * 1e-6, lo, 200),
+            np.linspace(lo, hi, 4000), np.geomspace(hi, hi * 50.0, 200),
+            [700.0, 708.0, 720.0, 745.0, 800.0, 900.0, 1e4, 1e300]))
+        got = gammainc_int(s, x)
+        assert np.max(np.abs(got - special.gammainc(s, x))) <= 1e-12
+
+    def test_tail_where_exp_underflows(self):
+        # the Poisson sum would give 1 here: e^-900 is 0 in floating point
+        assert float(gammainc_int(1000, 900.0)) == pytest.approx(
+            5.5e-4, rel=0.05)

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from a2gcovert.errors import DomainError
-from a2gcovert.scenario import NodePosition
+from a2gcovert.channel import link_states
+from a2gcovert.errors import A2GError, DomainError
+from a2gcovert.scenario import NodePosition, scenario_from_flat
+from a2gcovert.specfun import marcum_mu_nu
 from a2gcovert.throughput import (
     csc,
     csc_dm,
@@ -18,6 +21,8 @@ from a2gcovert.throughput import (
     outage_om,
     snr_threshold,
 )
+
+from test_detection import _corner_scenarios
 
 
 class TestSnrThreshold:
@@ -136,3 +141,61 @@ class TestCsc:
             csc_om(scn, p_a=-0.1)
         with pytest.raises(DomainError):
             csc(scn, "fm")
+
+
+class TestRicianOutage:
+    def test_narrow_noise_uncertainty_does_not_cancel(self):
+        # at rho = 1e-5 dB the noise average is the surrogate CDF
+        # 1 - exp(-e^mu b^nu) at the nominal noise power, to O(ln(rho)^2);
+        # the Ei difference of the closed form cancelled to 1.5e-12 here
+        scn = scenario_from_flat({"noise.rho_db": 1e-5, "om.k0_db": 0.0,
+                                  "om.k_half_pi_db": 31.769112813747075,
+                                  "alice.h": 1.0, "alice.x": -500.0})
+        table = link_states(scn, "om", None, "bob")
+        g = float(snr_threshold(scn.r_b, scn.om.bandwidth_hz))
+        for p_a in (1e-3, 1.0, 1e3):
+            want = 0.0
+            for prob, k, unit in zip(table.probs, table.params,
+                                     table.received(p_a)):
+                c = marcum_mu_nu(math.sqrt(2.0 * k))
+                b = math.sqrt(2.0 * (k + 1.0) * g * scn.noise.sigma_n2 / unit)
+                want += prob * -math.expm1(-math.exp(c.mu + c.nu * math.log(b)))
+            assert outage_om(scn, p_a=p_a, gamma_th=g) == pytest.approx(
+                want, rel=1e-6)
+
+    def test_no_overflow_at_large_rice_factors(self):
+        # (2 (k+1) gamma sigma^2 / (p_a L))^(nu/2) overflowed here before the
+        # exponent was formed in log space; the outage was 1 and stays 1
+        scn = scenario_from_flat({"om.k_half_pi_db": 37.88, "om.k0_db": 6.98,
+                                  "alice.h": 1445.5, "alice.x": -316.2})
+        g = float(snr_threshold(scn.r_b, scn.om.bandwidth_hz))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [outage_om(scn, p_a=p, gamma_th=g)
+                    for p in (1e-12, 1e-3)] == [1.0, 1.0]
+
+
+class TestReceiverProperties:
+    @given(_corner_scenarios(), st.sampled_from(["om", "dm"]))
+    @settings(max_examples=15, deadline=None)
+    # a 1e-5 dB noise uncertainty: the Ei difference of the om outage
+    # cancelled to 2e-10 and made the outage rise with p_a
+    @example({"noise.rho_db": 1e-5, "om.k0_db": 0.0,
+              "om.k_half_pi_db": 31.769112813747075, "alice.h": 1.0,
+              "alice.x": -500.0}, "om")
+    def test_outage_and_csc_in_range_and_monotone_in_power(self, flat, mode):
+        powers = [0.0, 1e-30, 1e-18, 1e-9] + list(np.logspace(-6, 3, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                scn = scenario_from_flat(flat)
+                g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
+                p_out = [outage(scn, mode, p_a=p, gamma_th=g) for p in powers]
+                cap = [csc(scn, mode, p_a=p) for p in powers]
+            except A2GError:
+                return
+        assert all(0.0 <= v <= 1.0 for v in p_out)
+        assert all(x >= y - 1e-12 for x, y in zip(p_out, p_out[1:])), p_out
+        assert all(v >= 0.0 for v in cap)
+        assert all(x <= y * (1 + 1e-9) + 1e-12
+                   for x, y in zip(cap, cap[1:])), cap
