@@ -13,8 +13,6 @@ from .detection import (
     DepResult,
     ExpectedDep,
     expected_min_dep,
-    expected_min_dep_dm,
-    expected_min_dep_om,
     min_dep,
 )
 from .errors import (
@@ -51,7 +49,6 @@ __all__ = [
     "Scenario", "BandModel", "default_scenario", "load_scenario",
     "loads_scenario",
     "DepResult", "ExpectedDep", "min_dep", "expected_min_dep",
-    "expected_min_dep_om", "expected_min_dep_dm",
     "snr_threshold", "outage", "ecr", "csc",
     "OptimizationResult", "ModeDecision", "maximize_ecr", "maximize_csc",
     "select_mode",

@@ -4,18 +4,22 @@ All powers are linear milliwatts; all gain/loss factors are linear ratios.
 Distribution evaluators are pure; samplers take an explicit numpy Generator.
 ``link_states`` describes the discrete states of one link (LoS, and in mode
 "dm" the receive lobe) once; every primary metric is evaluated over it.
+``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
+rule on a fixed window per state, which the warden's DEP and the ergodic
+capacity both average their kernels with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .geometry import NodePosition, alice_main_lobe_covers_willie, lobe_gains
 from .specfun import bessel_i0_scaled, marcum_q1_approx, marcum_q1_exact
 
@@ -32,10 +36,8 @@ __all__ = [
     "nakagami_xi",
     "rician_factor",
     "rician_power_pdf",
-    "rician_scalar_pdf",
     "rician_power_cdf",
     "nakagami_power_pdf",
-    "nakagami_scalar_pdf",
     "nakagami_power_cdf",
     "noise_power_pdf",
     "path_loss",
@@ -137,25 +139,6 @@ def rician_power_pdf(x, k: float):
     return out[()] if x.ndim == 0 else out
 
 
-def rician_scalar_pdf(k: float):
-    """``rician_power_pdf`` at fixed k as a float -> float function of x >= 0.
-
-    Built once per channel state for quadrature integrands: k is checked
-    here, and each evaluation uses ``math`` and one scalar ``i0e`` call.
-    """
-    if k < 0:
-        raise DomainError("Rician factor must be nonnegative")
-    k1 = k + 1.0
-    kk1 = k * k1
-    exp, sqrt, i0e = math.exp, math.sqrt, special.i0e
-
-    def pdf(x: float) -> float:
-        arg = 2.0 * sqrt(kk1 * x)
-        return k1 * exp(-k - k1 * x + arg) * i0e(arg)
-
-    return pdf
-
-
 def rician_power_cdf(x: float, k: float, exact: bool = True) -> float:
     """CDF of the unit-mean Rician power, 1 - Q1(sqrt(2k), sqrt(2(k+1)x))."""
     if x < 0 or k < 0:
@@ -180,26 +163,6 @@ def nakagami_power_pdf(x, s: int):
         float(s == 1),
     )
     return out[()] if x.ndim == 0 else out
-
-
-def nakagami_scalar_pdf(s: int):
-    """``nakagami_power_pdf`` at fixed s as a float -> float function of x.
-
-    Built once per channel state for quadrature integrands: s >= 1 is
-    checked here and the constant s ln s - ln Gamma(s) is folded in once.
-    """
-    if not s >= 1:
-        raise DomainError("Nakagami shape must be >= 1")
-    const = s * math.log(s) - math.lgamma(s)
-    at_zero = float(s == 1)
-    exp, log = math.exp, math.log
-
-    def pdf(x: float) -> float:
-        if x > 0:
-            return exp(const + (s - 1) * log(x) - s * x)
-        return at_zero
-
-    return pdf
 
 
 def nakagami_power_cdf(x, s: int):
@@ -293,6 +256,155 @@ def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
         (band.nakagami.s_los, band.nakagami.s_nlos) * 2,
         a_tab.g_main if covered else a_tab.g_side,
         (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2)
+
+
+def _composite_rule(panels: int, n: int, n_est: int) -> tuple[int, ...]:
+    """A composite Gauss-Legendre rule: n nodes on each of ``panels``
+    panels, and n_est nodes on the same panels for the error estimate."""
+    return panels, n, n_est
+
+
+_RULE = _composite_rule(panels=4, n=24, n_est=16)
+# ratio of consecutive panels graded toward the window start
+_GRADE = 4.0
+# half-width of the Rician window in the amplitude b, around sqrt(2k)
+_RICIAN_HALF_WIDTH = 12.0
+# probability left out below and above the gamma window
+_GAMMA_TAIL = 1e-18
+
+
+@lru_cache(maxsize=None)
+def _layout(rule: tuple[int, ...], graded: int) -> tuple[np.ndarray, ...]:
+    """Nodes on [0, 1] of ``rule`` and of its estimate rule, then each
+    rule's weights (zero at the other's nodes).
+
+    The panels are the rule's uniform ones, the first of them split
+    ``graded`` times geometrically toward 0.
+    """
+    panels, n, n_est = rule
+    t, w = np.polynomial.legendre.leggauss(n)
+    t_est, w_est = np.polynomial.legendre.leggauss(n_est)
+    first = 1.0 / panels
+    edges = np.concatenate((
+        [0.0], first * _GRADE ** -np.arange(graded, 0, -1.0),
+        np.linspace(first, 1.0, panels)))
+    half = 0.5 * np.diff(edges)[:, None]
+    out = (edges[:-1, None] + half + half * np.concatenate((t, t_est)),
+           half * np.concatenate((w, 0.0 * w_est)),
+           half * np.concatenate((0.0 * w, w_est)))
+    out = tuple(arr.ravel() for arr in out)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gamma_law(s: int) -> tuple[float, float, float]:
+    """Log-density constant and the window's quantiles for shape s."""
+    return (s * math.log(s) - math.lgamma(s),
+            float(special.gammaincinv(s, _GAMMA_TAIL)) / s,
+            float(special.gammainccinv(s, _GAMMA_TAIL)) / s)
+
+
+class _StateRule(NamedTuple):
+    """The fading rule of a list of states.  Row i of ``x`` holds state i's
+    fading power at the nodes and row i of ``dens`` its density there,
+    times the window's width; ``w_val`` and ``w_est`` are the nodes' weights
+    in the value and the estimate rule."""
+
+    law: str
+    params: tuple[float, ...] | list[float]
+    lo: list[float]
+    width: list[float]
+    x: np.ndarray
+    dens: np.ndarray
+    w_val: np.ndarray
+    w_est: np.ndarray
+
+    def average(self, f: np.ndarray, what: str, atol: float, rtol: float,
+                info) -> tuple[list[float], list[float]]:
+        """Each state's average of the kernel values f (states x nodes)
+        and its error estimate.
+
+        An estimate above atol + rtol |average| raises ``QuadratureError``
+        naming the metric ``what``, the state, ``info(i)`` and the window.
+        """
+        f = f * self.dens
+        val = f @ self.w_val
+        err = np.abs(val - f @ self.w_est).tolist()
+        val = val.tolist()
+        over = [e - atol - rtol * abs(v) for v, e in zip(val, err)]
+        i = max(range(len(over)), key=over.__getitem__)
+        if over[i] > 0.0:
+            name, var = ("k", "b") if self.law == "rician" else ("s", "x")
+            raise QuadratureError(
+                f"{what} fading average did not converge: {self.law} state "
+                f"{name} = {self.params[i]:g}, {info(i)}, window {var} in "
+                f"[{self.lo[i]:.6g}, {self.lo[i] + self.width[i]:.6g}], error "
+                f"estimate {err[i]:.3g} > {atol + rtol * abs(val[i]):.3g}")
+        return val, err
+
+
+def _state_rule(rule: tuple[int, ...], law: str, params, branch,
+                ends=None) -> _StateRule:
+    """The composite Gauss rule ``rule`` on each state's fading window.
+
+    State i has the fading law ``law`` ("rician" with Rice factor
+    params[i], or "gamma" with integer shape params[i]):
+
+    - a Rician state is integrated in the amplitude b = sqrt(2 (k+1) x),
+      where the density is b exp(-(b - a)^2 / 2) i0e(a b) with
+      a = sqrt(2k), on [max(0, a - 12), a + 12]: 24 wide for every k, with
+      the mass outside below 1e-30;
+    - a gamma state is integrated in x between the law's 1e-18 quantiles.
+
+    ``ends[i]``, when given, cuts state i's window at x = ends[i], which is
+    then the last panel edge.  The kernel is analytic but for a branch
+    point at x = -branch[i]; its distance from the window start is at
+    least branch[i] / e_i of the window's width in x, where e_i is the cut
+    ends[i] when given and else the window's end in x, and at least the
+    square root of that in b.  The first panel is split geometrically
+    toward the start until it is no wider than the smallest such distance.
+    """
+    rician = law == "rician"
+    lo, width, cols = [], [], []
+    rel = math.inf
+    for i, p in enumerate(params):
+        cut = math.inf if ends is None else ends[i]
+        if rician:
+            if p < 0:
+                raise DomainError("Rician factor must be nonnegative")
+            a = math.sqrt(2.0 * p)
+            k2 = 2.0 * (p + 1.0)
+            start = max(a - _RICIAN_HALF_WIDTH, 0.0)
+            end = min(a + _RICIAN_HALF_WIDTH, math.sqrt(k2 * cut))
+            x_end = end * end / k2
+            cols.append((a, k2))
+        else:
+            if p < 1:
+                raise DomainError("Nakagami shape must be >= 1")
+            const, start, end = _gamma_law(int(p))
+            end = x_end = min(cut, end)
+            cols.append((const, p))
+        if branch[i] < math.inf:
+            rel = min(rel, branch[i] / (x_end if ends is None else cut))
+        lo.append(start)
+        width.append(max(end - start, 0.0))
+    delta = math.sqrt(rel) if rician else rel
+    graded = (0 if delta == math.inf
+              else math.ceil(math.log(1.0 / (rule[0] * delta), _GRADE)))
+    nodes, w_val, w_est = _layout(rule, max(0, graded))
+    w = np.array(width)[:, None]
+    y = np.array(lo)[:, None] + w * nodes  # states x nodes
+    if rician:
+        a, k2 = np.array(cols).T[..., None]
+        dens = y * np.exp(-0.5 * (y - a) ** 2) * special.i0e(a * y)
+        x = y * y / k2
+    else:
+        const, s = np.array(cols).T[..., None]
+        dens = np.exp(const + (s - 1.0) * np.log(y) - s * y)
+        x = y
+    return _StateRule(law, params, lo, width, x, dens * w, w_val, w_est)
 
 
 def sample_rician_power(k, rng: np.random.Generator, size=None):

@@ -97,8 +97,7 @@ def _analytic_metric(scn: Scenario, mode: str, metric: str) -> float:
     if metric == "dep":
         return expected_min_dep(scn, mode).value
     if metric == "outage":
-        g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-        return float(outage(scn, mode, gamma_th=g))
+        return float(outage(scn, mode))
     if metric == "ecr":
         return float(ecr(scn, mode))
     if metric == "csc":

@@ -8,31 +8,36 @@ minimum over fading and over the discrete channel / lobe states gives the
 covertness metric the transmitter can actually evaluate.
 
 ``dep_over_states`` averages over the warden link's state table
-(``channel.link_states``), for the public functions and the planner alike,
-by ``_state_averages``: one composite Gauss-Legendre rule, built once and
-applied to all states in one array operation.  Rician states are integrated
-in the amplitude b = sqrt(2 (k+1) x), on a window of fixed width around
-sqrt(2k), and gamma states in the power x between the law's tail quantiles;
-the DEP cutoff is a panel edge, and panels are graded toward 0 when the
-noise uncertainty rho is large.  A 16-node rule on the same panels gives each
-state an error estimate; ``ExpectedDep.abs_err`` carries their weighted sum,
-and an estimate above 1e-8 raises ``QuadratureError``.
+(``channel.link_states``), for the public function and the planner alike,
+by ``_state_averages``: the composite Gauss-Legendre fading rule of
+``channel._state_rule`` (the one the ergodic capacity uses too), applied to
+all states in one array operation.  The DEP cutoff is a panel edge, and
+panels are graded toward 0 when the noise uncertainty rho is large.  A
+16-node rule on the same panels gives each state an error estimate;
+``ExpectedDep.abs_err`` carries their weighted sum, and an estimate above
+1e-8 raises ``QuadratureError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 # ``integrate`` is unused here but kept as a module attribute: bench/spans.py
 # counts quadrature calls per module by replacing it.
-from scipy import integrate, special  # noqa: F401
+from scipy import integrate  # noqa: F401
 
-from .channel import LinkStates, link_states, nakagami_xi
-from .errors import DomainError, QuadratureError
+from .channel import (
+    _RULE,
+    LinkStates,
+    _composite_rule,  # noqa: F401
+    _state_rule,
+    link_states,
+    nakagami_xi,
+)
+from .errors import DomainError
 from .scenario import NodePosition, Scenario
 from .specfun import lower_inc_gamma, marcum_mu_nu
 
@@ -49,8 +54,6 @@ __all__ = [
     "dep_over_states",
     "truncated_mean_rician",
     "truncated_mean_nakagami",
-    "expected_min_dep_om",
-    "expected_min_dep_dm",
     "expected_min_dep",
     "expected_min_dep_om_closed_form",
     "expected_min_dep_dm_closed_form",
@@ -236,155 +239,34 @@ def truncated_mean_nakagami(a: float, s: int) -> float:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class _CompositeRule:
-    """Gauss-Legendre rule applied on every panel of a state's window.
-
-    ``nodes`` holds the n-node rule followed by the lower-order estimate
-    rule, both on [-1, 1], so one pass evaluates the integrand for both;
-    row 0 of ``weights`` gives the n-node sum and row 1 the estimate.
-    """
-
-    panels: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def _composite_rule(panels: int, n: int, n_est: int) -> _CompositeRule:
-    t, w = np.polynomial.legendre.leggauss(n)
-    t_est, w_est = np.polynomial.legendre.leggauss(n_est)
-    weights = np.zeros((2, n + n_est))
-    weights[0, :n] = w
-    weights[1, n:] = w_est
-    return _CompositeRule(panels, np.concatenate((t, t_est)), weights)
-
-
-_RULE = _composite_rule(panels=4, n=24, n_est=16)
-# ratio of consecutive panels graded toward the window start
-_GRADE = 4.0
-# half-width of the Rician window in the amplitude b, around sqrt(2k)
-_RICIAN_HALF_WIDTH = 12.0
-# probability left out below and above the gamma window
-_GAMMA_TAIL = 1e-18
 # largest error estimate a state average may carry
 _ABS_TOL = 1e-8
-
-
-@lru_cache(maxsize=None)
-def _layout(rule: _CompositeRule, graded: int) -> tuple[np.ndarray, ...]:
-    """Nodes on [0, 1], their weights and the estimate rule's weights.
-
-    The panels are the rule's uniform ones, the first of them split
-    ``graded`` times geometrically toward 0.  The weights are two vectors,
-    applied by matrix-vector products: a matrix-matrix product would
-    allocate BLAS gemm buffers, 128 KB of peak memory that nothing else in
-    the planner needs.
-    """
-    first = 1.0 / rule.panels
-    edges = np.concatenate((
-        [0.0], first * _GRADE ** -np.arange(graded, 0, -1.0),
-        np.linspace(first, 1.0, rule.panels)))
-    half = 0.5 * np.diff(edges)
-    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * rule.nodes)
-    weights = half[:, None] * rule.weights[:, None, :]
-    out = (nodes.ravel(), weights[0].ravel(), weights[1].ravel())
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _gamma_law(s: int) -> tuple[float, float, float]:
-    """Log-density constant and the window's quantiles for shape s."""
-    return (s * math.log(s) - math.lgamma(s),
-            float(special.gammaincinv(s, _GAMMA_TAIL)) / s,
-            float(special.gammainccinv(s, _GAMMA_TAIL)) / s)
 
 
 def _state_averages(law: str, params, units, sigma_n2: float,
                     rho: float) -> tuple[list[float], list[float]]:
     """Fading averages of the minimum-DEP kernel over a list of states.
 
-    State i has the fading law ``law`` ("rician" with Rice factor
-    params[i], or "gamma" with integer shape params[i]) and the received
-    unit power units[i].  Below the cutoff x = varrho, beyond which the
-    warden detects perfectly, the kernel is
-    1 - ln(1 + rho unit x / sigma^2) / (2 ln rho); above it, zero.  Returns
-    the averages, clipped to [0, 1], and their error estimates.  An
+    State i has the fading law ``law`` with parameter params[i] (see
+    ``channel._state_rule``) and the received unit power units[i].  With
+    g = rho unit / sigma^2 the kernel is 1 - ln(1 + g x) / (2 ln rho) below
+    the cutoff x = varrho, where the window is cut, and zero above it.
+    Returns the averages, clipped to [0, 1], and their error estimates; an
     estimate above 1e-8 raises ``QuadratureError`` naming the state.
-
-    One composite Gauss-Legendre rule (4 panels of 24 nodes) integrates
-    every state over its own window, all states and nodes in one array
-    operation:
-
-    - a Rician state in the amplitude b = sqrt(2 (k+1) x), where the
-      density is b exp(-(b - a)^2 / 2) i0e(a b) with a = sqrt(2k), on
-      [max(0, a - 12), min(a + 12, sqrt(2 (k+1) varrho))]: 24 wide for
-      every k, with the mass outside below 1e-30;
-    - a gamma state in x, between the law's 1e-18 quantiles and cut at
-      varrho.
-
-    When varrho bounds the window it is the last panel edge.  The
-    logarithm has a branch point at x = -varrho / (rho^2 - 1), that is at
-    b = +-i sqrt(2 (k+1) varrho / (rho^2 - 1)); its distance from the
-    window start is at least 1 / (rho^2 - 1) of the window's width in x,
-    and the square root of that in b.  The first panel is therefore split
-    geometrically toward the start until it is no wider than that
-    distance, which matters above rho ~ 10 dB.  The estimate is the
-    difference to a 16-node rule on the same panels.
     """
     _check_noise(sigma_n2, rho)
-    rician = law == "rician"
-    rr = rho * rho - 1.0
-    lo, width, cols = [], [], []
-    for p, unit in zip(params, units):
-        if unit < 0:
-            raise DomainError("received unit power must be nonnegative")
-        g = rho * unit / sigma_n2
-        cut = rr / g if g > 0.0 else math.inf
-        if rician:
-            if p < 0:
-                raise DomainError("Rician factor must be nonnegative")
-            a = math.sqrt(2.0 * p)
-            k2 = 2.0 * (p + 1.0)
-            start = max(a - _RICIAN_HALF_WIDTH, 0.0)
-            end = min(a + _RICIAN_HALF_WIDTH, math.sqrt(k2 * cut))
-            cols.append((a, g / k2))
-        else:
-            if p < 1:
-                raise DomainError("Nakagami shape must be >= 1")
-            const, start, end = _gamma_law(int(p))
-            end = min(cut, end)
-            cols.append((const, p, g))
-        lo.append(start)
-        width.append(max(end - start, 0.0))
-    delta = 1.0 / math.sqrt(rr) if rician else 1.0 / rr
-    graded = math.ceil(math.log(1.0 / (_RULE.panels * delta), _GRADE))
-    nodes, w_val, w_est = _layout(_RULE, max(0, graded))
-    w = np.array(width)
-    y = np.array(lo)[:, None] + w[:, None] * nodes  # states x nodes
-    inv = 1.0 / (2.0 * math.log(rho))
-    if rician:
-        a, c = np.array(cols).T[..., None]
-        f = (y * np.exp(-0.5 * (y - a) ** 2) * special.i0e(a * y)
-             * (1.0 - inv * np.log1p(c * y * y)))
-    else:
-        const, s, gain = np.array(cols).T[..., None]
-        f = (np.exp(const + (s - 1.0) * np.log(y) - s * y)
-             * (1.0 - inv * np.log1p(gain * y)))
-    val = (f @ w_val) * w
-    vals = val.tolist()
-    errs = np.abs(val - (f @ w_est) * w).tolist()
-    worst = max(range(len(errs)), key=errs.__getitem__)
-    if errs[worst] > _ABS_TOL:
-        name, var = ("k", "b") if rician else ("s", "x")
-        raise QuadratureError(
-            f"DEP fading average did not converge: {law} state "
-            f"{name} = {params[worst]:g}, unit power {units[worst]:.6g}, "
-            f"window {var} in [{lo[worst]:.6g}, "
-            f"{lo[worst] + width[worst]:.6g}], error estimate "
-            f"{errs[worst]:.3g} > {_ABS_TOL:g}")
-    return [min(1.0, max(0.0, v)) for v in vals], errs
+    if min(units) < 0:
+        raise DomainError("received unit power must be nonnegative")
+    gains = [rho * unit / sigma_n2 for unit in units]
+    rule = _state_rule(_RULE, law, params,
+                       [1.0 / g if g > 0.0 else math.inf for g in gains],
+                       [(rho * rho - 1.0) / g if g > 0.0 else math.inf
+                        for g in gains])
+    f = 1.0 - np.log1p(np.array(gains)[:, None] * rule.x) / (
+        2.0 * math.log(rho))
+    val, err = rule.average(f, "DEP", _ABS_TOL, 0.0,
+                            lambda i: f"unit power {units[i]:.6g}")
+    return [min(1.0, max(0.0, v)) for v in val], err
 
 
 def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
@@ -406,28 +288,6 @@ def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
                                                   vals)}
     return ExpectedDep(value=sum(terms.values()), terms=terms,
                        abs_err=sum(p * e for p, e in zip(states.probs, errs)))
-
-
-def expected_min_dep_om(scn: Scenario, alice: NodePosition | None = None,
-                        p_a: float | None = None,
-                        rho: float | None = None) -> ExpectedDep:
-    """Fading-averaged minimum DEP in the omnidirectional microwave mode:
-    a mixture over the LoS/NLoS state of the transmitter-warden link, each
-    with its exact Rician power density."""
-    return expected_min_dep(scn, "om", alice=alice, p_a=p_a, rho=rho)
-
-
-def expected_min_dep_dm(scn: Scenario, alice: NodePosition | None = None,
-                        p_a: float | None = None,
-                        rho: float | None = None) -> ExpectedDep:
-    """Fading-averaged minimum DEP in the directional mmWave mode.
-
-    Double mixture: the warden's receive lobe (main with its pointing
-    probability, side otherwise) and the LoS/NLoS state, each with its
-    exact gamma power density.  The transmitter's lobe toward the warden is
-    deterministic given the beam steered at the intended receiver.
-    """
-    return expected_min_dep(scn, "dm", alice=alice, p_a=p_a, rho=rho)
 
 
 def _closed_form(scn: Scenario, mode: str, alice: NodePosition | None,
@@ -479,7 +339,7 @@ def expected_min_dep_om_closed_form(scn: Scenario,
     Kept for reference and speed comparisons; the surrogate misstates the
     lower fading tail at large Rician factors, so this can deviate from the
     exact average by more than a tenth in absolute DEP at high power.  Use
-    ``expected_min_dep_om`` for accuracy-sensitive work.
+    ``expected_min_dep(scn, "om")`` for accuracy-sensitive work.
     """
     return _closed_form(scn, "om", alice, p_a, rho, _rician_surrogate)
 
@@ -493,7 +353,7 @@ def expected_min_dep_dm_closed_form(scn: Scenario,
 
     Kept for reference; the bound deviates from the true CDF by up to about
     five absolute percentage points at mid-range arguments, so use
-    ``expected_min_dep_dm`` for accuracy-sensitive work.
+    ``expected_min_dep(scn, "dm")`` for accuracy-sensitive work.
     """
     return _closed_form(scn, "dm", alice, p_a, rho, _gamma_surrogate)
 
@@ -502,7 +362,14 @@ def expected_min_dep(scn: Scenario, mode: str,
                      alice: NodePosition | None = None,
                      p_a: float | None = None,
                      rho: float | None = None) -> ExpectedDep:
-    """Fading-averaged minimum DEP in mode "om" or "dm"."""
+    """Fading-averaged minimum DEP in mode "om" or "dm".
+
+    A mixture over the states of the transmitter-warden link, each with its
+    exact fading density: LoS/NLoS with Rician power in mode "om"; in mode
+    "dm" also the warden's receive lobe, with gamma power.  The
+    transmitter's lobe toward the warden is deterministic given the beam
+    steered at the intended receiver.
+    """
     return dep_over_states(link_states(scn, mode, alice, "willie"),
                            scn.p_a if p_a is None else p_a, scn.noise.sigma_n2,
                            scn.noise.rho if rho is None else rho)

@@ -49,6 +49,7 @@ from .detection import min_dep_values, threshold_breakpoints
 from .errors import DomainError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
 from .scenario import LinkGeometry, NodePosition, Scenario
+from .throughput import snr_threshold
 
 __all__ = [
     "McEstimate",
@@ -306,7 +307,6 @@ def mc_outage(scn: Scenario, alice: NodePosition | None = None,
     p_a = scn.p_a if p_a is None else p_a
     rho = scn.noise.rho if rho is None else rho
     if gamma_th is None:
-        from .throughput import snr_threshold
         _check_common(scn, mode, float(p_a), n)  # before scn.band(mode)
         gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
     (est,) = mc_receiver_points(scn, [(p_a, rho, (gamma_th,))], alice=alice,

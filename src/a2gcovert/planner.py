@@ -89,7 +89,8 @@ def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition | None,
     P_max; geometric bisection (expected DEP is nonincreasing in power).
 
     Returns (power, binding constraint name), or None when even vanishing
-    power is not covert at this geometry.
+    power is not covert at this geometry.  An unknown mode raises
+    ``DomainError`` (from ``link_states``).
     """
     willie = link_states(scn, mode, alice, "willie")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
@@ -123,16 +124,14 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
     search over the rate, done on a grid and optionally polished by a bounded
     scalar minimization between the best grid point's neighbours.
     """
-    if mode not in ("om", "dm"):
-        raise DomainError(f"unknown mode {mode!r}")
     if n_rate < 2:
         raise DomainError("rate grid needs at least two points")
-    band = scn.band(mode)
     limit = _covert_power_limit(scn, mode, alice)
     if limit is None:
         return OptimizationResult(p_a_opt=0.0, r_b_opt=0.0, objective=0.0,
                                   binding="covertness", feasible=False)
     p_opt, binding = limit
+    band = scn.band(mode)
     bob = link_states(scn, mode, alice, "bob")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
     r_hi = max_rate(scn, mode, alice)
@@ -164,8 +163,6 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
 def maximize_csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
                  rel_tol: float = 1e-6) -> OptimizationResult:
     """Largest covert power (capacity is monotone in power), by bisection."""
-    if mode not in ("om", "dm"):
-        raise DomainError(f"unknown mode {mode!r}")
     limit = _covert_power_limit(scn, mode, alice, rel_tol=rel_tol)
     if limit is None:
         # vanishing power cannot satisfy the constraint at this geometry

@@ -248,7 +248,7 @@ def _build(values: dict[str, float | int]) -> Scenario:
     if db_to_linear(values["om.k_half_pi_db"]) > _K_HALF_PI_MAX:
         raise ScenarioError(
             f"om.k_half_pi_db = {values['om.k_half_pi_db']:g} dB exceeds "
-            f"{_K_HALF_PI_MAX_DB:.1f} dB: Rice factors above "
+            f"{_K_HALF_PI_MAX_DB:.4f} dB: Rice factors above "
             f"{_K_HALF_PI_MAX:g} lie outside the range of the Marcum-Q "
             "surrogate used by the microwave outage")
     for key in ("dm.s_los", "dm.s_nlos"):

@@ -1,7 +1,7 @@
 """Special-function kernel for the analytic covert-performance expressions.
 
 Everything here is pure and reentrant.  Standard functions (Bessel I0,
-incomplete gamma, Ei, Li2) are thin wrappers over scipy.special with the
+incomplete gamma, Ei) are thin wrappers over scipy.special with the
 domain restrictions this package relies on.  The first-order Marcum-Q is
 the complement of the noncentral chi-square CDF with two degrees of
 freedom, Q1(a, b) = 1 - F(b^2; 2, a^2), evaluated by
@@ -41,7 +41,6 @@ __all__ = [
     "lower_inc_gamma",
     "gammainc_int",
     "exp_integral_ei",
-    "dilog_li2",
     "marcum_q1_exact",
     "marcum_mu_nu",
     "marcum_q1_approx",
@@ -131,15 +130,6 @@ def exp_integral_ei(x):
     if np.any(x == 0):
         raise DomainError("Ei is singular at x = 0")
     out = special.expi(x)
-    return out[()] if x.ndim == 0 else out
-
-
-def dilog_li2(x):
-    """Dilogarithm Li2(x) on x <= 0 (via Spence's function)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x > 0):
-        raise DomainError("dilog_li2 is restricted to x <= 0")
-    out = special.spence(1.0 - x)
     return out[()] if x.ndim == 0 else out
 
 

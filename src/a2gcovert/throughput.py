@@ -11,12 +11,10 @@ exponent is formed in log space, so no power of it overflows.  In a gamma
 ("dm") state the exact regularized gamma CDF is averaged over the noise
 with a fixed 64-node Gauss-Legendre rule; for integer shapes up to 64 the
 CDF is a finite Poisson sum (``specfun.gammainc_int``).  The ergodic
-(Shannon) capacity integrates the dilogarithm kernel spence(1 + c y)
-against the exact fading density by adaptive quadrature.  The density is a
-float -> float function built once per channel state
-(``rician_scalar_pdf`` / ``nakagami_scalar_pdf``), so the integrand does
-plain float arithmetic and its domain is checked once, before the
-quadrature.
+(Shannon) capacity averages ln(1 + SNR) over the fading with the composite
+Gauss rule that the warden's DEP uses (``channel._state_rule``) and over the
+noise with the same 64-node Gauss-Legendre rule; the integrand is positive
+and nothing cancels, so low SNR keeps full relative accuracy.
 """
 
 from __future__ import annotations
@@ -24,30 +22,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+
+# ``integrate`` is unused here but kept as a module attribute: bench/spans.py
+# counts quadrature calls per module by replacing it.
+from scipy import integrate, special  # noqa: F401
 
 from .channel import (
+    _RULE,
     LinkStates,
+    _state_rule,
     link_states,
-    nakagami_scalar_pdf,
     nakagami_xi,
-    rician_scalar_pdf,
 )
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .scenario import NodePosition, Scenario
 from .specfun import exp_integral_ei, gammainc_int, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
     "outage_over_states",
-    "outage_om",
-    "outage_dm",
     "outage_dm_closed_form",
     "outage",
     "ecr",
     "csc_over_states",
-    "csc_om",
-    "csc_dm",
     "csc",
 ]
 
@@ -168,28 +165,14 @@ def outage(scn: Scenario, mode: str, alice: NodePosition | None = None,
                               scn.noise.rho if rho is None else rho)
 
 
-def outage_om(scn: Scenario, alice: NodePosition | None = None,
-              p_a=None, gamma_th=None, rho: float | None = None):
-    """Outage probability in the microwave mode (Marcum-Q surrogate)."""
-    return outage(scn, "om", alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
-
-
-def outage_dm(scn: Scenario, alice: NodePosition | None = None,
-              p_a=None, gamma_th=None, rho: float | None = None):
-    """Outage probability in the mmWave mode: the exact gamma CDF under the
-    noise average; the binomial-exponential closed form is
-    ``outage_dm_closed_form``."""
-    return outage(scn, "dm", alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
-
-
 def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
                           p_a=None, gamma_th=None, rho: float | None = None):
     """Binomial-exponential closed form of the mmWave outage probability.
 
     Built on the tight exponential bound of the gamma CDF; deviates from the
     exact mixture by up to about five absolute percentage points at
-    mid-range outage levels, so use ``outage_dm`` for accuracy-sensitive
-    work.
+    mid-range outage levels, so use ``outage(scn, "dm")`` for
+    accuracy-sensitive work.
     """
     if gamma_th is None:
         gamma_th = snr_threshold(scn.r_b, scn.dm.bandwidth_hz)
@@ -209,54 +192,41 @@ def ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _li2_fading_average(unit_power: float, x: float, pdf) -> float:
-    """Quadrature of Li2(-unit_power * x * y) against a unit-mean power pdf.
-
-    ``pdf`` is a float -> float density from ``rician_scalar_pdf`` or
-    ``nakagami_scalar_pdf``.  Li2(-c y) = spence(1 + c y) for c y >= 0, so
-    the sign of c is checked once here instead of at every node.
-    """
-    if unit_power == 0.0:
-        return 0.0
-    c = unit_power * x
-    if not c >= 0.0:
-        raise DomainError("dilogarithm argument scale must be nonnegative")
-    spence = special.spence
-
-    def integrand(y):
-        return spence(1.0 + c * y) * pdf(y)
-
-    val, err = integrate.quad(integrand, 0.0, np.inf,
-                              points=None, limit=300,
-                              epsabs=1e-12, epsrel=1e-9)
-    if not math.isfinite(val):
-        raise QuadratureError("dilogarithm fading average did not converge")
-    if abs(err) > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"dilogarithm fading average error estimate too large: {err:g}")
-    return val
+# largest error estimate a state's capacity average may carry, relative
+# to the average
+_REL_TOL = 1e-9
 
 
 def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
                     rho: float, bandwidth_hz: float) -> float:
     """Ergodic covert Shannon capacity (bits/s) over the states of Bob's
-    link, each averaged by QUADPACK against its exact fading density."""
+    link.
+
+    A state with mean SNR g at the nominal noise contributes
+    W / ln 2 E[ln(1 + g x rho^-u)], over its fading power x and the noise
+    exponent u ~ U[-1, 1]: the fading rule of ``channel._state_rule`` in x,
+    graded toward the window start by the branch point x = -1 / (g rho) of
+    the logarithm at u = -1, and the 64-node Gauss-Legendre rule in u.  An
+    error estimate above 1e-9 of a state's value raises
+    ``QuadratureError`` naming the state.
+    """
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
     if p_a == 0.0:
         return 0.0
     if rho <= 1:
         raise DomainError("noise uncertainty factor rho must exceed 1")
-    pdf_of = rician_scalar_pdf if states.law == "rician" else nakagami_scalar_pdf
-    total = 0.0
-    for prob, param, unit in zip(states.probs, states.params,
-                                 states.received(p_a)):
-        pdf = pdf_of(param)
-        f_lo = _li2_fading_average(unit, 1.0 / (sigma_n2 * rho), pdf)
-        f_hi = _li2_fading_average(unit, rho / sigma_n2, pdf)
-        total += (bandwidth_hz * prob * (f_lo - f_hi)
-                  / (2.0 * math.log(2.0) * math.log(rho)))
-    return max(0.0, total)
+    gains = [unit / sigma_n2 for unit in states.received(p_a)]
+    rule = _state_rule(_RULE, states.law, states.params,
+                       [1.0 / (g * rho) if g > 0.0 else math.inf
+                        for g in gains])
+    noise = rho ** -_GL_NODES
+    # state by state: nodes x noise nodes, not states x both
+    f = np.array([np.log1p(np.outer(g * x, noise)) @ (0.5 * _GL_WEIGHTS)
+                  for g, x in zip(gains, rule.x)])
+    val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
+                          lambda i: f"mean SNR {gains[i]:.6g}")
+    return bandwidth_hz / math.log(2.0) * float(np.dot(states.probs, val))
 
 
 def csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
@@ -266,15 +236,3 @@ def csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
     return csc_over_states(states, scn.p_a if p_a is None else float(p_a),
                            scn.noise.sigma_n2, scn.noise.rho if rho is None
                            else rho, scn.band(mode).bandwidth_hz)
-
-
-def csc_om(scn: Scenario, alice: NodePosition | None = None,
-           p_a: float | None = None, rho: float | None = None) -> float:
-    """Ergodic covert Shannon capacity (bits/s) in the microwave mode."""
-    return csc(scn, "om", alice=alice, p_a=p_a, rho=rho)
-
-
-def csc_dm(scn: Scenario, alice: NodePosition | None = None,
-           p_a: float | None = None, rho: float | None = None) -> float:
-    """Ergodic covert Shannon capacity (bits/s) in the mmWave mode."""
-    return csc(scn, "dm", alice=alice, p_a=p_a, rho=rho)

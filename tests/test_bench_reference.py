@@ -1,8 +1,8 @@
 """The benchmark's planner workloads reproduce their recorded rows.
 
-Runs the ``modemap_track`` and ``rho_sweep`` commands of
-``bench/workloads.json`` at its reference seed through ``cli.main`` and
-checks every row with ``bench/check.py`` against ``bench/reference/``.
+Runs every workload command of ``bench/workloads.json`` at its reference
+seed through ``cli.main`` and checks every row with ``bench/check.py``
+against ``bench/reference/``.
 """
 
 import importlib.util
@@ -24,7 +24,8 @@ def _check_module():
     return module
 
 
-@pytest.mark.parametrize("workload", ["modemap_track", "rho_sweep"])
+@pytest.mark.parametrize("workload",
+                         ["modemap_track", "rho_sweep", "validate_grid"])
 def test_reference_rows(workload, capsys):
     spec = json.loads((BENCH / "workloads.json").read_text())
     run = spec["workloads"][workload]

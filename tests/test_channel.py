@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from a2gcovert import channel
 from a2gcovert.channel import (
     NakagamiLaw,
     NoiseModel,
@@ -13,14 +14,12 @@ from a2gcovert.channel import (
     RicianLaw,
     nakagami_power_cdf,
     nakagami_power_pdf,
-    nakagami_scalar_pdf,
     nakagami_xi,
     noise_power_pdf,
     path_loss,
     rician_factor,
     rician_power_cdf,
     rician_power_pdf,
-    rician_scalar_pdf,
     sample_nakagami_power,
     sample_noise_power,
     sample_rician_power,
@@ -88,28 +87,36 @@ class TestRicianPower:
         assert draws.shape == (3,)
 
 
+def _rule_density(law, param):
+    """Nodes of the fading rule for one state, and the density it
+    evaluates there (in b for Rician, in x for gamma)."""
+    rule = channel._state_rule(channel._RULE, law, [param], [math.inf])
+    return rule.x[0], rule.dens[0] / rule.width[0]
+
+
 class TestScalarPdfs:
-    X_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 40.0, 200)))
+    """The per-state densities of the fading rule (which replaced the
+    float -> float scalar pdfs) against the array pdfs."""
 
     @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 3.16, 10.0, 31.6, 50.0])
     def test_rician_matches_array_pdf(self, k):
-        pdf = rician_scalar_pdf(k)
-        got = np.array([pdf(float(x)) for x in self.X_GRID])
-        np.testing.assert_allclose(got, rician_power_pdf(self.X_GRID, k),
+        x, got = _rule_density("rician", k)
+        # the density of b = sqrt(2 (k+1) x) is f(x) dx/db = f(x) b / (k+1)
+        b = np.sqrt(2.0 * (k + 1.0) * x)
+        np.testing.assert_allclose(got, rician_power_pdf(x, k) * b / (k + 1.0),
                                    rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5])
     def test_nakagami_matches_array_pdf(self, s):
-        pdf = nakagami_scalar_pdf(s)
-        got = np.array([pdf(float(x)) for x in self.X_GRID])
-        np.testing.assert_allclose(got, nakagami_power_pdf(self.X_GRID, s),
+        x, got = _rule_density("gamma", s)
+        np.testing.assert_allclose(got, nakagami_power_pdf(x, s),
                                    rtol=1e-13, atol=1e-300)
 
     def test_parameters_checked_when_built(self):
         with pytest.raises(DomainError):
-            rician_scalar_pdf(-0.1)
+            channel._state_rule(channel._RULE, "rician", [-0.1], [math.inf])
         with pytest.raises(DomainError):
-            nakagami_scalar_pdf(0)
+            channel._state_rule(channel._RULE, "gamma", [0], [math.inf])
 
 
 class TestNakagamiPower:

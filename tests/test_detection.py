@@ -15,9 +15,7 @@ from a2gcovert.channel import (
 from a2gcovert.detection import (
     dep_at_threshold,
     expected_min_dep,
-    expected_min_dep_dm,
     expected_min_dep_dm_closed_form,
-    expected_min_dep_om,
     expected_min_dep_om_closed_form,
     false_alarm_probability,
     min_dep,
@@ -175,10 +173,10 @@ class TestExpectedMinDep:
             assert sum(res.terms.values()) == pytest.approx(res.value)
 
     def test_om_term_labels(self, scn):
-        assert set(expected_min_dep_om(scn).terms) == {"los", "nlos"}
+        assert set(expected_min_dep(scn, "om").terms) == {"los", "nlos"}
 
     def test_dm_term_labels(self, scn):
-        assert set(expected_min_dep_dm(scn).terms) == {
+        assert set(expected_min_dep(scn, "dm").terms) == {
             "main/los", "main/nlos", "side/los", "side/nlos"}
 
     def test_silent_transmitter_is_undetectable(self, scn):
@@ -198,23 +196,21 @@ class TestExpectedMinDep:
 
     def test_negative_power_rejected(self, scn):
         with pytest.raises(DomainError):
-            expected_min_dep_om(scn, p_a=-1.0)
+            expected_min_dep(scn, "om", p_a=-1.0)
 
     def test_closed_forms_follow_exact_at_low_power(self, scn):
         # at low power the surrogate bias is small and both routes agree
-        for exact_fn, cf_fn in ((expected_min_dep_om,
-                                 expected_min_dep_om_closed_form),
-                                (expected_min_dep_dm,
-                                 expected_min_dep_dm_closed_form)):
-            lo_e = exact_fn(scn, p_a=0.01).value
+        for mode, cf_fn in (("om", expected_min_dep_om_closed_form),
+                            ("dm", expected_min_dep_dm_closed_form)):
+            lo_e = expected_min_dep(scn, mode, p_a=0.01).value
             lo_c = cf_fn(scn, p_a=0.01).value
             assert lo_c == pytest.approx(lo_e, abs=0.02)
 
     def test_moving_away_from_warden_raises_dep(self, scn):
         near = NodePosition(1000.0, 0.0, 500.0)
         far = NodePosition(2000.0, 0.0, 500.0)
-        assert expected_min_dep_om(scn, alice=far).value > (
-            expected_min_dep_om(scn, alice=near).value)
+        assert expected_min_dep(scn, "om", alice=far).value > (
+            expected_min_dep(scn, "om", alice=near).value)
 
 
 def _tight_quad_average(law, param, cut, rho):
@@ -283,11 +279,11 @@ class TestDepKernel:
             "om.k_half_pi_db": 10.0 * math.log10(7200.0),
             "alice.x": 1000.0, "alice.y": 0.0,
             "willie.x": 1000.0, "willie.y": 0.0})
-        assert expected_min_dep_om(scn).abs_err <= 1e-8
+        assert expected_min_dep(scn, "om").abs_err <= 1e-8
         monkeypatch.setattr(detection, "_RULE",
                             detection._composite_rule(panels=1, n=4, n_est=2))
         with pytest.raises(QuadratureError) as info:
-            expected_min_dep_om(scn)
+            expected_min_dep(scn, "om")
         msg = str(info.value)
         assert "rician" in msg and "k = 7200" in msg
         assert "unit power" in msg and "window b in [108" in msg

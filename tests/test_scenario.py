@@ -105,10 +105,18 @@ class TestParsing:
 
     def test_rice_factor_above_marcum_range_rejected(self):
         # a = sqrt(2k) > 120 lies outside the Marcum-Q surrogate's range
-        with pytest.raises(ScenarioError, match=r"om\.k_half_pi_db.*38\.6 dB"):
+        with pytest.raises(ScenarioError,
+                           match=r"om\.k_half_pi_db.*38\.5733 dB"):
             loads_scenario("om.k_half_pi_db = 40")
         s = loads_scenario("om.k_half_pi_db = 38.5")
         assert s.om.rician.k_half_pi < 7200.0
+
+    def test_rice_ceiling_printed_with_enough_digits(self):
+        # 38.58 dB lies above the 38.5733 dB ceiling; printed to one
+        # decimal the ceiling read 38.6, below the rejected value
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario("om.k_half_pi_db = 38.58")
+        assert "38.58 dB exceeds 38.5733 dB" in str(info.value)
 
     def test_beamwidth_override(self):
         s = loads_scenario("antenna.alice.theta_ed_rad = 0.3")

@@ -10,7 +10,6 @@ from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
     bessel_i0,
     bessel_i0_scaled,
-    dilog_li2,
     exp_integral_ei,
     gammainc_int,
     lower_inc_gamma,
@@ -47,14 +46,6 @@ class TestWrappers:
 
     def test_ei_negative_argument_sign(self):
         assert exp_integral_ei(-1.0) < 0.0
-
-    def test_dilog_reference_value(self):
-        # Li2(-1) = -pi^2 / 12
-        assert dilog_li2(-1.0) == pytest.approx(-math.pi ** 2 / 12, rel=1e-12)
-
-    def test_dilog_rejects_positive(self):
-        with pytest.raises(DomainError):
-            dilog_li2(0.5)
 
 
 class TestMarcumExact:
