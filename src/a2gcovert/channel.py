@@ -407,26 +407,38 @@ def _state_rule(rule: tuple[int, ...], law: str, params, branch,
     return _StateRule(law, params, lo, width, x, dens * w, w_val, w_est)
 
 
-def sample_rician_power(k, rng: np.random.Generator, size=None):
-    """Unit-mean Rician power draws; k may be a scalar or an array."""
+def sample_rician_power(k, rng: np.random.Generator, size=None, out=None):
+    """Unit-mean Rician power draws; k may be a scalar or an array.  A
+    scalar k = 0 draws the exponential law, any other k two normals; the
+    draws fill ``out`` when it is given."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise DomainError("Rician factor must be nonnegative")
+    if k.ndim == 0 and k == 0.0:
+        return rng.standard_exponential(size, out=out)
     shape = np.broadcast_shapes(k.shape, () if size is None else (size,))
-    g1 = rng.standard_normal(shape)
-    g2 = rng.standard_normal(shape)
     scale = 1.0 / np.sqrt(2.0 * (k + 1.0))
-    los = np.sqrt(k / (k + 1.0))
-    out = (los + g1 * scale) ** 2 + (g2 * scale) ** 2
-    return out if size is not None or k.ndim else float(out)
+    out = rng.standard_normal(shape if out is None else None, out=out)
+    out *= scale
+    out += np.sqrt(k / (k + 1.0))
+    np.square(out, out=out)
+    g2 = rng.standard_normal(out.shape)
+    g2 *= scale
+    out += np.square(g2, out=g2)
+    return out if out.ndim else float(out)
 
 
-def sample_nakagami_power(s, rng: np.random.Generator, size=None):
-    """Unit-mean gamma power draws; s may be a scalar or an array of shapes."""
+def sample_nakagami_power(s, rng: np.random.Generator, size=None, out=None):
+    """Unit-mean gamma power draws, standard gamma(s) / s; s may be a scalar
+    or an array of shapes.  The draws fill ``out`` when it is given."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 1):
         raise DomainError("Nakagami shape must be >= 1")
-    out = rng.gamma(shape=s, scale=1.0 / s, size=size if size is not None else s.shape or None)
+    if out is None:
+        return rng.standard_gamma(s, s.shape or None if size is None
+                                  else size) / s
+    rng.standard_gamma(s, out=out)
+    out /= s
     return out
 
 

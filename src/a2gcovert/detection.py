@@ -140,17 +140,23 @@ def threshold_breakpoints(k_a: float, sigma_n2: float, rho: float) -> np.ndarray
     ]))
 
 
-def min_dep_values(k_a, sigma_n2: float, rho: float):
-    """Vectorised minimum DEP over thresholds, given received power(s) k_a."""
+def min_dep_values(k_a, sigma_n2: float, rho: float, out=None):
+    """Vectorised minimum DEP 1 - log1p(rho k_a / sigma_n2) / (2 ln rho),
+    exactly 0 from the cutoff (rho^2 - 1) sigma_n2 / rho on, at received
+    power(s) k_a; computed in place on ``out`` (k_a itself allowed)."""
     _check_noise(sigma_n2, rho)
     k_a = np.asarray(k_a, dtype=float)
-    if np.any(k_a < 0):
+    if k_a.min(initial=0.0) < 0:
         raise DomainError("received signal power k_a must be nonnegative")
-    cutoff = (rho * rho - 1.0) * sigma_n2 / rho
-    val = 1.0 - (np.log(rho * k_a + sigma_n2) - math.log(sigma_n2)) / (
-        2.0 * math.log(rho))
-    out = np.where(k_a >= cutoff, 0.0, np.maximum(val, 0.0))
-    return out[()] if k_a.ndim == 0 else out
+    above = k_a >= (rho * rho - 1.0) * sigma_n2 / rho
+    out = np.multiply(k_a, rho / sigma_n2,
+                      out=np.empty_like(k_a) if out is None else out)
+    np.log1p(out, out=out)
+    out *= -0.5 / math.log(rho)
+    out += 1.0
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, 0.0, where=above)
+    return out[()] if out.ndim == 0 else out
 
 
 def min_dep(k_a: float, sigma_n2: float, rho: float) -> DepResult:

@@ -11,14 +11,18 @@ standard error does not cancel for samples far from zero (capacities of
 
 Draws are shared between operating points.  A call samples one link once
 per batch: Alice to Willie (``mc_dep_points``) or Alice to Bob
-(``mc_receiver_points``).  A draw is the LoS state, the fading power, the
-receive lobe in mode "dm" and, on Bob's link, the noise exponent u of the
-noise power sigma_n2 * rho^u.  Every point of the call is evaluated on the
-same draws: each (p_a, rho) for the warden's DEP; each (p_a, rho), its SNR
-thresholds and the ergodic capacity for the receiver.  This is the method
-of common random numbers: each estimate is unbiased with its own n-draw
-standard error, but the estimates of one call are correlated: an outage
-estimate never rises with p_a, and a capacity estimate never falls.
+(``mc_receiver_points``), over its state table from ``channel.link_states``.
+A batch draws the states' counts, multinomial, then each state's fading
+from its own law (never from a quadrature), scaled by its mean received
+power; on Bob's link, then the noise exponent u of the noise power
+sigma_n2 * rho^u.  Every point of the call is evaluated on the same draws:
+each (p_a, rho) for the warden's DEP; each (p_a, rho), its SNR thresholds
+and the ergodic capacity for the receiver.  This is the method of common
+random numbers: each estimate is unbiased with its own n-draw standard
+error, but the estimates of one call are correlated: an outage estimate
+never rises with p_a, and a capacity estimate never falls.  A batch
+overwrites a few arrays of its own point by point; nothing is shared
+between batches, which may run in different threads.
 ``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
 one-point calls of these two.
 
@@ -38,17 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    LinkStates,
     NoiseModel,
-    path_loss,
-    rician_factor,
+    link_states,
     sample_nakagami_power,
     sample_noise_exponent,
     sample_rician_power,
 )
 from .detection import min_dep_values, threshold_breakpoints
 from .errors import DomainError
-from .geometry import alice_main_lobe_covers_willie, lobe_gains
-from .scenario import LinkGeometry, NodePosition, Scenario
+from .scenario import NodePosition, Scenario
 from .throughput import snr_threshold
 
 __all__ = [
@@ -166,33 +169,24 @@ def _check_common(scn: Scenario, mode: str, p_a: float, n: int):
         raise DomainError("oracle estimates need n >= 1000")
 
 
-def _unit_power_sampler(scn: Scenario, mode: str, link: LinkGeometry,
-                        lobe=None):
-    """``draw(rng, m)`` of one link's received power per unit transmit power.
-
-    A draw is the LoS state, then the fading power, then, when ``lobe`` =
-    (transmit gain, receive ``LobeGainTable``) is given, the receive lobe.
-    Everything that does not vary per draw is computed here, once.
+def _unit_power_sampler(states: LinkStates):
+    """``draw(rng, m)``: m draws of the link's received power per unit
+    transmit power.  State i of the table fills a slice of multinomial
+    length (empty at probability 0) with its fading times its mean power.
     """
-    band = scn.band(mode)
-    loss_los = path_loss(link.d, band.pl_los)
-    loss_nlos = path_loss(link.d, band.pl_nlos)
-    if mode == "om":
-        fading_los = rician_factor(link.theta_rad, band.rician, True)
-        fading_nlos, sample = 0.0, sample_rician_power
-    else:
-        fading_los, fading_nlos = band.nakagami.s_los, band.nakagami.s_nlos
-        sample = sample_nakagami_power
+    sample = (sample_rician_power if states.law == "rician"
+              else sample_nakagami_power)
+    gains = states.received(1.0)
 
     def draw(rng, m):
-        los = rng.random(m) < link.p_los
-        unit = sample(np.where(los, fading_los, fading_nlos), rng)
-        unit *= np.where(los, loss_los, loss_nlos)
-        if lobe is not None:
-            g_tx, rx = lobe
-            main = rng.random(m) < rx.p_main
-            unit *= g_tx * np.where(main, rx.g_main, rx.g_side)
-        return unit
+        out, end = np.empty(m), 0
+        for count, param, gain in zip(rng.multinomial(m, states.probs),
+                                      states.params, gains):
+            part = out[end:end + count]
+            sample(param, rng, out=part)
+            part *= gain
+            end += count
+        return out
 
     return draw
 
@@ -214,19 +208,14 @@ def mc_dep_points(scn: Scenario, points, alice: NodePosition | None = None,
         _check_common(scn, mode, p_a, n)
         if rho <= 1:
             raise DomainError("noise uncertainty factor rho must exceed 1")
-    lobe = None
-    if mode == "dm":
-        a_tab = lobe_gains(scn.ant_alice)
-        covers = alice_main_lobe_covers_willie(alice, scn.bob, scn.willie,
-                                               scn.ant_alice)
-        lobe = (a_tab.g_main if covers else a_tab.g_side,
-                lobe_gains(scn.ant_willie))
-    draw = _unit_power_sampler(scn, mode, scn.link(alice, scn.willie), lobe)
+    draw = _unit_power_sampler(link_states(scn, mode, alice, "willie"))
     sigma_n2 = scn.noise.sigma_n2
 
     def batch(rng, m):
         unit = draw(rng, m)
-        return [_moments(min_dep_values(p_a * unit, sigma_n2, rho))
+        dep = np.empty(m)
+        return [_moments(min_dep_values(np.multiply(unit, p_a, out=dep),
+                                        sigma_n2, rho, out=dep))
                 for p_a, rho in points]
 
     return _run_batches(batch, n, seed, workers)
@@ -255,11 +244,8 @@ def mc_receiver_points(scn: Scenario, points,
                         gammas))
     if not any(gammas or capacity for _, _, gammas in checked):
         raise DomainError("need at least one statistic to estimate")
-    lobe = None
-    if mode == "dm":
-        lobe = (lobe_gains(scn.ant_alice).g_main, lobe_gains(scn.ant_bob))
-    draw = _unit_power_sampler(scn, mode, scn.link(alice, scn.bob), lobe)
-    w = scn.band(mode).bandwidth_hz
+    draw = _unit_power_sampler(link_states(scn, mode, alice, "bob"))
+    w_ln2 = scn.band(mode).bandwidth_hz / math.log(2.0)
     by_rho: dict[float, list[int]] = {}
     for i, (_, noise, _) in enumerate(checked):
         by_rho.setdefault(noise.rho, []).append(i)
@@ -267,18 +253,21 @@ def mc_receiver_points(scn: Scenario, points,
     def batch(rng, m):
         unit = draw(rng, m)
         u = sample_noise_exponent(rng, m)
+        snr, below = np.empty(m), np.empty(m, dtype=bool)
         stats = [None] * len(checked)
         for members in by_rho.values():
-            # one noise power array per distinct rho, freed before the next
-            power = checked[members[0]][1].power(u)
+            # the unit power over one noise power array per distinct rho
+            scaled = checked[members[0]][1].power(u)
+            np.divide(unit, scaled, out=scaled)
             for i in members:
                 p_a, _, gammas = checked[i]
-                snr = p_a * unit / power
-                stats[i] = [_indicator_moments(int(np.count_nonzero(snr < g)),
-                                               m) for g in gammas]
+                np.multiply(scaled, p_a, out=snr)
+                stats[i] = [_indicator_moments(int(np.count_nonzero(
+                    np.less(snr, g, out=below))), m) for g in gammas]
                 if capacity:
-                    stats[i].append(_moments(w * np.log2(1.0 + snr)))
-            del power
+                    np.log1p(snr, out=snr)
+                    snr *= w_ln2
+                    stats[i].append(_moments(snr))
         return [stat for point in stats for stat in point]
 
     flat = iter(_run_batches(batch, n, seed, workers))

@@ -103,6 +103,22 @@ class TestMinDepKernel:
         vals = min_dep_values(ks, SIGMA, RHO)
         assert np.all(np.diff(vals) <= 1e-15)
 
+    @pytest.mark.parametrize("rho_db", [1e-5, 0.5, 2.0, 4.0, 20.0])
+    def test_in_place_kernel_is_the_log1p_form(self, rho_db):
+        rho = 10.0 ** (rho_db / 10.0)
+        cutoff = (rho * rho - 1.0) * SIGMA / rho
+        ks = cutoff * np.concatenate(
+            (np.random.default_rng(5).random(400) * 1.2, [0.0, 1.0, 2.0]))
+        want = [0.0 if k >= cutoff else max(
+            0.0, 1.0 - math.log1p(rho * k / SIGMA) / (2.0 * math.log(rho)))
+            for k in ks]
+        vals = min_dep_values(ks, SIGMA, rho)
+        assert np.max(np.abs(vals - want)) <= 1e-15
+        assert np.all(vals[ks >= cutoff] == 0.0)
+        out = ks.copy()
+        assert min_dep_values(out, SIGMA, rho, out=out) is out
+        assert np.array_equal(out, vals)
+
 
 class TestVarrho:
     def test_closed_form(self):

@@ -1,10 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from a2gcovert import oracle
-from a2gcovert.channel import NoiseModel
+from a2gcovert.channel import NoiseModel, link_states
 from a2gcovert.detection import min_dep_values
-from a2gcovert.errors import DomainError
+from a2gcovert.errors import A2GError, DomainError
 from a2gcovert.oracle import (
     BATCH_SIZE,
     mc_dep_points,
@@ -14,7 +20,10 @@ from a2gcovert.oracle import (
     mc_outage,
     mc_receiver_points,
 )
+from a2gcovert.scenario import NodePosition, scenario_from_flat
+from a2gcovert.specfun import marcum_q1_exact
 from a2gcovert.throughput import snr_threshold
+from test_detection import _corner_scenarios
 
 N_SMOKE = 50_000
 SEED = 123
@@ -163,6 +172,70 @@ class TestSharedDraws:
                                n=N_SMOKE)
         with pytest.raises(DomainError):
             mc_receiver_points(scn, [(1.0, 2.0, (1.0, -1.0))], n=N_SMOKE)
+
+
+class TestSamplerLaw:
+    N = 200_000
+
+    @staticmethod
+    def _mixture_cdf(states, y):
+        """Exact CDF sum_i p_i F_i(y / g_i) of the unit received power."""
+        cdf = np.zeros_like(y)
+        for p, param, g in zip(states.probs, states.params,
+                               states.received(1.0)):
+            x = y / g
+            if states.law == "rician":
+                cdf += p * (1.0 - marcum_q1_exact(
+                    math.sqrt(2.0 * param), np.sqrt(2.0 * (param + 1.0) * x)))
+            else:
+                cdf += p * special.gammainc(param, param * x)
+        return cdf
+
+    # Willie is outside Alice's main lobe at x_a = 400 m, inside at 2000 m
+    @pytest.mark.parametrize("x_a", [400.0, 2000.0])
+    @pytest.mark.parametrize("receiver", ["willie", "bob"])
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    def test_draws_follow_the_mixture_law(self, scn, mode, receiver, x_a):
+        alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
+        states = link_states(scn, mode, alice, receiver)
+        draw = oracle._unit_power_sampler(states)
+        y = np.sort(draw(np.random.default_rng(SEED), self.N))
+        cdf = self._mixture_cdf(states, y)
+        ks = max(np.max(np.arange(1, self.N + 1) / self.N - cdf),
+                 np.max(cdf - np.arange(self.N) / self.N))
+        # Kolmogorov-Smirnov critical value at alpha = 1e-4
+        assert ks < 2.23 / math.sqrt(self.N)
+
+
+class TestOracleProperties:
+    POWERS = (1e-3, 1.0, 1e3)
+
+    @given(_corner_scenarios(), st.sampled_from(["om", "dm"]))
+    @settings(max_examples=15, deadline=None)
+    def test_in_range_and_exactly_monotone_in_power(self, flat, mode):
+        # shared draws make every ordering in p_a exact, not statistical
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                scn = scenario_from_flat(flat)
+                rho = scn.noise.rho
+                g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
+                dep = mc_dep_points(scn, [(p, rho) for p in self.POWERS],
+                                    mode=mode, n=2000, seed=SEED)
+                rx = mc_receiver_points(
+                    scn, [(p, rho, (g,)) for p in self.POWERS], mode=mode,
+                    n=2000, seed=SEED)
+            except A2GError:
+                return
+        p_out = [est.outage[0] for est in rx]
+        cap = [est.capacity for est in rx]
+        for est in dep + p_out + cap:
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+            assert est.mean >= 0.0 and est.std_error >= 0.0
+        assert all(est.mean <= 1.0 for est in dep + p_out)
+        assert all(x.mean >= y.mean for x, y in zip(dep, dep[1:]))
+        assert all(x.mean >= y.mean for x, y in zip(p_out, p_out[1:]))
+        assert all(x.mean <= y.mean for x, y in zip(cap, cap[1:]))
 
 
 class TestRadiometerCrossCheck:
