@@ -1,7 +1,8 @@
 """Fading, path loss and noise-uncertainty layer.
 
 All powers are linear milliwatts; all gain/loss factors are linear ratios.
-Distribution evaluators are pure; samplers take an explicit numpy Generator.
+Distribution evaluators are pure and exact (the paper's surrogate CDFs are
+in ``surrogate``); samplers take an explicit numpy Generator.
 ``link_states`` describes the discrete states of one link (LoS, and in mode
 "dm" the receive lobe) once; every primary metric is evaluated over it.
 ``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
@@ -21,7 +22,7 @@ from scipy import special
 
 from .errors import DomainError, QuadratureError
 from .geometry import NodePosition, alice_main_lobe_covers_willie, lobe_gains
-from .specfun import bessel_i0_scaled, marcum_q1_approx, marcum_q1_exact
+from .specfun import bessel_i0_scaled, marcum_q1_exact
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -33,12 +34,10 @@ __all__ = [
     "NoiseModel",
     "LinkStates",
     "link_states",
-    "nakagami_xi",
     "rician_factor",
     "rician_power_pdf",
     "rician_power_cdf",
     "nakagami_power_pdf",
-    "nakagami_power_cdf",
     "noise_power_pdf",
     "path_loss",
     "sample_rician_power",
@@ -72,9 +71,6 @@ class NakagamiLaw:
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
-
-    def shape(self, los: bool) -> int:
-        return self.s_los if los else self.s_nlos
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,6 @@ class NoiseModel:
         return self.sigma_n2 * self.rho ** u
 
 
-def nakagami_xi(s: int) -> float:
-    """Alzer constant xi = S * (S!)^(-1/S) of the tight gamma-CDF bound."""
-    return s * math.factorial(s) ** (-1.0 / s)
-
-
 def rician_factor(theta_rad: float, law: RicianLaw, los: bool) -> float:
     """Rician factor k(theta) = k0 * exp(eta2 * theta) on LoS, 0 on NLoS."""
     if not (0 <= theta_rad <= math.pi / 2):
@@ -139,14 +130,13 @@ def rician_power_pdf(x, k: float):
     return out[()] if x.ndim == 0 else out
 
 
-def rician_power_cdf(x: float, k: float, exact: bool = True) -> float:
+def rician_power_cdf(x: float, k: float) -> float:
     """CDF of the unit-mean Rician power, 1 - Q1(sqrt(2k), sqrt(2(k+1)x))."""
     if x < 0 or k < 0:
         raise DomainError("rician_power_cdf requires x >= 0 and k >= 0")
     a = math.sqrt(2.0 * k)
     b = math.sqrt(2.0 * (k + 1.0) * x)
-    q = marcum_q1_exact(a, b) if exact else marcum_q1_approx(a, b)
-    return min(1.0, max(0.0, 1.0 - q))
+    return min(1.0, max(0.0, 1.0 - marcum_q1_exact(a, b)))
 
 
 def nakagami_power_pdf(x, s: int):
@@ -162,21 +152,6 @@ def nakagami_power_pdf(x, s: int):
         ),
         float(s == 1),
     )
-    return out[()] if x.ndim == 0 else out
-
-
-def nakagami_power_cdf(x, s: int):
-    """Alzer/binomial CDF sum_{r=0..S} C(S,r) (-1)^r exp(-r xi x)."""
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise DomainError("Nakagami shape must be an integer >= 1")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("power must be nonnegative")
-    xi = nakagami_xi(int(s))
-    out = np.zeros_like(x)
-    for r in range(0, s + 1):
-        out = out + math.comb(s, r) * (-1.0) ** r * np.exp(-r * xi * x)
-    out = np.clip(out, 0.0, 1.0)
     return out[()] if x.ndim == 0 else out
 
 

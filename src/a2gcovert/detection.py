@@ -15,7 +15,8 @@ all states in one array operation.  The DEP cutoff is a panel edge, and
 panels are graded toward 0 when the noise uncertainty rho is large.  A
 16-node rule on the same panels gives each state an error estimate;
 ``ExpectedDep.abs_err`` carries their weighted sum, and an estimate above
-1e-8 raises ``QuadratureError``.
+1e-8 raises ``QuadratureError``.  The paper's closed-form DEP averages,
+built on surrogate fading laws, are in ``surrogate``.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ import numpy as np
 # counts quadrature calls per module by replacing it.
 from scipy import integrate  # noqa: F401
 
-from .channel import (
-    _RULE,
-    LinkStates,
-    _composite_rule,  # noqa: F401
-    _state_rule,
-    link_states,
-    nakagami_xi,
-)
+from .channel import _RULE, LinkStates, _state_rule, link_states
 from .errors import DomainError
 from .scenario import NodePosition, Scenario
-from .specfun import lower_inc_gamma, marcum_mu_nu
 
 __all__ = [
     "DepResult",
@@ -52,11 +45,7 @@ __all__ = [
     "min_dep_values",
     "varrho",
     "dep_over_states",
-    "truncated_mean_rician",
-    "truncated_mean_nakagami",
     "expected_min_dep",
-    "expected_min_dep_om_closed_form",
-    "expected_min_dep_dm_closed_form",
 ]
 
 
@@ -188,63 +177,6 @@ def varrho(p_received_unit: float, sigma_n2: float, rho: float) -> float:
     return (rho * rho - 1.0) * sigma_n2 / (rho * p_received_unit)
 
 
-def truncated_mean_rician(a: float, k: float) -> float:
-    """Truncated mean over [0, a] of the exponential-type Rician surrogate law.
-
-    The law is F(x) = 1 - exp(-e^mu (2 (k+1) x)^(nu/2)) with (mu, nu) from
-    ``marcum_mu_nu(sqrt(2k))``, the Marcum-Q surrogate of the unit-mean
-    Rician power CDF, so the value is consistent with the closed-form
-    averages built on the same surrogate.  It is not the truncated mean of
-    the exact Rician law: for 0 < sqrt(2k) < 10 the coefficients minimise
-    the worst deviation from it over the fitted range, and that minimax
-    floor of the two-parameter family is 0.0085 at k = 5 and 0.020 at
-    k = 30.
-    """
-    if a < 0 or k < 0:
-        raise DomainError("truncated_mean_rician requires a >= 0 and k >= 0")
-    if a == 0.0:
-        return 0.0
-    c = marcum_mu_nu(math.sqrt(2.0 * k))
-    if math.isinf(a):
-        z = math.inf
-    else:
-        z = math.exp(c.mu) * (2.0 * a * (k + 1.0)) ** (c.nu / 2.0)
-    head = float(lower_inc_gamma(2.0 / c.nu, z)) / (
-        (k + 1.0) * c.nu * math.exp(2.0 * c.mu / c.nu))
-    tail = 0.0 if math.isinf(a) else a * math.exp(-z)
-    return head - tail
-
-
-def truncated_mean_nakagami(a: float, s: int) -> float:
-    """Truncated mean over [0, a] of the Alzer surrogate of the gamma law.
-
-    The law is F(x) = (1 - e^(-xi x))^s with xi = s (s!)^(-1/s), Alzer's
-    lower bound on the CDF of the unit-mean gamma power law of shape s; the
-    value is its alternating binomial closed form.  It is not the truncated
-    mean of the exact gamma law.  Because the surrogate CDF never exceeds
-    the exact one, the value exceeds the exact truncated mean by at most
-    the surrogate's full-mean bias beta_s = H_s (s!)^(1/s) / s - 1, with H_s
-    the s-th harmonic number: 0 for s = 1 (the law is exact), 0.061 for
-    s = 2 and 0.110 for s = 3.
-    """
-    if a < 0:
-        raise DomainError("truncation point must be nonnegative")
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise DomainError("Nakagami shape must be an integer >= 1")
-    if a == 0.0:
-        return 0.0
-    xi = nakagami_xi(int(s))
-    total = 0.0
-    for r in range(1, s + 1):
-        rx = r * xi
-        if math.isinf(a):
-            total += math.comb(s, r) * (-1.0) ** r * (-1.0 / rx)
-        else:
-            total += math.comb(s, r) * (-1.0) ** r * (
-                a * math.exp(-rx * a) - (1.0 - math.exp(-rx * a)) / rx)
-    return total
-
-
 # largest error estimate a state average may carry
 _ABS_TOL = 1e-8
 
@@ -294,74 +226,6 @@ def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
                                                   vals)}
     return ExpectedDep(value=sum(terms.values()), terms=terms,
                        abs_err=sum(p * e for p, e in zip(states.probs, errs)))
-
-
-def _closed_form(scn: Scenario, mode: str, alice: NodePosition | None,
-                 p_a: float | None, rho: float | None,
-                 surrogate) -> ExpectedDep:
-    """DEP state mixture under a surrogate law: ``surrogate(param, cutoff)``
-    gives its CDF at the cutoff and its truncated mean below it."""
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    states = link_states(scn, mode, alice, "willie")
-    terms: dict[str, float] = {}
-    for label, p_state, param, unit in zip(states.labels, states.probs,
-                                           states.params,
-                                           states.received(p_a)):
-        term = 1.0  # a silent transmitter
-        if p_a > 0.0:
-            # CDF weight at the cutoff times the log-average error level
-            cdf, t = surrogate(param, varrho(unit, sigma_n2, rho))
-            level = 1.0 - (math.log(rho * unit * t + sigma_n2)
-                           - math.log(sigma_n2)) / (2.0 * math.log(rho))
-            term = cdf * min(1.0, max(0.0, level))
-        terms[label] = p_state * term
-    return ExpectedDep(value=sum(terms.values()), terms=terms)
-
-
-def _rician_surrogate(k: float, cut: float) -> tuple[float, float]:
-    c = marcum_mu_nu(math.sqrt(2.0 * k))
-    z = math.exp(c.mu) * (2.0 * cut * (k + 1.0)) ** (c.nu / 2.0)
-    return 1.0 - math.exp(-z), truncated_mean_rician(cut, k)
-
-
-def _gamma_surrogate(s: int, cut: float) -> tuple[float, float]:
-    xi = nakagami_xi(s)
-    cdf = sum(math.comb(s, r) * (-1.0) ** r * math.exp(-r * xi * cut)
-              for r in range(0, s + 1))
-    return min(1.0, max(0.0, cdf)), truncated_mean_nakagami(cut, s)
-
-
-def expected_min_dep_om_closed_form(scn: Scenario,
-                                    alice: NodePosition | None = None,
-                                    p_a: float | None = None,
-                                    rho: float | None = None) -> ExpectedDep:
-    """Closed-form microwave DEP average built on the exponential-type CDF
-    surrogate and its truncated-mean companion.
-
-    Kept for reference and speed comparisons; the surrogate misstates the
-    lower fading tail at large Rician factors, so this can deviate from the
-    exact average by more than a tenth in absolute DEP at high power.  Use
-    ``expected_min_dep(scn, "om")`` for accuracy-sensitive work.
-    """
-    return _closed_form(scn, "om", alice, p_a, rho, _rician_surrogate)
-
-
-def expected_min_dep_dm_closed_form(scn: Scenario,
-                                    alice: NodePosition | None = None,
-                                    p_a: float | None = None,
-                                    rho: float | None = None) -> ExpectedDep:
-    """Closed-form mmWave DEP average built on the binomial-exponential CDF
-    bound of the gamma law.
-
-    Kept for reference; the bound deviates from the true CDF by up to about
-    five absolute percentage points at mid-range arguments, so use
-    ``expected_min_dep(scn, "dm")`` for accuracy-sensitive work.
-    """
-    return _closed_form(scn, "dm", alice, p_a, rho, _gamma_surrogate)
 
 
 def expected_min_dep(scn: Scenario, mode: str,

@@ -68,9 +68,6 @@ class BandModel:
         if self.mode == "dm" and self.nakagami is None:
             raise ScenarioError("DM band needs Nakagami shapes")
 
-    def pathloss(self, los: bool) -> PathLoss:
-        return self.pl_los if los else self.pl_nlos
-
 
 @dataclass(frozen=True)
 class LinkGeometry:

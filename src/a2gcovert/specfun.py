@@ -1,15 +1,16 @@
 """Special-function kernel for the analytic covert-performance expressions.
 
 Everything here is pure and reentrant.  Standard functions (Bessel I0,
-incomplete gamma, Ei) are thin wrappers over scipy.special with the
-domain restrictions this package relies on.  The first-order Marcum-Q is
-the complement of the noncentral chi-square CDF with two degrees of
-freedom, Q1(a, b) = 1 - F(b^2; 2, a^2), evaluated by
-``scipy.special.chndtr`` on a whole grid of b at once.  The
-exponential-type Marcum-Q approximation exp(-e^mu(a) * b^nu(a)) uses the
-published degree-6 polynomials for mu/nu on [10, 120] plus a locally
-fitted extension on (0, 10), where the polynomials are undefined but the
-operating Rice factors of this system actually live.
+incomplete gamma) are thin wrappers over scipy.special with the domain
+restrictions this package relies on.  The first-order Marcum-Q is the
+complement of the noncentral chi-square CDF with two degrees of freedom,
+Q1(a, b) = 1 - F(b^2; 2, a^2), evaluated by ``scipy.special.chndtr`` on a
+whole grid of b at once.  ``marcum_mu_nu`` gives the coefficients of the
+exponential-type Marcum-Q approximation exp(-e^mu(a) * b^nu(a)), which
+``surrogate.marcum_q1_approx`` evaluates and the microwave outage still
+uses: the published degree-6 polynomials for mu/nu on [10, 120] plus a
+locally fitted extension on (0, 10), where the polynomials are undefined
+but the operating Rice factors of this system actually live.
 
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
@@ -40,10 +41,8 @@ __all__ = [
     "bessel_i0_scaled",
     "lower_inc_gamma",
     "gammainc_int",
-    "exp_integral_ei",
     "marcum_q1_exact",
     "marcum_mu_nu",
-    "marcum_q1_approx",
 ]
 
 # Degree-6 polynomial coefficients (highest power first) of the
@@ -122,15 +121,6 @@ def gammainc_int(s: int, x):
         t /= k
         acc += t
     return -acc
-
-
-def exp_integral_ei(x):
-    """Exponential integral Ei(x); x = 0 is a logarithmic singularity."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0):
-        raise DomainError("Ei is singular at x = 0")
-    out = special.expi(x)
-    return out[()] if x.ndim == 0 else out
 
 
 def marcum_q1_exact(a: float, b):
@@ -260,16 +250,3 @@ def marcum_mu_nu(x: float) -> MarcumApproxCoeffs:
         )
     mu, nu = _fitted_mu_nu(float(x))
     return MarcumApproxCoeffs(mu=mu, nu=nu)
-
-
-def marcum_q1_approx(a: float, b: float) -> float:
-    """Approximate Q1(a, b) as exp(-e^mu(a) * b^nu(a)), clamped to [0, 1]."""
-    if b < 0:
-        raise DomainError("marcum_q1_approx requires b >= 0")
-    if b == 0.0:
-        return 1.0
-    c = marcum_mu_nu(a)
-    log_z = c.mu + c.nu * math.log(b)
-    if log_z > 700.0:
-        return 0.0
-    return min(1.0, max(0.0, math.exp(-math.exp(log_z))))

@@ -14,7 +14,9 @@ CDF is a finite Poisson sum (``specfun.gammainc_int``).  The ergodic
 (Shannon) capacity averages ln(1 + SNR) over the fading with the composite
 Gauss rule that the warden's DEP uses (``channel._state_rule``) and over the
 noise with the same 64-node Gauss-Legendre rule; the integrand is positive
-and nothing cancels, so low SNR keeps full relative accuracy.
+and nothing cancels, so low SNR keeps full relative accuracy.  The
+paper's closed-form mmWave outage, built on Alzer's bound of the gamma CDF,
+is in ``surrogate``.
 """
 
 from __future__ import annotations
@@ -27,21 +29,14 @@ import numpy as np
 # counts quadrature calls per module by replacing it.
 from scipy import integrate, special  # noqa: F401
 
-from .channel import (
-    _RULE,
-    LinkStates,
-    _state_rule,
-    link_states,
-    nakagami_xi,
-)
+from .channel import _RULE, LinkStates, _state_rule, link_states
 from .errors import DomainError
 from .scenario import NodePosition, Scenario
-from .specfun import exp_integral_ei, gammainc_int, marcum_mu_nu
+from .specfun import gammainc_int, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
     "outage_over_states",
-    "outage_dm_closed_form",
     "outage",
     "ecr",
     "csc_over_states",
@@ -102,19 +97,6 @@ def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
     return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
 
 
-def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
-                  rho: float):
-    """Outage of a gamma state under Alzer's bound of its CDF."""
-    xi = nakagami_xi(s)
-    base = np.exp(log_ratio) / unit
-    acc = 1.0
-    for r in range(1, s + 1):
-        coef = math.comb(s, r) * (-1.0) ** r / (2.0 * math.log(rho))
-        acc = acc + coef * (exp_integral_ei(-r * xi * base * (sigma_n2 * rho))
-                            - exp_integral_ei(-r * xi * base * (sigma_n2 / rho)))
-    return np.clip(acc, 0.0, 1.0)
-
-
 def _mixture(states: LinkStates, p_a, gamma_th, sigma_n2: float, rho: float,
              state_outage):
     """Outage over the states; ``state_outage(param, unit,
@@ -163,23 +145,6 @@ def outage(scn: Scenario, mode: str, alice: NodePosition | None = None,
     return outage_over_states(states, scn.p_a if p_a is None else p_a,
                               gamma_th, scn.noise.sigma_n2,
                               scn.noise.rho if rho is None else rho)
-
-
-def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
-                          p_a=None, gamma_th=None, rho: float | None = None):
-    """Binomial-exponential closed form of the mmWave outage probability.
-
-    Built on the tight exponential bound of the gamma CDF; deviates from the
-    exact mixture by up to about five absolute percentage points at
-    mid-range outage levels, so use ``outage(scn, "dm")`` for
-    accuracy-sensitive work.
-    """
-    if gamma_th is None:
-        gamma_th = snr_threshold(scn.r_b, scn.dm.bandwidth_hz)
-    return _mixture(link_states(scn, "dm", alice, "bob"),
-                    scn.p_a if p_a is None else p_a, gamma_th,
-                    scn.noise.sigma_n2, scn.noise.rho if rho is None else rho,
-                    _alzer_outage)
 
 
 def ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,

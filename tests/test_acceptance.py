@@ -28,8 +28,6 @@ from a2gcovert.detection import (
     expected_min_dep,
     min_dep_values,
     threshold_breakpoints,
-    truncated_mean_nakagami,
-    truncated_mean_rician,
 )
 from a2gcovert.planner import (
     CONSTRAINT_SLACK,
@@ -44,7 +42,12 @@ from a2gcovert.scenario import (
     dbm_to_mw,
     default_scenario,
 )
-from a2gcovert.specfun import marcum_q1_approx, marcum_q1_exact
+from a2gcovert.specfun import marcum_q1_exact
+from a2gcovert.surrogate import (
+    marcum_q1_approx,
+    truncated_mean_nakagami,
+    truncated_mean_rician,
+)
 from a2gcovert.throughput import csc, outage, snr_threshold
 from a2gcovert.validation import run_validation
 

@@ -12,9 +12,7 @@ from a2gcovert.channel import (
     NoiseModel,
     PathLoss,
     RicianLaw,
-    nakagami_power_cdf,
     nakagami_power_pdf,
-    nakagami_xi,
     noise_power_pdf,
     path_loss,
     rician_factor,
@@ -25,6 +23,7 @@ from a2gcovert.channel import (
     sample_rician_power,
 )
 from a2gcovert.errors import DomainError
+from a2gcovert.surrogate import nakagami_power_cdf, nakagami_xi
 
 LAW = RicianLaw(k0=10 ** 0.5, k_half_pi=10 ** 1.5)  # 5 dB and 15 dB anchors
 

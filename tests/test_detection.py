@@ -6,29 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from a2gcovert import detection
-from a2gcovert.channel import (
-    nakagami_power_pdf,
-    nakagami_xi,
-    rician_power_pdf,
-)
+from a2gcovert import channel, detection
+from a2gcovert.channel import nakagami_power_pdf, rician_power_pdf
 from a2gcovert.detection import (
     dep_at_threshold,
     expected_min_dep,
-    expected_min_dep_dm_closed_form,
-    expected_min_dep_om_closed_form,
     false_alarm_probability,
     min_dep,
     min_dep_values,
     missed_detection_probability,
     threshold_breakpoints,
-    truncated_mean_nakagami,
-    truncated_mean_rician,
     varrho,
 )
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
+from a2gcovert.surrogate import (
+    expected_min_dep_dm_closed_form,
+    expected_min_dep_om_closed_form,
+    nakagami_xi,
+    truncated_mean_nakagami,
+    truncated_mean_rician,
+)
 
 SIGMA = 1e-8
 RHO = 10 ** 0.2
@@ -297,7 +296,7 @@ class TestDepKernel:
             "willie.x": 1000.0, "willie.y": 0.0})
         assert expected_min_dep(scn, "om").abs_err <= 1e-8
         monkeypatch.setattr(detection, "_RULE",
-                            detection._composite_rule(panels=1, n=4, n_est=2))
+                            channel._composite_rule(panels=1, n=4, n_est=2))
         with pytest.raises(QuadratureError) as info:
             expected_min_dep(scn, "om")
         msg = str(info.value)

@@ -10,14 +10,13 @@ from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
     bessel_i0,
     bessel_i0_scaled,
-    exp_integral_ei,
     gammainc_int,
     lower_inc_gamma,
     marcum_mu_nu,
-    marcum_q1_approx,
     marcum_q1_exact,
 )
 from a2gcovert.specfun import _fitted_mu_nu, _trunc_mean_objective
+from a2gcovert.surrogate import marcum_q1_approx
 
 
 class TestWrappers:
@@ -39,13 +38,6 @@ class TestWrappers:
     def test_lower_inc_gamma_rejects_bad_shape(self):
         with pytest.raises(DomainError):
             lower_inc_gamma(0.0, 1.0)
-
-    def test_ei_singular_at_zero(self):
-        with pytest.raises(DomainError):
-            exp_integral_ei(0.0)
-
-    def test_ei_negative_argument_sign(self):
-        assert exp_integral_ei(-1.0) < 0.0
 
 
 class TestMarcumExact:

@@ -1,0 +1,99 @@
+"""The paper-reproduction layer: its closed forms over parser-accepted
+corners, the precision of its Alzer forms at large shapes, and its
+separation from the primary path."""
+
+import math
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from scipy import integrate
+
+import a2gcovert
+from a2gcovert.channel import link_states
+from a2gcovert.errors import A2GError
+from a2gcovert.scenario import scenario_from_flat
+from a2gcovert.surrogate import (
+    expected_min_dep_dm_closed_form,
+    expected_min_dep_om_closed_form,
+    nakagami_xi,
+    outage_dm_closed_form,
+    truncated_mean_nakagami,
+)
+from a2gcovert.throughput import snr_threshold
+
+from test_detection import _corner_scenarios
+
+# the powers of TestDepProperties
+POWERS = [0.0, 1e-30, 1e-18, 1e-9] + list(np.logspace(-6, 3, 10))
+
+
+class TestClosedFormProperties:
+    @given(_corner_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_in_unit_interval_and_outage_nonincreasing_in_power(self, flat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                scn = scenario_from_flat(flat)
+                deps = [f(scn, p_a=p).value for p in POWERS
+                        for f in (expected_min_dep_om_closed_form,
+                                  expected_min_dep_dm_closed_form)]
+                p_out = [outage_dm_closed_form(scn, p_a=p) for p in POWERS]
+            except A2GError:
+                return
+        assert all(0.0 <= v <= 1.0 for v in deps + p_out)
+        assert all(x >= y - 1e-12 for x, y in zip(p_out, p_out[1:])), p_out
+
+
+def _alzer_cdf(x, s):
+    xi = s * math.exp(-math.lgamma(s + 1.0) / s)
+    return (-math.expm1(-xi * x)) ** s
+
+
+class TestAlzerPrecision:
+    def test_xi_finite_at_large_shape(self):
+        # s (s!)^(-1/s), with ln(300!) taken from the exact integer
+        want = 300.0 * math.exp(-math.log(math.factorial(300)) / 300.0)
+        assert nakagami_xi(300) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 10, 40, 60])
+    def test_truncated_mean_is_the_integral_by_parts(self, s):
+        for a in (0.05, 0.3, 1.0, 2.1, 5.0):
+            area, _ = integrate.quad(_alzer_cdf, 0.0, a, args=(s,),
+                                     epsabs=1e-14, epsrel=1e-12, limit=200)
+            want = a * _alzer_cdf(a, s) - area
+            assert truncated_mean_nakagami(a, s) == pytest.approx(
+                want, rel=0.0, abs=1e-12)
+
+    def test_outage_is_the_noise_average_of_the_alzer_cdf(self):
+        scn = scenario_from_flat({"alice.x": -500.0, "alice.h": 200.0,
+                                  "noise.rho_db": 0.5, "dm.s_los": 40,
+                                  "dm.s_nlos": 10})
+        table = link_states(scn, "dm", None, "bob")
+        g = float(snr_threshold(scn.r_b, scn.dm.bandwidth_hz))
+        sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+        for p_a in np.logspace(-4, 3, 8):
+            want = 0.0
+            for prob, s, unit in zip(table.probs, table.params,
+                                     table.received(p_a)):
+                val, _ = integrate.quad(
+                    lambda u: _alzer_cdf(g * sigma_n2 * rho ** u / unit, s),
+                    -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+                want += prob * 0.5 * val
+            assert outage_dm_closed_form(scn, p_a=p_a) == pytest.approx(
+                want, rel=0.0, abs=1e-12)
+
+
+def test_primary_path_does_not_load_the_surrogates():
+    src = os.path.dirname(os.path.dirname(a2gcovert.__file__))
+    code = ("import sys, a2gcovert, a2gcovert.cli; "
+            "print('a2gcovert.surrogate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -12,12 +12,12 @@ from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
+from a2gcovert.surrogate import outage_dm_closed_form
 from a2gcovert.throughput import (
     csc,
     csc_over_states,
     ecr,
     outage,
-    outage_dm_closed_form,
     snr_threshold,
 )
 
