@@ -103,8 +103,16 @@ class NoiseModel:
         return (self.sigma_n2 / self.rho, self.sigma_n2 * self.rho)
 
     def power(self, u):
-        """Noise power sigma_n2 * rho^u at exponent(s) u in [-1, 1]."""
-        return self.sigma_n2 * self.rho ** u
+        """Noise power sigma_n2 * rho^u at exponent(s) u in [-1, 1].
+
+        Formed as sigma_n2 * exp(u ln rho), in place in the one array it
+        returns: no ``pow`` per element and no temporary.
+        """
+        p = np.array(u, dtype=float)
+        p *= math.log(self.rho)
+        np.exp(p, out=p)
+        p *= self.sigma_n2
+        return p[()]
 
 
 def rician_factor(theta_rad: float, law: RicianLaw, los: bool) -> float:

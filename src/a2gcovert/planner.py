@@ -3,12 +3,14 @@
 Both problems are monotone in transmit power (throughput rises, expected DEP
 falls), so the optimal power is the covertness limit capped at the power
 budget, found by geometric bisection.  The ECR problem additionally searches
-the target rate with a deterministic grid plus local polish, since the rate
-objective need not be concave.
+the target rate, since the rate objective need not be concave: on a
+deterministic grid, then by a vectorised bracket refinement that evaluates
+33 rates between the best point's neighbours in one outage call per round.
 
 A solve builds the state tables of the warden's and the receiver's link
-(``channel.link_states``) once; the bisection, the rate grid and the polish
-call the DEP, outage and CSC kernels on them directly.
+(``channel.link_states``) once; the bisection, the rate grid and the
+refinement call the DEP, outage and CSC kernels on them directly.  The
+module uses numpy alone; it needs no scalar optimiser.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channel import link_states
 from .detection import dep_over_states
@@ -38,6 +39,10 @@ __all__ = [
 # absorbs floating-point noise when the covertness constraint sits exactly
 # on the boundary
 CONSTRAINT_SLACK = 1e-9
+
+# rate refinement: rounds, and rates evaluated per round
+_REFINE_ROUNDS = 3
+_REFINE_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,9 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
 
     The outage probability is strictly decreasing in transmit power, so the
     objective is maximized at the covert power limit; what remains is a 1-D
-    search over the rate, done on a grid and optionally polished by a bounded
-    scalar minimization between the best grid point's neighbours.
+    search over the rate, done on a grid and optionally refined: each round
+    evaluates 33 evenly spaced rates between the best point's neighbours in
+    one outage call, and three rounds narrow the bracket by 16^3.
     """
     if n_rate < 2:
         raise DomainError("rate grid needs at least two points")
@@ -135,26 +141,24 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
     bob = link_states(scn, mode, alice, "bob")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
     r_hi = max_rate(scn, mode, alice)
+
+    def ecr(rates: np.ndarray) -> np.ndarray:
+        gammas = snr_threshold(rates, band.bandwidth_hz)
+        return rates * (1.0 - outage_over_states(bob, p_opt, gammas,
+                                                 sigma_n2, rho))
+
     rates = np.linspace(r_hi / n_rate, r_hi, n_rate)
-    gammas = snr_threshold(rates, band.bandwidth_hz)
-    obj = rates * (1.0 - outage_over_states(bob, p_opt, gammas, sigma_n2,
-                                            rho))
+    obj = ecr(rates)
     j = int(np.argmax(obj))
     r_opt, objective = float(rates[j]), float(obj[j])
-    if refine:
-        lo = float(rates[max(j - 1, 0)])
-        hi = float(rates[min(j + 1, n_rate - 1)])
-
-        def neg_ecr(r: float) -> float:
-            g = float(snr_threshold(r, band.bandwidth_hz))
-            return -r * (1.0 - outage_over_states(bob, p_opt, g, sigma_n2,
-                                                  rho))
-
-        sol = optimize.minimize_scalar(neg_ecr, bounds=(lo, hi),
-                                       method="bounded",
-                                       options={"xatol": r_hi * 1e-9})
-        if -sol.fun > objective:
-            r_opt, objective = float(sol.x), float(-sol.fun)
+    for _ in range(_REFINE_ROUNDS if refine else 0):
+        rates = np.linspace(rates[max(j - 1, 0)],
+                            rates[min(j + 1, len(rates) - 1)],
+                            _REFINE_POINTS)
+        obj = ecr(rates)
+        j = int(np.argmax(obj))
+        if obj[j] > objective:
+            r_opt, objective = float(rates[j]), float(obj[j])
     return OptimizationResult(p_a_opt=p_opt, r_b_opt=r_opt,
                               objective=objective, binding=binding,
                               feasible=True)

@@ -12,6 +12,17 @@ uses: the published degree-6 polynomials for mu/nu on [10, 120] plus a
 locally fitted extension on (0, 10), where the polynomials are undefined
 but the operating Rice factors of this system actually live.
 
+The fit (``_fitted_mu_nu``) needs no root finder and no least squares: the
+ends of its window, where Q1(a, b) is 0.9999 and 1e-4, are noncentral
+chi-square quantiles (``scipy.special.chndtrix``), and a 2-D Nelder-Mead
+(``_nelder_mead``) started from the ``polyfit`` linearisation minimises the
+truncated-mean objective.  The objective is a maximum over a grid, so it
+is not smooth, and a simplex on such a function can stall short of the
+minimiser (McKinnon 1998); the stopping rule is therefore tight (xatol
+1e-10, fatol 1e-13), which makes the result the minimiser itself rather
+than wherever a looser simplex stopped, whatever the start.  The module
+uses numpy and ``scipy.special`` only.
+
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
 pointwise error over b in [a - 8, a + 8] is 0.12 at a = 120, 0.28 at 126,
@@ -27,10 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# ``integrate`` is unused here but kept as a module attribute: bench/spans.py
-# counts quadrature calls per module by replacing it.
-from scipy import integrate, optimize, special  # noqa: F401
+from scipy import special
 
 from .errors import DomainError
 
@@ -44,6 +52,16 @@ __all__ = [
     "marcum_q1_exact",
     "marcum_mu_nu",
 ]
+
+
+def __getattr__(name):
+    # bench/spans.py replaces each layer's ``integrate`` to count quadrature
+    # calls; load scipy.integrate only when a traced run reads it.
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Degree-6 polynomial coefficients (highest power first) of the
 # exponential-type Marcum-Q approximation, printed for 10 <= x <= 8000 and
@@ -138,16 +156,6 @@ def marcum_q1_exact(a: float, b):
     return float(q) if b.ndim == 0 else q
 
 
-def _bisect_q_level(a: float, level: float, lo: float, hi: float) -> float:
-    """Solve Q1(a, b) = level for b in a bracket found by expansion."""
-    f = lambda b: marcum_q1_exact(a, b) - level
-    while f(hi) > 0:
-        hi *= 1.6
-    while lo > 1e-12 and f(lo) < 0:
-        lo *= 0.5
-    return optimize.brentq(f, lo, hi, xtol=1e-10)
-
-
 def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
                           qs_x: np.ndarray):
     """Objective (mu, nu) -> error of the Marcum fit in truncated means.
@@ -184,6 +192,56 @@ def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
     return trunc_mean_err
 
 
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
+    """Minimise f over the plane by Nelder-Mead; returns (x, f(x)).
+
+    The coefficients (reflection 1, expansion 2, contraction 1/2, shrink
+    1/2), the start simplex (each nonzero coordinate of x0 scaled by 1.05,
+    a zero one set to 0.00025) and the stopping test (every vertex within
+    xatol of the best and every value within fatol of its value) are those
+    of scipy's ``minimize(method="Nelder-Mead")``, and so is the
+    arithmetic: from the same start the two return the same point.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    sim = np.array([x0, x0, x0])
+    for k in range(2):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    for _ in range(1, maxiter):  # scipy counts the start as iteration 1
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = (sim[0] + sim[1]) / 2
+        xr = 2 * xbar - sim[2]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[2]
+            fxe = f(xe)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
+        else:
+            if fxr < fsim[2]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[2]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[2]
+                fxc = f(xc)
+                accept = fxc < fsim[2]
+            if accept:
+                sim[2], fsim[2] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
+
+
 @lru_cache(maxsize=4096)
 def _fitted_mu_nu(a: float) -> tuple[float, float]:
     """Fit of exp(-e^mu b^nu) to exact Q1(a, .) for 0 < a < 10.
@@ -194,40 +252,32 @@ def _fitted_mu_nu(a: float) -> tuple[float, float]:
     endpoints is far too crude (it misplaces the CDF transition by whole
     units of b), so we refit the same two-parameter form per argument.
 
-    The fit starts from a pointwise least-squares solution and is then
-    refined to minimise the worst running CDF-area mismatch in the power
-    variable x = b^2 / (2(k+1)), k = a^2/2.  That running area is exactly
-    the error the coefficients induce in truncated fading-power means, the
-    only quantity this regime of the approximation feeds downstream.
+    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4, whose b are the
+    noncentral chi-square quantiles sqrt(chndtrix(1 - level, 2, a^2)).
+    Nelder-Mead starts from the linearisation ln(-ln Q1) = mu + nu ln b and
+    minimises the worst running CDF-area mismatch in the power variable
+    x = b^2 / (2(k+1)), k = a^2/2.  That running area is exactly the error
+    the coefficients induce in truncated fading-power means, the only
+    quantity this regime of the approximation feeds downstream.  The
+    tolerances (xatol 1e-10, fatol 1e-13) put the result at the minimiser,
+    independent of the start (see the module docstring).
     """
-    b_lo = _bisect_q_level(a, 0.9999, 1e-6, max(a, 0.5))
-    b_hi = _bisect_q_level(a, 1e-4, max(a, 0.5), a + 6.0)
+    b_lo, b_hi = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
+                                          a * a))
     bs = np.linspace(b_lo, b_hi, 48)
     qs = marcum_q1_exact(a, bs)
 
-    # initialise from the linearisation ln(-ln Q) = mu + nu ln b
-    log_bs = np.log(bs)
+    # start from the linearisation ln(-ln Q) = mu + nu ln b
     mask = (qs > 1e-4) & (qs < 0.9999)
-    t = np.log(-np.log(qs[mask]))
-    coef = np.polyfit(log_bs[mask], t, 1)
-    nu0, mu0 = float(coef[0]), float(coef[1])
+    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
 
-    def resid(p):
-        mu, nu = p
-        return np.exp(-np.exp(mu + nu * log_bs)) - qs
-
-    sol = optimize.least_squares(resid, x0=[mu0, nu0], method="lm")
-
-    # refine on the truncated-mean criterion (see _trunc_mean_objective)
     k1 = a * a / 2.0 + 1.0  # k + 1
     xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
     bs_x = np.sqrt(2.0 * k1 * xs)
     objective = _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
-    ref = optimize.minimize(objective, x0=sol.x, method="Nelder-Mead",
-                            options={"xatol": 1e-7, "fatol": 1e-10,
-                                     "maxiter": 800})
-    mu, nu = float(ref.x[0]), float(ref.x[1])
-    return mu, nu
+    (mu, nu), _ = _nelder_mead(objective, [mu0, nu0], xatol=1e-10,
+                               fatol=1e-13, maxiter=2000)
+    return float(mu), float(nu)
 
 
 def marcum_mu_nu(x: float) -> MarcumApproxCoeffs:

@@ -24,10 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# ``integrate`` is unused here but kept as a module attribute: bench/spans.py
-# counts quadrature calls per module by replacing it.
-from scipy import integrate, special  # noqa: F401
+from scipy import special
 
 from .channel import _RULE, LinkStates, _state_rule, link_states
 from .errors import DomainError
@@ -42,6 +39,15 @@ __all__ = [
     "csc_over_states",
     "csc",
 ]
+
+
+def __getattr__(name):
+    # bench/spans.py replaces each layer's ``integrate`` to count quadrature
+    # calls; load scipy.integrate only when a traced run reads it.
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def snr_threshold(r_b: float, bandwidth_hz: float):

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from scipy import optimize
 
+from a2gcovert.channel import link_states
 from a2gcovert.detection import expected_min_dep
 from a2gcovert.errors import DomainError
 from a2gcovert.planner import (
@@ -10,7 +13,8 @@ from a2gcovert.planner import (
     select_mode,
 )
 from a2gcovert.scenario import NodePosition, default_scenario
-from a2gcovert.throughput import csc
+from a2gcovert.throughput import csc, outage_over_states, snr_threshold
+from a2gcovert.validation import GRID_X_A
 
 
 class TestMaxRate:
@@ -60,6 +64,33 @@ class TestMaximizeEcr:
         coarse = maximize_ecr(scn, "om", n_rate=16, refine=False)
         refined = maximize_ecr(scn, "om", n_rate=16, refine=True)
         assert refined.objective >= coarse.objective
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    @pytest.mark.parametrize("x_a", GRID_X_A)
+    def test_refinement_reaches_a_bounded_brent_polish(self, scn, x_a,
+                                                      mode):
+        # reference: the 128-point grid polished by bounded Brent between
+        # the best point's neighbours, to xatol = r_hi * 1e-9
+        alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
+        res = maximize_ecr(scn, mode, alice=alice)
+        bob = link_states(scn, mode, alice, "bob")
+        w = scn.band(mode).bandwidth_hz
+        sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+
+        def ecr(r):
+            return r * (1.0 - outage_over_states(
+                bob, res.p_a_opt, snr_threshold(r, w), sigma_n2, rho))
+
+        r_hi = max_rate(scn, mode, alice)
+        rates = np.linspace(r_hi / 128, r_hi, 128)
+        obj = ecr(rates)
+        j = int(np.argmax(obj))
+        sol = optimize.minimize_scalar(
+            lambda r: -float(ecr(r)),
+            bounds=(rates[max(j - 1, 0)], rates[min(j + 1, 127)]),
+            method="bounded", options={"xatol": r_hi * 1e-9})
+        ref = max(float(obj[j]), -sol.fun)
+        assert res.objective >= (1.0 - 1e-9) * ref
 
     def test_validation(self, scn):
         with pytest.raises(DomainError):

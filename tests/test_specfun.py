@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
@@ -15,7 +15,11 @@ from a2gcovert.specfun import (
     marcum_mu_nu,
     marcum_q1_exact,
 )
-from a2gcovert.specfun import _fitted_mu_nu, _trunc_mean_objective
+from a2gcovert.specfun import (
+    _fitted_mu_nu,
+    _nelder_mead,
+    _trunc_mean_objective,
+)
 from a2gcovert.surrogate import marcum_q1_approx
 
 
@@ -134,6 +138,55 @@ class TestFittedMuNu:
         # repeated calls reuse the objective's buffers
         for p in np.concatenate((points, points[::-1])):
             assert objective(p) == written_out(p)
+
+
+def _fit_objective(a):
+    """The truncated-mean objective of the fit at a, on its window."""
+    k1 = a * a / 2.0 + 1.0
+    b_hi = math.sqrt(special.chndtrix(1.0 - 1e-4, 2.0, a * a))
+    xs = np.linspace(0.0, max(6.0, b_hi * b_hi / (2.0 * k1)), 801)
+    bs_x = np.sqrt(2.0 * k1 * xs)
+    return _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("a", [0.7, 2.9, 5.35])
+    @pytest.mark.parametrize("tol", [(1e-7, 1e-10, 800),
+                                     (1e-10, 1e-13, 2000)])
+    def test_matches_scipy_bit_for_bit(self, a, tol):
+        xatol, fatol, maxiter = tol
+        objective = _fit_objective(a)
+        x0 = [-1.0 - 1.5 * a, 2.0 + 0.7 * a]  # off the minimiser
+        x, fx = _nelder_mead(objective, x0, xatol=xatol, fatol=fatol,
+                             maxiter=maxiter)
+        ref = optimize.minimize(objective, x0=x0, method="Nelder-Mead",
+                                options={"xatol": xatol, "fatol": fatol,
+                                         "maxiter": maxiter})
+        assert np.array_equal(x, ref.x)
+        assert fx == ref.fun
+
+    def test_zero_coordinate_gets_scipys_start_step(self):
+        def bowl(p):
+            return float((p[0] - 0.3) ** 2 + 2.0 * (p[1] + 0.2) ** 2)
+
+        x, _ = _nelder_mead(bowl, [0.0, 0.0], xatol=1e-10, fatol=1e-13,
+                            maxiter=2000)
+        ref = optimize.minimize(bowl, x0=[0.0, 0.0], method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-13,
+                                         "maxiter": 2000})
+        assert np.array_equal(x, ref.x)
+
+    @pytest.mark.parametrize("a", [0.3, 2.027, 3.05, 7.5])
+    def test_fit_is_the_minimiser_whatever_the_start(self, a):
+        # a simplex restarted at the fit, 1e-6 across, stays within 1e-9;
+        # a looser stopping rule left the fit 6e-8 away at a = 2.027
+        p = np.array(_fitted_mu_nu(a))
+        ref = optimize.minimize(
+            _fit_objective(a), x0=p, method="Nelder-Mead",
+            options={"initial_simplex": [p, p + [1e-6, 0.0],
+                                         p + [0.0, 1e-6]],
+                     "xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
+        assert np.max(np.abs(ref.x - p)) <= 1e-9
 
 
 class TestMarcumApprox:
