@@ -36,7 +36,7 @@ from .planner import (
     maximize_ecr,
     select_mode,
 )
-from .scenario import BandModel, Scenario, default_scenario, load_scenario, loads_scenario
+from .scenario import BandModel, Scenario, default_scenario, loads_scenario
 from .throughput import csc, ecr, outage, snr_threshold
 from .validation import CellReport, run_validation
 
@@ -46,8 +46,7 @@ __all__ = [
     "QuadratureError",
     "NodePosition", "AntennaSpec", "SCurveParams",
     "RicianLaw", "NakagamiLaw", "PathLoss", "NoiseModel",
-    "Scenario", "BandModel", "default_scenario", "load_scenario",
-    "loads_scenario",
+    "Scenario", "BandModel", "default_scenario", "loads_scenario",
     "DepResult", "ExpectedDep", "min_dep", "expected_min_dep",
     "snr_threshold", "outage", "ecr", "csc",
     "OptimizationResult", "ModeDecision", "maximize_ecr", "maximize_csc",

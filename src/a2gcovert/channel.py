@@ -1,13 +1,15 @@
 """Fading, path loss and noise-uncertainty layer.
 
 All powers are linear milliwatts; all gain/loss factors are linear ratios.
-Distribution evaluators are pure and exact (the paper's surrogate CDFs are
-in ``surrogate``); samplers take an explicit numpy Generator.
-``link_states`` describes the discrete states of one link (LoS, and in mode
-"dm" the receive lobe) once; every primary metric is evaluated over it.
-``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
-rule on a fixed window per state, which the warden's DEP and the ergodic
-capacity both average their kernels with.
+The module holds the fading, path-loss and noise laws, the Rician factor
+of an elevation, ``link_states``, ``_state_rule`` and the samplers, which
+take an explicit numpy Generator (the paper's surrogate CDFs are in
+``surrogate``).  ``link_states`` describes the discrete states of one link
+(LoS, and in mode "dm" the receive lobe) once; every primary metric is
+evaluated over it.  ``_state_rule`` is the one fading quadrature: a
+composite Gauss-Legendre rule on a fixed window per state, which forms
+each state's Rician or gamma power density at its nodes and which the
+warden's DEP and the ergodic capacity both average their kernels with.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from scipy import special
 
 from .errors import DomainError, QuadratureError
 from .geometry import NodePosition, alice_main_lobe_covers_willie, lobe_gains
-from .specfun import bessel_i0_scaled, marcum_q1_exact
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -35,15 +36,10 @@ __all__ = [
     "LinkStates",
     "link_states",
     "rician_factor",
-    "rician_power_pdf",
-    "rician_power_cdf",
-    "nakagami_power_pdf",
-    "noise_power_pdf",
     "path_loss",
     "sample_rician_power",
     "sample_nakagami_power",
     "sample_noise_exponent",
-    "sample_noise_power",
 ]
 
 
@@ -125,54 +121,6 @@ def rician_factor(theta_rad: float, law: RicianLaw, los: bool) -> float:
     return law.k0 * math.exp(eta2 * theta_rad)
 
 
-def rician_power_pdf(x, k: float):
-    """PDF of the unit-mean Rician power |h|^2 (noncentral chi-square)."""
-    if k < 0:
-        raise DomainError("Rician factor must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("power must be nonnegative")
-    arg = 2.0 * np.sqrt(k * (k + 1.0) * x)
-    # log-space assembly: (k+1) * exp(-k - (k+1)x + arg) * i0e(arg)
-    out = (k + 1.0) * np.exp(-k - (k + 1.0) * x + arg) * bessel_i0_scaled(arg)
-    return out[()] if x.ndim == 0 else out
-
-
-def rician_power_cdf(x: float, k: float) -> float:
-    """CDF of the unit-mean Rician power, 1 - Q1(sqrt(2k), sqrt(2(k+1)x))."""
-    if x < 0 or k < 0:
-        raise DomainError("rician_power_cdf requires x >= 0 and k >= 0")
-    a = math.sqrt(2.0 * k)
-    b = math.sqrt(2.0 * (k + 1.0) * x)
-    return min(1.0, max(0.0, 1.0 - marcum_q1_exact(a, b)))
-
-
-def nakagami_power_pdf(x, s: int):
-    """PDF of the unit-mean gamma power: shape s, scale 1/s."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(
-        x > 0,
-        np.exp(
-            s * math.log(s)
-            + (s - 1) * np.log(np.where(x > 0, x, 1.0))
-            - s * x
-            - special.gammaln(s)
-        ),
-        float(s == 1),
-    )
-    return out[()] if x.ndim == 0 else out
-
-
-def noise_power_pdf(x, n: NoiseModel):
-    """Log-uniform density 1/(2 ln(rho) x) on [sigma^2/rho, rho sigma^2]."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = n.support
-    if n.rho == 1.0:
-        raise DomainError("density degenerates to a point mass at rho = 1")
-    out = np.where((x >= lo) & (x <= hi), 1.0 / (2.0 * math.log(n.rho) * x), 0.0)
-    return out[()] if x.ndim == 0 else out
-
-
 def path_loss(d: float, pl: PathLoss) -> float:
     """Large-scale loss beta * d^(-alpha) for d > 0."""
     if d <= 0:
@@ -241,13 +189,9 @@ def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
         (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2)
 
 
-def _composite_rule(panels: int, n: int, n_est: int) -> tuple[int, ...]:
-    """A composite Gauss-Legendre rule: n nodes on each of ``panels``
-    panels, and n_est nodes on the same panels for the error estimate."""
-    return panels, n, n_est
-
-
-_RULE = _composite_rule(panels=4, n=24, n_est=16)
+# composite Gauss-Legendre rule: (panels, nodes per panel, nodes per panel
+# of the error-estimate rule on the same panels)
+_RULE = (4, 24, 16)
 # ratio of consecutive panels graded toward the window start
 _GRADE = 4.0
 # half-width of the Rician window in the amplitude b, around sqrt(2k)
@@ -432,7 +376,3 @@ def sample_noise_exponent(rng: np.random.Generator, size=None):
     """
     return rng.uniform(-1.0, 1.0, size=size)
 
-
-def sample_noise_power(n: NoiseModel, rng: np.random.Generator, size=None):
-    """Log-uniform noise power sigma^2 = sigma_n2 * rho^u with u ~ U[-1, 1]."""
-    return n.power(sample_noise_exponent(rng, size))

@@ -25,6 +25,7 @@ from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
     NodePosition,
     Scenario,
+    _finite,
     db_to_linear,
     dbm_to_mw,
     scenario_from_flat,
@@ -163,6 +164,13 @@ def _meta_lines(flat, seed: int, extra: list[str]) -> list[str]:
             _UNIT_NOTES] + extra
 
 
+def _check_bounds(args, axis: str) -> None:
+    for name in ("start", "stop"):
+        value = getattr(args, name)
+        if not _finite(value, axis in ("rho", "p_a", "p_max")):
+            raise A2GError(f"--{name} {value} does not give a finite {axis}")
+
+
 def _load_scenario(args) -> tuple[Scenario, dict]:
     text = ""
     if args.config:
@@ -170,7 +178,7 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
             text = fh.read()
     flat = scenario_to_flat(text)
     scn = scenario_from_flat(flat)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scn = replace(scn, seed=int(args.seed))
     return scn, flat
 
@@ -187,6 +195,7 @@ def _cmd_sweep(args) -> int:
             raise A2GError(f"unknown mode {m!r}")
     if args.points < 2:
         raise A2GError("a sweep needs at least two points")
+    _check_bounds(args, args.axis)
     values = np.linspace(args.start, args.stop, args.points)
     header = ["axis_value", "mode"] + metrics
     if args.mc:
@@ -254,6 +263,7 @@ def _cmd_mode_map(args) -> int:
     scn, flat = _load_scenario(args)
     if args.points < 2:
         raise A2GError("a mode map needs at least two points")
+    _check_bounds(args, "x_a")
     values = np.linspace(args.start, args.stop, args.points)
     header = ["axis_value", "metric", "indicator", "objective_om",
               "objective_dm", "objective_hybrid"]
@@ -305,17 +315,23 @@ def _cmd_defaults(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="scenario file (flat key = value text)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed")
+def _add_common(p: argparse.ArgumentParser, scenario: bool = True,
+                unsafe: bool = False, workers: bool = False):
+    """Add the output options and, where the command reads them, the
+    scenario, safe-band and worker options."""
+    if scenario:
+        p.add_argument("--config", help="scenario file (flat key = value text)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of CSV")
-    p.add_argument("--allow-unsafe", action="store_true",
-                   help="permit UAV positions outside the safe-distance band")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for Monte Carlo batches")
+    if unsafe:
+        p.add_argument("--allow-unsafe", action="store_true",
+                       help="permit UAV positions outside the safe-distance band")
+    if workers:
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads for Monte Carlo batches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append Monte Carlo columns for dep/outage/csc")
     p.add_argument("--samples", type=int, default=10**5,
                    help="Monte Carlo draws per cell")
-    _add_common(p)
+    _add_common(p, unsafe=True, workers=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="solve one constrained maximization")
@@ -356,18 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, default=-200.0)
     p.add_argument("--stop", type=float, default=2200.0)
     p.add_argument("--points", type=int, default=50)
-    _add_common(p)
+    _add_common(p, unsafe=True)
     p.set_defaults(func=_cmd_mode_map)
 
     p = sub.add_parser("validate",
                        help="run the analytic-vs-Monte-Carlo grid")
     p.add_argument("--samples", type=int, default=10**5,
                    help="Monte Carlo draws per cell (min 10^4)")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("defaults", help="print the default scenario keys")
-    _add_common(p)
+    _add_common(p, scenario=False)
     p.set_defaults(func=_cmd_defaults)
 
     return parser

@@ -20,7 +20,6 @@ __all__ = [
     "lobe_gains",
     "boresight_separation",
     "alice_main_lobe_covers_willie",
-    "alice_willie_gain",
 ]
 
 
@@ -161,24 +160,3 @@ def alice_main_lobe_covers_willie(alice: NodePosition, bob: NodePosition,
     """True when Willie falls inside Alice's Bob-steered main lobe."""
     return boresight_separation(alice, bob, willie) <= alice_ant.theta_ed
 
-
-def alice_willie_gain(alice: NodePosition, bob: NodePosition,
-                      willie: NodePosition, alice_ant: AntennaSpec,
-                      willie_ant: AntennaSpec, willie_lobe: str) -> float:
-    """Total Alice->Willie directional gain for a given Willie lobe state.
-
-    Alice's contribution is deterministic: main-lobe gain if Willie sits
-    within the Bob-steered beam, side-lobe gain otherwise.  Willie's lobe is
-    the caller's draw ('main' or 'side').
-    """
-    a_table = lobe_gains(alice_ant)
-    w_table = lobe_gains(willie_ant)
-    if willie_lobe == "main":
-        g_w = w_table.g_main
-    elif willie_lobe == "side":
-        g_w = w_table.g_side
-    else:
-        raise DomainError(f"unknown lobe indicator {willie_lobe!r}")
-    if alice_main_lobe_covers_willie(alice, bob, willie, alice_ant):
-        return g_w * a_table.g_main
-    return g_w * a_table.g_side

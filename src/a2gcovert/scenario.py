@@ -31,7 +31,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_mw",
     "default_scenario",
-    "load_scenario",
     "loads_scenario",
     "scenario_to_flat",
     "scenario_from_flat",
@@ -45,6 +44,16 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
+
+
+def _finite(value: float, db: bool) -> bool:
+    """Whether ``value`` is a finite number and, if it is a dB or dBm
+    reading (``db``), so is its linear value."""
+    try:
+        return math.isfinite(value) and (not db or math.isfinite(
+            db_to_linear(value)))
+    except (OverflowError, TypeError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -240,6 +249,11 @@ _K_HALF_PI_MAX_DB = 10.0 * math.log10(_K_HALF_PI_MAX)
 
 
 def _build(values: dict[str, float | int]) -> Scenario:
+    for key, val in values.items():
+        if not _finite(val, key.endswith(("_db", "_dbm"))):
+            raise ScenarioError(f"{key} = {val!r} does not give a finite value")
+        if key in _INT_KEYS and not float(val).is_integer():
+            raise ScenarioError(f"{key} = {val!r} must be an integer")
     if values["noise.rho_db"] <= 0:
         raise ScenarioError("noise.rho_db must be > 0 (rho = 1 is a perfect detector)")
     if db_to_linear(values["om.k_half_pi_db"]) > _K_HALF_PI_MAX:
@@ -248,9 +262,6 @@ def _build(values: dict[str, float | int]) -> Scenario:
             f"{_K_HALF_PI_MAX_DB:.4f} dB: Rice factors above "
             f"{_K_HALF_PI_MAX:g} lie outside the range of the Marcum-Q "
             "surrogate used by the microwave outage")
-    for key in ("dm.s_los", "dm.s_nlos"):
-        if not float(values[key]).is_integer():
-            raise ScenarioError(f"{key} must be an integer Nakagami shape")
     try:
         om = BandModel(
             mode="om",
@@ -300,11 +311,6 @@ def _build(values: dict[str, float | int]) -> Scenario:
 def loads_scenario(text: str) -> Scenario:
     """Parse scenario text; omitted keys take the network-default values."""
     return _build(_parse_flat(text))
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
 
 
 def default_scenario(**overrides) -> Scenario:

@@ -1,9 +1,10 @@
 """Special-function kernel for the analytic covert-performance expressions.
 
-Everything here is pure and reentrant.  Standard functions (Bessel I0,
-incomplete gamma) are thin wrappers over scipy.special with the domain
-restrictions this package relies on.  The first-order Marcum-Q is the
-complement of the noncentral chi-square CDF with two degrees of freedom,
+Everything here is pure and reentrant.  The module holds the integer-shape
+regularised incomplete gamma ``gammainc_int`` (a finite Poisson sum), the
+exact first-order Marcum-Q and the coefficients of its exponential-type
+approximation.  The Marcum-Q is the complement of the noncentral
+chi-square CDF with two degrees of freedom,
 Q1(a, b) = 1 - F(b^2; 2, a^2), evaluated by ``scipy.special.chndtr`` on a
 whole grid of b at once.  ``marcum_mu_nu`` gives the coefficients of the
 exponential-type Marcum-Q approximation exp(-e^mu(a) * b^nu(a)), which
@@ -45,9 +46,6 @@ from .errors import DomainError
 __all__ = [
     "MARCUM_ARG_MAX",
     "MarcumApproxCoeffs",
-    "bessel_i0",
-    "bessel_i0_scaled",
-    "lower_inc_gamma",
     "gammainc_int",
     "marcum_q1_exact",
     "marcum_mu_nu",
@@ -85,33 +83,6 @@ class MarcumApproxCoeffs:
 
     mu: float
     nu: float
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero, for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("bessel_i0 requires x >= 0")
-    return special.i0(x)[()] if x.ndim == 0 else special.i0(x)
-
-
-def bessel_i0_scaled(x):
-    """Exponentially scaled variant exp(-x) * I0(x), safe for large x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("bessel_i0_scaled requires x >= 0")
-    return special.i0e(x)[()] if x.ndim == 0 else special.i0e(x)
-
-
-def lower_inc_gamma(s: float, x) -> float:
-    """Lower incomplete gamma gamma(s, x) for s > 0, x >= 0."""
-    if s <= 0:
-        raise DomainError("lower_inc_gamma requires s > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("lower_inc_gamma requires x >= 0")
-    out = special.gammainc(s, x) * special.gamma(s)
-    return out[()] if x.ndim == 0 else out
 
 
 # the largest shape whose Poisson sum is cheaper than special.gammainc

@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .channel import link_states
 from .detection import ExpectedDep, varrho
 from .errors import DomainError
 from .scenario import NodePosition, Scenario
-from .specfun import lower_inc_gamma, marcum_mu_nu
+from .specfun import marcum_mu_nu
 from .throughput import _GL_NODES, _GL_WEIGHTS, _mixture, snr_threshold
 
 __all__ = [
@@ -99,7 +100,8 @@ def truncated_mean_rician(a: float, k: float) -> float:
     else:
         z = math.exp(log_z)
         tail = a * math.exp(-z)
-    head = float(lower_inc_gamma(2.0 / c.nu, z)) / (
+    s = 2.0 / c.nu
+    head = float(special.gammainc(s, z) * special.gamma(s)) / (
         (k + 1.0) * c.nu * math.exp(2.0 * c.mu / c.nu))
     return head - tail
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import special, stats
 
 from a2gcovert import channel
 from a2gcovert.channel import (
@@ -12,14 +12,10 @@ from a2gcovert.channel import (
     NoiseModel,
     PathLoss,
     RicianLaw,
-    nakagami_power_pdf,
-    noise_power_pdf,
     path_loss,
     rician_factor,
-    rician_power_cdf,
-    rician_power_pdf,
     sample_nakagami_power,
-    sample_noise_power,
+    sample_noise_exponent,
     sample_rician_power,
 )
 from a2gcovert.errors import DomainError
@@ -51,26 +47,44 @@ class TestRicianFactor:
             RicianLaw(k0=2.0, k_half_pi=1.0)
 
 
+def _rule_density(law, param):
+    """Nodes of the fading rule for one state, and the density it
+    evaluates there (in b for Rician, in x for gamma)."""
+    rule = channel._state_rule(channel._RULE, law, [param], [math.inf])
+    return rule.x[0], rule.dens[0] / rule.width[0]
+
+
+def _rician_pdf(x, k):
+    """Unit-mean Rician power density: the noncentral chi-square law with
+    two degrees of freedom and noncentrality 2k, scaled by 2(k+1)."""
+    return 2.0 * (k + 1.0) * stats.ncx2.pdf(2.0 * (k + 1.0) * x, 2, 2.0 * k)
+
+
 class TestRicianPower:
+    """The Rician density that the fading rule forms at its nodes."""
+
     @pytest.mark.parametrize("k", [0.0, 1.0, 5.0, 31.6])
     def test_pdf_normalises_and_unit_mean(self, k):
-        total, _ = integrate.quad(lambda x: rician_power_pdf(x, k), 0, np.inf,
-                                  limit=200)
-        mean, _ = integrate.quad(lambda x: x * rician_power_pdf(x, k), 0,
-                                 np.inf, limit=200)
+        rule = channel._state_rule(channel._RULE, "rician", [k], [math.inf])
+        total = rule.dens[0] @ rule.w_val
+        mean = (rule.x[0] * rule.dens[0]) @ rule.w_val
         assert total == pytest.approx(1.0, abs=1e-8)
         assert mean == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("k", [0.0, 3.0, 20.0])
     def test_cdf_consistent_with_pdf(self, k):
+        # the rule's window cut at x integrates the density to the CDF there
         for x in (0.3, 1.0, 2.0):
-            ref, _ = integrate.quad(lambda t: rician_power_pdf(t, k), 0, x,
-                                    limit=200)
-            assert rician_power_cdf(x, k) == pytest.approx(ref, abs=1e-8)
+            rule = channel._state_rule(channel._RULE, "rician", [k],
+                                       [math.inf], ends=[x])
+            ref = stats.ncx2.cdf(2.0 * (k + 1.0) * x, 2, 2.0 * k)
+            assert rule.dens[0] @ rule.w_val == pytest.approx(ref, abs=1e-8)
 
     def test_k_zero_is_exponential(self):
-        for x in (0.2, 1.0, 3.0):
-            assert rician_power_pdf(x, 0.0) == pytest.approx(math.exp(-x))
+        x, got = _rule_density("rician", 0.0)
+        # the density of b = sqrt(2x) is e^(-x) dx/db = e^(-x) b
+        np.testing.assert_allclose(got, np.exp(-x) * np.sqrt(2.0 * x),
+                                   rtol=1e-13, atol=1e-300)
 
     def test_sampler_moments(self):
         rng = np.random.default_rng(11)
@@ -86,29 +100,21 @@ class TestRicianPower:
         assert draws.shape == (3,)
 
 
-def _rule_density(law, param):
-    """Nodes of the fading rule for one state, and the density it
-    evaluates there (in b for Rician, in x for gamma)."""
-    rule = channel._state_rule(channel._RULE, law, [param], [math.inf])
-    return rule.x[0], rule.dens[0] / rule.width[0]
-
-
 class TestScalarPdfs:
-    """The per-state densities of the fading rule (which replaced the
-    float -> float scalar pdfs) against the array pdfs."""
+    """The per-state densities of the fading rule against scipy.stats."""
 
     @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 3.16, 10.0, 31.6, 50.0])
     def test_rician_matches_array_pdf(self, k):
         x, got = _rule_density("rician", k)
         # the density of b = sqrt(2 (k+1) x) is f(x) dx/db = f(x) b / (k+1)
         b = np.sqrt(2.0 * (k + 1.0) * x)
-        np.testing.assert_allclose(got, rician_power_pdf(x, k) * b / (k + 1.0),
+        np.testing.assert_allclose(got, _rician_pdf(x, k) * b / (k + 1.0),
                                    rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5])
     def test_nakagami_matches_array_pdf(self, s):
         x, got = _rule_density("gamma", s)
-        np.testing.assert_allclose(got, nakagami_power_pdf(x, s),
+        np.testing.assert_allclose(got, stats.gamma.pdf(x, s, scale=1.0 / s),
                                    rtol=1e-13, atol=1e-300)
 
     def test_parameters_checked_when_built(self):
@@ -121,9 +127,9 @@ class TestScalarPdfs:
 class TestNakagamiPower:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_pdf_is_gamma(self, s):
-        for x in (0.1, 0.9, 2.5):
-            ref = x ** (s - 1) * s ** s * math.exp(-s * x) / math.gamma(s)
-            assert nakagami_power_pdf(x, s) == pytest.approx(ref, rel=1e-12)
+        x, got = _rule_density("gamma", s)
+        ref = x ** (s - 1) * s ** s * np.exp(-s * x) / math.gamma(s)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
 
     def test_xi_values(self):
         assert nakagami_xi(1) == pytest.approx(1.0)
@@ -163,16 +169,10 @@ class TestNoiseAndPathLoss:
         assert lo == pytest.approx(1e-8 / n.rho)
         assert hi == pytest.approx(1e-8 * n.rho)
 
-    def test_noise_pdf_normalises(self):
-        n = NoiseModel(sigma_n2=1e-8, rho=10 ** 0.2)
-        lo, hi = n.support
-        total, _ = integrate.quad(lambda x: noise_power_pdf(x, n), lo, hi)
-        assert total == pytest.approx(1.0, rel=1e-9)
-
     def test_noise_sampler_within_support(self):
         n = NoiseModel(sigma_n2=1e-8, rho=10 ** 0.2)
         rng = np.random.default_rng(14)
-        draws = sample_noise_power(n, rng, size=50_000)
+        draws = n.power(sample_noise_exponent(rng, size=50_000))
         lo, hi = n.support
         assert np.all((draws >= lo) & (draws <= hi))
         # log-uniform: the log of the draws is uniform, so its mean is ln(sigma^2)

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from a2gcovert import __version__, scenario
-from a2gcovert.cli import _row_seed, main
+from a2gcovert.cli import _row_seed, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -140,6 +140,54 @@ class TestSweep:
             ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
              "--points", "1", "--metrics", "dep"], capsys)
         assert code == 2
+
+
+class TestAxisBounds:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "p_a", "--start", "nan", "--stop", "10"],
+        ["sweep", "--axis", "rho", "--start", "nan", "--stop", "4",
+         "--metrics", "outage,csc"],
+        ["sweep", "--axis", "x_a", "--start", "400", "--stop", "inf"],
+        ["sweep", "--axis", "p_max", "--start", "10", "--stop", "4000"],
+        ["mode-map", "--metric", "ecr", "--start", "nan"],
+    ])
+    def test_non_finite_bound_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--points", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+
+class TestOptions:
+    def test_each_command_accepts_the_options_it_reads(self):
+        parser = build_parser()
+        scenario_opts = ["--config", "scn.txt", "--seed", "1"]
+        output_opts = ["--json", "--out", "out.json"]
+        for argv in (
+                ["sweep", "--axis", "rho", "--start", "1", "--stop", "2",
+                 "--allow-unsafe", "--workers", "2"] + scenario_opts,
+                ["mode-map", "--metric", "ecr", "--allow-unsafe"]
+                + scenario_opts,
+                ["validate", "--workers", "2"] + scenario_opts,
+                ["optimize", "--metric", "csc"] + scenario_opts,
+                ["defaults"]):
+            parser.parse_args(argv + output_opts)
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--metric", "ecr", "--allow-unsafe"],
+        ["optimize", "--metric", "ecr", "--workers", "2"],
+        ["mode-map", "--metric", "ecr", "--workers", "2"],
+        ["validate", "--allow-unsafe"],
+        ["defaults", "--allow-unsafe"],
+        ["defaults", "--workers", "2"],
+        ["defaults", "--config", "scn.txt"],
+        ["defaults", "--seed", "3"],
+    ])
+    def test_option_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOptimize:

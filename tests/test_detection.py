@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
-from a2gcovert import channel, detection
-from a2gcovert.channel import nakagami_power_pdf, rician_power_pdf
+from a2gcovert import detection
 from a2gcovert.detection import (
     dep_at_threshold,
     expected_min_dep,
@@ -238,13 +237,14 @@ def _tight_quad_average(law, param, cut, rho):
         peak = 1.0
 
         def pdf(x):
-            return float(rician_power_pdf(x, param))
+            return 2.0 * (param + 1.0) * float(stats.ncx2.pdf(
+                2.0 * (param + 1.0) * x, 2, 2.0 * param))
     else:
         tail = (60.0 + 20.0 * param) / param
         peak = (param - 1.0) / param
 
         def pdf(x):
-            return float(nakagami_power_pdf(x, param))
+            return float(stats.gamma.pdf(x, param, scale=1.0 / param))
     upper = min(cut, tail)
     points = [q for q in (0.9 * peak, peak, 1.1 * peak) if 0.0 < q < upper]
     points += [upper * f for f in (1e-4, 1e-3, 1e-2, 0.1)]
@@ -295,8 +295,8 @@ class TestDepKernel:
             "alice.x": 1000.0, "alice.y": 0.0,
             "willie.x": 1000.0, "willie.y": 0.0})
         assert expected_min_dep(scn, "om").abs_err <= 1e-8
-        monkeypatch.setattr(detection, "_RULE",
-                            channel._composite_rule(panels=1, n=4, n_est=2))
+        # one panel of 4 nodes, estimated by 2
+        monkeypatch.setattr(detection, "_RULE", (1, 4, 2))
         with pytest.raises(QuadratureError) as info:
             expected_min_dep(scn, "om")
         msg = str(info.value)

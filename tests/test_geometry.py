@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2gcovert.channel import link_states
 from a2gcovert.errors import DomainError
 from a2gcovert.geometry import (
     AntennaSpec,
     NodePosition,
     SCurveParams,
     alice_main_lobe_covers_willie,
-    alice_willie_gain,
     boresight_separation,
     distance,
     elevation_angle_deg,
     lobe_gains,
     los_probability,
 )
+from a2gcovert.scenario import default_scenario
 
 
 class TestPositionsAndAngles:
@@ -135,19 +136,15 @@ class TestMainLobeCoverage:
                                                  self.WILLIE, ant_out)
 
     def test_gain_products(self):
+        # the warden's dm states carry Alice's and Willie's lobe gains
         sep = boresight_separation(self.ALICE, self.BOB, self.WILLIE)
         ant_a = AntennaSpec(n_elements=6, theta_h=1.0, theta_ed=sep + 1e-6)
         ant_w = AntennaSpec.with_default_beamwidths(18)
         ta, tw = lobe_gains(ant_a), lobe_gains(ant_w)
-        assert alice_willie_gain(self.ALICE, self.BOB, self.WILLIE,
-                                 ant_a, ant_w, "main") == pytest.approx(
-            ta.g_main * tw.g_main)
-        assert alice_willie_gain(self.ALICE, self.BOB, self.WILLIE,
-                                 ant_a, ant_w, "side") == pytest.approx(
-            ta.g_main * tw.g_side)
-
-    def test_unknown_lobe_rejected(self):
-        ant = AntennaSpec.with_default_beamwidths(6)
-        with pytest.raises(DomainError):
-            alice_willie_gain(self.ALICE, self.BOB, self.WILLIE,
-                              ant, ant, "rear")
+        scn = default_scenario(alice=self.ALICE, bob=self.BOB,
+                               willie=self.WILLIE, ant_alice=ant_a,
+                               ant_willie=ant_w)
+        states = link_states(scn, "dm", None, "willie")
+        assert [states.tx_gain * g for g in states.rx_gains] == (
+            pytest.approx([ta.g_main * tw.g_main] * 2
+                          + [ta.g_main * tw.g_side] * 2))

@@ -7,7 +7,7 @@ import pytest
 from a2gcovert.channel import link_states, path_loss, rician_factor
 from a2gcovert.detection import expected_min_dep
 from a2gcovert.errors import DomainError
-from a2gcovert.geometry import alice_willie_gain, lobe_gains
+from a2gcovert.geometry import alice_main_lobe_covers_willie, lobe_gains
 from a2gcovert.scenario import NodePosition, db_to_linear, dbm_to_mw
 from a2gcovert.throughput import csc, outage, snr_threshold
 
@@ -34,9 +34,11 @@ class TestTable:
             (w_tab.p_main * p_los, w_tab.p_main * (1.0 - p_los),
              w_tab.p_side * p_los, w_tab.p_side * (1.0 - p_los)), abs=1e-15)
         losses = [10.0 ** -6.11 * d ** -2.0, 10.0 ** -7.18 * d ** -3.0]
-        gains = [alice_willie_gain(scn.alice, scn.bob, scn.willie,
-                                   scn.ant_alice, scn.ant_willie, lobe)
-                 for lobe in ("main", "main", "side", "side")]
+        a_tab = lobe_gains(scn.ant_alice)
+        g_a = (a_tab.g_main if alice_main_lobe_covers_willie(
+            scn.alice, scn.bob, scn.willie, scn.ant_alice) else a_tab.g_side)
+        gains = [g_a * g_w for g_w in (w_tab.g_main, w_tab.g_main,
+                                       w_tab.g_side, w_tab.g_side)]
         assert dm.received(1.0) == pytest.approx(
             [g * loss for g, loss in zip(gains, losses * 2)], rel=1e-14)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -94,6 +95,33 @@ class TestParsing:
     def test_non_integer_shape_rejected(self):
         with pytest.raises(ScenarioError):
             loads_scenario("dm.s_los = 2.5")
+
+    @pytest.mark.parametrize("key, value", [
+        ("p_a_dbm", math.nan), ("om.bandwidth_hz", math.nan),
+        ("p_max_dbm", math.inf), ("p_max_dbm", 4000.0),
+        ("noise.sigma_n2_dbm", 3500.0)])
+    def test_non_finite_value_rejected(self, key, value):
+        # these printed nan rows, divided by zero or overflowed in dbm_to_mw
+        for build in (lambda: scenario_from_flat({key: value}),
+                      lambda: loads_scenario(f"{key} = {value}")):
+            with pytest.raises(ScenarioError,
+                               match=re.escape(key) + ".*finite"):
+                build()
+
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(ScenarioError, match=r"alice\.x = '400'"):
+            scenario_from_flat({"alice.x": "400"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("antenna.alice.n", 6.5), ("seed", 1.7), ("dm.s_los", 2.5)])
+    def test_non_integer_value_of_integer_key_rejected(self, key, value):
+        with pytest.raises(ScenarioError,
+                           match=re.escape(key) + ".*must be an integer"):
+            scenario_from_flat({key: value})
+
+    def test_integral_value_of_integer_key_accepted(self):
+        s = scenario_from_flat({"seed": 2.0, "antenna.alice.n": 8.0})
+        assert s.seed == 2 and s.ant_alice.n_elements == 8
 
     def test_rho_zero_db_rejected(self):
         with pytest.raises(ScenarioError):

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, special, stats
+from scipy import optimize, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
-    bessel_i0,
-    bessel_i0_scaled,
     gammainc_int,
-    lower_inc_gamma,
     marcum_mu_nu,
     marcum_q1_exact,
 )
@@ -21,27 +18,6 @@ from a2gcovert.specfun import (
     _trunc_mean_objective,
 )
 from a2gcovert.surrogate import marcum_q1_approx
-
-
-class TestWrappers:
-    def test_bessel_i0_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_bessel_i0_scaled_large_argument_is_finite(self):
-        assert 0.0 < bessel_i0_scaled(1e6) < 1.0
-
-    def test_bessel_rejects_negative(self):
-        with pytest.raises(DomainError):
-            bessel_i0(-1.0)
-
-    def test_lower_inc_gamma_matches_quadrature(self):
-        s, x = 2.7, 1.9
-        ref, _ = integrate.quad(lambda t: t ** (s - 1) * math.exp(-t), 0, x)
-        assert lower_inc_gamma(s, x) == pytest.approx(ref, rel=1e-10)
-
-    def test_lower_inc_gamma_rejects_bad_shape(self):
-        with pytest.raises(DomainError):
-            lower_inc_gamma(0.0, 1.0)
 
 
 class TestMarcumExact:

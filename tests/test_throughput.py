@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from a2gcovert import channel, throughput
+from a2gcovert import throughput
 from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.scenario import NodePosition, scenario_from_flat
@@ -224,8 +224,8 @@ class TestCscKernel:
     def test_starved_rule_raises_naming_the_state(self, monkeypatch):
         states = _one_state("rician", 7200.0)
         assert csc_over_states(states, 1.0, 1.0, 2.0, 1.0) > 0.0
-        monkeypatch.setattr(throughput, "_RULE",
-                            channel._composite_rule(panels=1, n=4, n_est=2))
+        # one panel of 4 nodes, estimated by 2
+        monkeypatch.setattr(throughput, "_RULE", (1, 4, 2))
         with pytest.raises(QuadratureError) as info:
             csc_over_states(states, 1.0, 1.0, 2.0, 1.0)
         msg = str(info.value)
