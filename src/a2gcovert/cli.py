@@ -121,7 +121,7 @@ def _mc_metrics(scn: Scenario, mode: str, metrics: list[str], n: int,
     out = {}
     if "dep" in metrics:
         out["dep"] = mc_expected_min_dep(
-            scn, mode=mode, n=n, seed=_row_seed(seed, axis_index, mode, "dep"),
+            scn, mode, n=n, seed=_row_seed(seed, axis_index, mode, "dep"),
             workers=workers)
     bob = [m for m in ("outage", "csc") if m in metrics]
     if bob:
@@ -288,8 +288,7 @@ def _cmd_validate(args) -> int:
     scn, flat = _load_scenario(args)
     if args.samples < 10**4:
         raise A2GError("validation needs at least 10^4 samples per cell")
-    reports = run_validation(scn, n=args.samples, seed=scn.seed,
-                             workers=args.workers)
+    reports = run_validation(scn, n=args.samples, workers=args.workers)
     header = ["metric", "mode", "x_a", "p_a_dbm", "rho_db", "r_b",
               "analytic", "mc_mean", "mc_std_error", "tolerance", "gap",
               "passed"]

@@ -8,8 +8,8 @@ minimum over fading and over the discrete channel / lobe states gives the
 covertness metric the transmitter can actually evaluate.
 
 ``dep_over_states`` averages over the warden link's state table
-(``channel.link_states``), for the public function and the planner alike,
-by ``_state_averages``: the composite Gauss-Legendre fading rule of
+(``channel.link_states``), for the scenario-level function, the planner
+and the validation grid alike, by ``_state_averages``: the composite Gauss-Legendre fading rule of
 ``channel._state_rule`` (the one the ergodic capacity uses too), applied to
 all states in one array operation.  The DEP cutoff is a panel edge, and
 panels are graded toward 0 when the noise uncertainty rho is large.  A
@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import _RULE, LinkStates, _state_rule, link_states
 from .errors import DomainError
-from .scenario import NodePosition, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "DepResult",
@@ -39,7 +39,6 @@ __all__ = [
     "threshold_breakpoints",
     "min_dep",
     "min_dep_values",
-    "varrho",
     "dep_over_states",
     "expected_min_dep",
 ]
@@ -168,20 +167,6 @@ def min_dep(k_a: float, sigma_n2: float, rho: float) -> DepResult:
     return DepResult(value=value, tau_lo=hi, tau_hi=hi)
 
 
-def varrho(p_received_unit: float, sigma_n2: float, rho: float) -> float:
-    """Fading cutoff: power gains below it leave the warden a nonzero DEP.
-
-    ``p_received_unit`` is the received power for unit fading gain, i.e. the
-    transmit power times every deterministic loss and antenna factor.
-    """
-    _check_noise(sigma_n2, rho)
-    if p_received_unit < 0:
-        raise DomainError("received unit power must be nonnegative")
-    if p_received_unit == 0.0:
-        return math.inf
-    return (rho * rho - 1.0) * sigma_n2 / (rho * p_received_unit)
-
-
 # largest error estimate a state average may carry
 _ABS_TOL = 1e-8
 
@@ -193,7 +178,8 @@ def _state_averages(law: str, params, units, sigma_n2: float,
     State i has the fading law ``law`` with parameter params[i] (see
     ``channel._state_rule``) and the received unit power units[i].  With
     g = rho unit / sigma^2 the kernel is 1 - ln(1 + g x) / (2 ln rho) below
-    the cutoff x = varrho, where the window is cut, and zero above it.
+    the cutoff x = (rho^2 - 1) / g, where the window is cut, and zero
+    above it.
     Returns the averages, clipped to [0, 1], and their error estimates; an
     estimate above 1e-8 raises ``QuadratureError`` naming the state.
     """
@@ -233,11 +219,9 @@ def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
                        abs_err=sum(p * e for p, e in zip(states.probs, errs)))
 
 
-def expected_min_dep(scn: Scenario, mode: str,
-                     alice: NodePosition | None = None,
-                     p_a: float | None = None,
-                     rho: float | None = None) -> ExpectedDep:
-    """Fading-averaged minimum DEP in mode "om" or "dm".
+def expected_min_dep(scn: Scenario, mode: str) -> ExpectedDep:
+    """Fading-averaged minimum DEP in mode "om" or "dm" at the scenario's
+    position, transmit power and noise.
 
     A mixture over the states of the transmitter-warden link, each with its
     exact fading density: LoS/NLoS with Rician power in mode "om"; in mode
@@ -245,6 +229,5 @@ def expected_min_dep(scn: Scenario, mode: str,
     transmitter's lobe toward the warden is deterministic given the beam
     steered at the intended receiver.
     """
-    return dep_over_states(link_states(scn, mode, alice, "willie"),
-                           scn.p_a if p_a is None else p_a, scn.noise.sigma_n2,
-                           scn.noise.rho if rho is None else rho)
+    return dep_over_states(link_states(scn, mode, None, "willie"), scn.p_a,
+                           scn.noise.sigma_n2, scn.noise.rho)

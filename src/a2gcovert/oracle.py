@@ -24,7 +24,7 @@ never rises with p_a, and a capacity estimate never falls.  A batch
 overwrites a few arrays of its own point by point; nothing is shared
 between batches, which may run in different threads.
 ``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
-one-point calls of these two.
+one-point calls of these two, at the scenario as configured.
 
 The DEP estimator evaluates the exact conditional minimum-DEP kernel per
 draw: given the received power and the noise-uncertainty bounds, the
@@ -276,43 +276,31 @@ def mc_receiver_points(scn: Scenario, points,
             for _, _, gammas in checked]
 
 
-def mc_expected_min_dep(scn: Scenario, alice: NodePosition | None = None,
-                        p_a: float | None = None, mode: str = "om",
-                        n: int = 10**6, seed: int | None = None,
-                        rho: float | None = None,
+def mc_expected_min_dep(scn: Scenario, mode: str, n: int = 10**6,
+                        seed: int | None = None,
                         workers: int = 1) -> McEstimate:
     """Estimate the fading-averaged minimum DEP by direct sampling."""
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    return mc_dep_points(scn, [(p_a, rho)], alice=alice, mode=mode, n=n,
+    return mc_dep_points(scn, [(scn.p_a, scn.noise.rho)], mode=mode, n=n,
                          seed=seed, workers=workers)[0]
 
 
-def mc_outage(scn: Scenario, alice: NodePosition | None = None,
-              p_a: float | None = None, gamma_th: float | None = None,
-              mode: str = "om", n: int = 10**6, seed: int | None = None,
-              rho: float | None = None, workers: int = 1) -> McEstimate:
-    """Estimate P(SNR < gamma_th) at the receiver by direct sampling."""
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    if gamma_th is None:
-        _check_common(scn, mode, float(p_a), n)  # before scn.band(mode)
-        gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-    (est,) = mc_receiver_points(scn, [(p_a, rho, (gamma_th,))], alice=alice,
+def mc_outage(scn: Scenario, mode: str, n: int = 10**6,
+              seed: int | None = None, workers: int = 1) -> McEstimate:
+    """Estimate P(SNR < gamma_th) at the receiver, at the threshold of the
+    rate r_b, by direct sampling."""
+    _check_common(scn, mode, scn.p_a, n)  # before scn.band(mode)
+    gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
+    (est,) = mc_receiver_points(scn, [(scn.p_a, scn.noise.rho, (gamma_th,))],
                                 mode=mode, n=n, seed=seed, workers=workers,
                                 capacity=False)
     return est.outage[0]
 
 
-def mc_ergodic_capacity(scn: Scenario, alice: NodePosition | None = None,
-                        p_a: float | None = None, mode: str = "om",
-                        n: int = 10**6, seed: int | None = None,
-                        rho: float | None = None,
+def mc_ergodic_capacity(scn: Scenario, mode: str, n: int = 10**6,
+                        seed: int | None = None,
                         workers: int = 1) -> McEstimate:
     """Estimate E[W log2(1 + SNR)] at the receiver by direct sampling."""
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    (est,) = mc_receiver_points(scn, [(p_a, rho, ())], alice=alice,
+    (est,) = mc_receiver_points(scn, [(scn.p_a, scn.noise.rho, ())],
                                 mode=mode, n=n, seed=seed, workers=workers)
     return est.capacity
 

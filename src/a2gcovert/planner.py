@@ -23,14 +23,13 @@ import numpy as np
 from .channel import link_states
 from .detection import dep_over_states
 from .errors import DomainError
-from .scenario import NodePosition, Scenario
+from .scenario import Scenario
 from .throughput import csc_over_states, outage_over_states, snr_threshold
 
 __all__ = [
     "OptimizationResult",
     "ModeDecision",
     "CONSTRAINT_SLACK",
-    "max_rate",
     "maximize_ecr",
     "maximize_csc",
     "select_mode",
@@ -40,7 +39,10 @@ __all__ = [
 # on the boundary
 CONSTRAINT_SLACK = 1e-9
 
-# rate refinement: rounds, and rates evaluated per round
+# relative width at which the covert-power bisection stops
+_POWER_REL_TOL = 1e-6
+# rate grid points, refinement rounds, and rates evaluated per round
+_N_RATE = 128
 _REFINE_ROUNDS = 3
 _REFINE_POINTS = 33
 
@@ -51,7 +53,9 @@ class OptimizationResult:
 
     ``binding`` names the active constraint at the reported optimizer:
     "covertness" when the DEP constraint is tight, "power" when the power cap
-    is, "none" when the optimum is interior.
+    is, "none" when the optimum is interior.  ``feasible`` is always true,
+    since a small enough power is always covert; it stays a column of the
+    ``optimize`` output.
     """
 
     p_a_opt: float
@@ -75,29 +79,18 @@ class ModeDecision:
         return max(self.objective_om, self.objective_dm)
 
 
-def max_rate(scn: Scenario, mode: str, alice: NodePosition | None = None) -> float:
-    """Upper edge of the rate grid: capacity at P_max with unit fading gain.
-
-    Uses the LoS path loss and (for the directional mode) both main lobes,
-    i.e. the most favourable deterministic link, so the true optimum rate is
-    always inside the grid.
-    """
-    bob = link_states(scn, mode, alice, "bob")
-    # state 0 is the LoS state (in the main lobe in mode "dm")
-    snr = bob.received(scn.p_max)[0] / scn.noise.sigma_n2
-    return scn.band(mode).bandwidth_hz * math.log2(1.0 + snr)
-
-
-def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition | None,
-                        rel_tol: float = 1e-6) -> tuple[float, str] | None:
+def _covert_power_limit(scn: Scenario, mode: str) -> tuple[float, str]:
     """Largest transmit power satisfying the covertness constraint, capped at
     P_max; geometric bisection (expected DEP is nonincreasing in power).
 
-    Returns (power, binding constraint name), or None when even vanishing
-    power is not covert at this geometry.  An unknown mode raises
-    ``DomainError`` (from ``link_states``).
+    Returns (power, binding constraint name).  The bracket starts at
+    P_max * 1e-12, or lower where that power is not covert: since
+    ln(1 + y) <= y and the fading has unit mean, the expected DEP at p is at
+    least 1 - p sum_i prob_i rho unit_i / (2 sigma^2 ln rho), so half the
+    power at which that bound reaches 1 - epsilon is covert.  An unknown
+    mode raises ``DomainError`` (from ``link_states``).
     """
-    willie = link_states(scn, mode, alice, "willie")
+    willie = link_states(scn, mode, None, "willie")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
 
     def is_covert(p_a: float) -> bool:
@@ -106,11 +99,11 @@ def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition | None,
 
     if is_covert(scn.p_max):
         return scn.p_max, "power"
-    lo = scn.p_max * 1e-12
-    if not is_covert(lo):
-        return None
+    mean_unit = float(np.dot(willie.probs, willie.received(1.0)))
+    lo = min(scn.p_max * 1e-12,
+             scn.epsilon * math.log(rho) * sigma_n2 / (rho * mean_unit))
     hi = scn.p_max
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _POWER_REL_TOL * hi:
         mid = math.sqrt(lo * hi)
         if is_covert(mid):
             lo = mid
@@ -119,39 +112,34 @@ def _covert_power_limit(scn: Scenario, mode: str, alice: NodePosition | None,
     return lo, "covertness"
 
 
-def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
-                 n_rate: int = 128, refine: bool = True) -> OptimizationResult:
+def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
     """Maximize R_b * (1 - P_out) under the covertness and power-cap
     constraints.
 
     The outage probability is strictly decreasing in transmit power, so the
     objective is maximized at the covert power limit; what remains is a 1-D
-    search over the rate, done on a grid and optionally refined: each round
-    evaluates 33 evenly spaced rates between the best point's neighbours in
-    one outage call, and three rounds narrow the bracket by 16^3.
+    search over the rate, on a 128-point grid up to the capacity of the
+    most favourable state (LoS, main lobes) at unit fading gain and that
+    power, then refined: each round evaluates 33 evenly spaced rates
+    between the best point's neighbours in one outage call, and three
+    rounds narrow the bracket by 16^3.
     """
-    if n_rate < 2:
-        raise DomainError("rate grid needs at least two points")
-    limit = _covert_power_limit(scn, mode, alice)
-    if limit is None:
-        return OptimizationResult(p_a_opt=0.0, r_b_opt=0.0, objective=0.0,
-                                  binding="covertness", feasible=False)
-    p_opt, binding = limit
-    band = scn.band(mode)
-    bob = link_states(scn, mode, alice, "bob")
+    p_opt, binding = _covert_power_limit(scn, mode)
+    w = scn.band(mode).bandwidth_hz
+    bob = link_states(scn, mode, None, "bob")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
-    r_hi = max_rate(scn, mode, alice)
+    # state 0 is the LoS state (in the main lobe in mode "dm")
+    r_hi = w * math.log2(1.0 + bob.received(p_opt)[0] / sigma_n2)
 
     def ecr(rates: np.ndarray) -> np.ndarray:
-        gammas = snr_threshold(rates, band.bandwidth_hz)
-        return rates * (1.0 - outage_over_states(bob, p_opt, gammas,
-                                                 sigma_n2, rho))
+        return rates * (1.0 - outage_over_states(
+            bob, p_opt, snr_threshold(rates, w), sigma_n2, rho))
 
-    rates = np.linspace(r_hi / n_rate, r_hi, n_rate)
+    rates = np.linspace(r_hi / _N_RATE, r_hi, _N_RATE)
     obj = ecr(rates)
     j = int(np.argmax(obj))
     r_opt, objective = float(rates[j]), float(obj[j])
-    for _ in range(_REFINE_ROUNDS if refine else 0):
+    for _ in range(_REFINE_ROUNDS):
         rates = np.linspace(rates[max(j - 1, 0)],
                             rates[min(j + 1, len(rates) - 1)],
                             _REFINE_POINTS)
@@ -164,16 +152,10 @@ def maximize_ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
                               feasible=True)
 
 
-def maximize_csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
-                 rel_tol: float = 1e-6) -> OptimizationResult:
+def maximize_csc(scn: Scenario, mode: str) -> OptimizationResult:
     """Largest covert power (capacity is monotone in power), by bisection."""
-    limit = _covert_power_limit(scn, mode, alice, rel_tol=rel_tol)
-    if limit is None:
-        # vanishing power cannot satisfy the constraint at this geometry
-        return OptimizationResult(p_a_opt=0.0, r_b_opt=None, objective=0.0,
-                                  binding="covertness", feasible=False)
-    p_opt, binding = limit
-    objective = csc_over_states(link_states(scn, mode, alice, "bob"), p_opt,
+    p_opt, binding = _covert_power_limit(scn, mode)
+    objective = csc_over_states(link_states(scn, mode, None, "bob"), p_opt,
                                 scn.noise.sigma_n2, scn.noise.rho,
                                 scn.band(mode).bandwidth_hz)
     return OptimizationResult(p_a_opt=p_opt, r_b_opt=None,
@@ -181,15 +163,14 @@ def maximize_csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
                               feasible=True)
 
 
-def select_mode(scn: Scenario, metric: str,
-                alice: NodePosition | None = None) -> ModeDecision:
+def select_mode(scn: Scenario, metric: str) -> ModeDecision:
     """Pick the better transmission mode at this position; ties go to OM."""
     if metric == "ecr":
-        obj_om = maximize_ecr(scn, "om", alice=alice).objective
-        obj_dm = maximize_ecr(scn, "dm", alice=alice).objective
+        obj_om = maximize_ecr(scn, "om").objective
+        obj_dm = maximize_ecr(scn, "dm").objective
     elif metric == "csc":
-        obj_om = maximize_csc(scn, "om", alice=alice).objective
-        obj_dm = maximize_csc(scn, "dm", alice=alice).objective
+        obj_om = maximize_csc(scn, "om").objective
+        obj_dm = maximize_csc(scn, "dm").objective
     else:
         raise DomainError(f"unknown metric {metric!r}")
     indicator = "om" if obj_om >= obj_dm else "dm"

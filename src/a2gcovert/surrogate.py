@@ -27,13 +27,14 @@ import numpy as np
 from scipy import special
 
 from .channel import link_states
-from .detection import ExpectedDep, varrho
+from .detection import ExpectedDep, _check_noise
 from .errors import DomainError
-from .scenario import NodePosition, Scenario
+from .scenario import Scenario
 from .specfun import marcum_mu_nu
 from .throughput import _GL_NODES, _GL_WEIGHTS, _mixture, snr_threshold
 
 __all__ = [
+    "varrho",
     "marcum_q1_approx",
     "nakagami_xi",
     "nakagami_power_cdf",
@@ -128,17 +129,25 @@ def truncated_mean_nakagami(a: float, s: int) -> float:
     return head if math.isinf(a) else head - a * (1.0 - y ** s)
 
 
-def _closed_form(scn: Scenario, mode: str, alice: NodePosition | None,
-                 p_a: float | None, rho: float | None,
-                 surrogate) -> ExpectedDep:
+def varrho(p_received_unit: float, sigma_n2: float, rho: float) -> float:
+    """Fading cutoff: power gains below it leave the warden a nonzero DEP.
+
+    ``p_received_unit`` is the received power for unit fading gain, i.e. the
+    transmit power times every deterministic loss and antenna factor.
+    """
+    _check_noise(sigma_n2, rho)
+    if p_received_unit < 0:
+        raise DomainError("received unit power must be nonnegative")
+    if p_received_unit == 0.0:
+        return math.inf
+    return (rho * rho - 1.0) * sigma_n2 / (rho * p_received_unit)
+
+
+def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
     """DEP state mixture under a surrogate law: ``surrogate(param, cutoff)``
     gives its CDF at the cutoff and its truncated mean below it."""
-    p_a = scn.p_a if p_a is None else p_a
-    rho = scn.noise.rho if rho is None else rho
-    sigma_n2 = scn.noise.sigma_n2
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    states = link_states(scn, mode, alice, "willie")
+    p_a, sigma_n2, rho = scn.p_a, scn.noise.sigma_n2, scn.noise.rho
+    states = link_states(scn, mode, None, "willie")
     terms: dict[str, float] = {}
     for label, p_state, param, unit in zip(states.labels, states.probs,
                                            states.params,
@@ -163,10 +172,7 @@ def _gamma_surrogate(s: int, cut: float) -> tuple[float, float]:
     return float(nakagami_power_cdf(cut, s)), truncated_mean_nakagami(cut, s)
 
 
-def expected_min_dep_om_closed_form(scn: Scenario,
-                                    alice: NodePosition | None = None,
-                                    p_a: float | None = None,
-                                    rho: float | None = None) -> ExpectedDep:
+def expected_min_dep_om_closed_form(scn: Scenario) -> ExpectedDep:
     """Closed-form microwave DEP average built on the exponential-type CDF
     surrogate and its truncated-mean companion.
 
@@ -175,13 +181,10 @@ def expected_min_dep_om_closed_form(scn: Scenario,
     exact average by more than a tenth in absolute DEP at high power.  Use
     ``expected_min_dep(scn, "om")`` for accuracy-sensitive work.
     """
-    return _closed_form(scn, "om", alice, p_a, rho, _rician_surrogate)
+    return _closed_form(scn, "om", _rician_surrogate)
 
 
-def expected_min_dep_dm_closed_form(scn: Scenario,
-                                    alice: NodePosition | None = None,
-                                    p_a: float | None = None,
-                                    rho: float | None = None) -> ExpectedDep:
+def expected_min_dep_dm_closed_form(scn: Scenario) -> ExpectedDep:
     """Closed-form mmWave DEP average built on Alzer's bound of the gamma
     CDF.
 
@@ -189,7 +192,7 @@ def expected_min_dep_dm_closed_form(scn: Scenario,
     five absolute percentage points at mid-range arguments, so use
     ``expected_min_dep(scn, "dm")`` for accuracy-sensitive work.
     """
-    return _closed_form(scn, "dm", alice, p_a, rho, _gamma_surrogate)
+    return _closed_form(scn, "dm", _gamma_surrogate)
 
 
 def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
@@ -202,8 +205,7 @@ def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
     return 0.5 * (nakagami_power_cdf(x, s) @ _GL_WEIGHTS)
 
 
-def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
-                          p_a=None, gamma_th=None, rho: float | None = None):
+def outage_dm_closed_form(scn: Scenario) -> float:
     """Closed form of the mmWave outage probability under Alzer's bound of
     the gamma CDF.
 
@@ -211,9 +213,6 @@ def outage_dm_closed_form(scn: Scenario, alice: NodePosition | None = None,
     percentage points at mid-range outage levels, so use
     ``outage(scn, "dm")`` for accuracy-sensitive work.
     """
-    if gamma_th is None:
-        gamma_th = snr_threshold(scn.r_b, scn.dm.bandwidth_hz)
-    return _mixture(link_states(scn, "dm", alice, "bob"),
-                    scn.p_a if p_a is None else p_a, gamma_th,
-                    scn.noise.sigma_n2, scn.noise.rho if rho is None else rho,
-                    _alzer_outage)
+    return _mixture(link_states(scn, "dm", None, "bob"), scn.p_a,
+                    snr_threshold(scn.r_b, scn.dm.bandwidth_hz),
+                    scn.noise.sigma_n2, scn.noise.rho, _alzer_outage)

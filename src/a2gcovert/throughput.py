@@ -2,8 +2,9 @@
 
 Each metric is a kernel over the state table of Alice's link to Bob
 (``channel.link_states``): ``outage_over_states`` and ``csc_over_states``.
-The public functions build the table and call the kernel; the planner
-builds it once per solve and calls the kernels directly.
+The scenario-level functions evaluate the scenario as configured: they
+build the table and call the kernel.  The planner and the validation grid
+build each table once and call the kernels directly.
 
 In a Rician ("om") state the outage is a closed form built on the
 exponential-type Marcum-Q surrogate plus the log-uniform noise average; its
@@ -28,7 +29,7 @@ from scipy import special
 
 from .channel import _RULE, LinkStates, _state_rule, link_states
 from .errors import DomainError
-from .scenario import NodePosition, Scenario
+from .scenario import Scenario
 from .specfun import gammainc_int, marcum_mu_nu
 
 __all__ = [
@@ -141,26 +142,18 @@ def outage_over_states(states: LinkStates, p_a, gamma_th, sigma_n2: float,
                     else _gamma_outage)
 
 
-def outage(scn: Scenario, mode: str, alice: NodePosition | None = None,
-           p_a=None, gamma_th=None, rho: float | None = None):
-    """Outage probability at the receiver in mode "om" or "dm", averaged
-    over its link states; ``gamma_th`` defaults to that of the rate r_b."""
-    states = link_states(scn, mode, alice, "bob")
-    if gamma_th is None:
-        gamma_th = snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz)
-    return outage_over_states(states, scn.p_a if p_a is None else p_a,
-                              gamma_th, scn.noise.sigma_n2,
-                              scn.noise.rho if rho is None else rho)
+def outage(scn: Scenario, mode: str) -> float:
+    """Outage probability at the receiver in mode "om" or "dm" at the rate
+    r_b, averaged over its link states."""
+    return outage_over_states(
+        link_states(scn, mode, None, "bob"), scn.p_a,
+        snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz),
+        scn.noise.sigma_n2, scn.noise.rho)
 
 
-def ecr(scn: Scenario, mode: str, alice: NodePosition | None = None,
-        p_a=None, r_b=None, rho: float | None = None):
+def ecr(scn: Scenario, mode: str) -> float:
     """Effective covert rate R_b * (1 - P_out) in bits/s."""
-    r_b = np.asarray(scn.r_b if r_b is None else r_b, dtype=float)
-    gamma_th = snr_threshold(r_b, scn.band(mode).bandwidth_hz)
-    p_out = outage(scn, mode, alice=alice, p_a=p_a, gamma_th=gamma_th, rho=rho)
-    out = r_b * (1.0 - np.asarray(p_out))
-    return float(out[()]) if out.ndim == 0 else out
+    return scn.r_b * (1.0 - outage(scn, mode))
 
 
 # largest error estimate a state's capacity average may carry, relative
@@ -200,10 +193,8 @@ def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
     return bandwidth_hz / math.log(2.0) * float(np.dot(states.probs, val))
 
 
-def csc(scn: Scenario, mode: str, alice: NodePosition | None = None,
-        p_a: float | None = None, rho: float | None = None) -> float:
+def csc(scn: Scenario, mode: str) -> float:
     """Ergodic covert Shannon capacity (bits/s) in mode "om" or "dm"."""
-    states = link_states(scn, mode, alice, "bob")
-    return csc_over_states(states, scn.p_a if p_a is None else float(p_a),
-                           scn.noise.sigma_n2, scn.noise.rho if rho is None
-                           else rho, scn.band(mode).bandwidth_hz)
+    return csc_over_states(link_states(scn, mode, None, "bob"), scn.p_a,
+                           scn.noise.sigma_n2, scn.noise.rho,
+                           scn.band(mode).bandwidth_hz)

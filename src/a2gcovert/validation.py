@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import expected_min_dep
+from .channel import link_states
+from .detection import dep_over_states
 from .oracle import mc_dep_points, mc_receiver_points
 from .scenario import NodePosition, Scenario, db_to_linear, dbm_to_mw
-from .throughput import csc, outage, snr_threshold
+from .throughput import csc_over_states, outage_over_states, snr_threshold
 
 __all__ = [
     "CellReport",
@@ -78,73 +79,62 @@ def _report(metric, mode, x_a, p_a_dbm, rho_db, r_b, analytic, est,
                       tolerance=tol, gap=gap, passed=bool(gap <= tol))
 
 
-def run_validation(scn: Scenario, n: int = 10**6, seed: int | None = None,
-                   workers: int = 1,
-                   metrics: tuple[str, ...] = ("dep", "outage", "csc"),
-                   x_a_values: tuple[float, ...] = GRID_X_A,
-                   p_a_dbm_values: tuple[float, ...] = GRID_P_A_DBM,
-                   rho_db_values: tuple[float, ...] = GRID_RHO_DB,
-                   r_b_values: tuple[float, ...] = GRID_R_B) -> list[CellReport]:
+def run_validation(scn: Scenario, n: int = 10**6,
+                   workers: int = 1) -> list[CellReport]:
     """Run the analytic-vs-oracle grid; returns one report per cell.
 
-    The cells share draws.  Each (UAV position, mode) is a group, numbered
-    in loop order.  A group draws Willie's link once and Bob's link once,
-    n draws each, from oracle seeds derived from (seed, group index, link);
-    every (p_a, rho) cell of the group, each rate threshold and the
-    capacity are evaluated on those draws.  Each cell's estimate is
-    unbiased with its own n-draw standard error, but the cells of a group
-    are correlated: e.g. the MC outage is exactly non-increasing in p_a.
-    A link that no requested metric needs is not drawn.  The report is
-    reproducible, independent of the worker count, and its rows equal the
-    same rows of a run that requests more metrics.
+    The grid is ``GRID_X_A`` x ``GRID_P_A_DBM`` x ``GRID_RHO_DB`` x both
+    modes, with each outage cell at every rate of ``GRID_R_B``.  Each (UAV
+    position, mode) is a group, numbered in loop order.  A group builds the
+    state tables of Willie's and Bob's links once and evaluates every
+    analytic cell on them with the DEP, outage and CSC kernels.  It draws
+    Willie's link once and Bob's link once, n draws each, from oracle seeds
+    derived from (``scn.seed``, group index, link); every (p_a, rho) cell of
+    the group, each rate threshold and the capacity are estimated on those
+    draws.  Each cell's estimate is unbiased with its own n-draw standard
+    error, but the cells of a group are correlated: e.g. the MC outage is
+    exactly non-increasing in p_a.  The report is reproducible and
+    independent of the worker count.
     """
-    seed = scn.seed if seed is None else int(seed)
-    cells = [(p_dbm, rho_db) for p_dbm in p_a_dbm_values
-             for rho_db in rho_db_values]
+    cells = [(p_dbm, rho_db) for p_dbm in GRID_P_A_DBM
+             for rho_db in GRID_RHO_DB]
     ops = [(dbm_to_mw(p_dbm), db_to_linear(rho_db)) for p_dbm, rho_db in cells]
     modes = ("om", "dm")
-    gammas = {mode: tuple(float(snr_threshold(r_b, scn.band(mode).bandwidth_hz))
-                          for r_b in r_b_values) for mode in modes}
-    want_dep = "dep" in metrics and bool(cells)
-    want_bob = bool(cells) and (
-        ("outage" in metrics and bool(r_b_values)) or "csc" in metrics)
+    sigma_n2 = scn.noise.sigma_n2
     reports: list[CellReport] = []
     group = 0
-    for x_a in x_a_values:
+    for x_a in GRID_X_A:
         alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
-        dep_est, bob_est = {}, {}
+        tables, dep_est, bob_est = {}, {}, {}
         for mode in modes:
-            if want_dep:
-                dep_est[mode] = mc_dep_points(
-                    scn, ops, alice=alice, mode=mode, n=n,
-                    seed=_group_seed(seed, group, _WILLIE), workers=workers)
-            if want_bob:
-                g = gammas[mode] if "outage" in metrics else ()
-                bob_est[mode] = mc_receiver_points(
-                    scn, [(p_a, rho, g) for p_a, rho in ops], alice=alice,
-                    mode=mode, n=n, seed=_group_seed(seed, group, _BOB),
-                    workers=workers, capacity="csc" in metrics)
+            w = scn.band(mode).bandwidth_hz
+            gammas = snr_threshold(np.array(GRID_R_B), w)
+            tables[mode] = (link_states(scn, mode, alice, "willie"),
+                            link_states(scn, mode, alice, "bob"), w, gammas)
+            dep_est[mode] = mc_dep_points(
+                scn, ops, alice=alice, mode=mode, n=n,
+                seed=_group_seed(scn.seed, group, _WILLIE), workers=workers)
+            bob_est[mode] = mc_receiver_points(
+                scn, [(p_a, rho, tuple(gammas)) for p_a, rho in ops],
+                alice=alice, mode=mode, n=n,
+                seed=_group_seed(scn.seed, group, _BOB), workers=workers)
             group += 1
         for c, (p_dbm, rho_db) in enumerate(cells):
             p_a, rho = ops[c]
             for mode in modes:
-                if "dep" in metrics:
-                    ana = expected_min_dep(scn, mode, alice=alice,
-                                           p_a=p_a, rho=rho).value
+                willie, bob, w, gammas = tables[mode]
+                reports.append(_report(
+                    "dep", mode, x_a, p_dbm, rho_db, None,
+                    dep_over_states(willie, p_a, sigma_n2, rho).value,
+                    dep_est[mode][c], base_abs_tol=DEP_ABS_TOL))
+                p_out = outage_over_states(bob, p_a, gammas, sigma_n2, rho)
+                for r_b, ana, est in zip(GRID_R_B, p_out,
+                                         bob_est[mode][c].outage):
                     reports.append(_report(
-                        "dep", mode, x_a, p_dbm, rho_db, None, ana,
-                        dep_est[mode][c], base_abs_tol=DEP_ABS_TOL))
-                if "outage" in metrics:
-                    for r_b, g, est in zip(r_b_values, gammas[mode],
-                                           bob_est[mode][c].outage):
-                        ana = float(outage(scn, mode, alice=alice, p_a=p_a,
-                                           gamma_th=g, rho=rho))
-                        reports.append(_report(
-                            "outage", mode, x_a, p_dbm, rho_db, r_b, ana,
-                            est, base_abs_tol=OUTAGE_ABS_TOL))
-                if "csc" in metrics:
-                    ana = csc(scn, mode, alice=alice, p_a=p_a, rho=rho)
-                    reports.append(_report(
-                        "csc", mode, x_a, p_dbm, rho_db, None, ana,
-                        bob_est[mode][c].capacity, rel_tol=CSC_REL_TOL))
+                        "outage", mode, x_a, p_dbm, rho_db, r_b, float(ana),
+                        est, base_abs_tol=OUTAGE_ABS_TOL))
+                reports.append(_report(
+                    "csc", mode, x_a, p_dbm, rho_db, None,
+                    csc_over_states(bob, p_a, sigma_n2, rho, w),
+                    bob_est[mode][c].capacity, rel_tol=CSC_REL_TOL))
     return reports

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
+from a2gcovert.channel import NoiseModel, link_states
 from a2gcovert.cli import main
 from a2gcovert.detection import (
     dep_at_threshold,
@@ -30,7 +31,6 @@ from a2gcovert.detection import (
 )
 from a2gcovert.planner import (
     CONSTRAINT_SLACK,
-    max_rate,
     maximize_csc,
     maximize_ecr,
     select_mode,
@@ -47,8 +47,15 @@ from a2gcovert.surrogate import (
     truncated_mean_nakagami,
     truncated_mean_rician,
 )
-from a2gcovert.throughput import csc, outage, snr_threshold
+from a2gcovert.throughput import (
+    csc,
+    outage,
+    outage_over_states,
+    snr_threshold,
+)
 from a2gcovert.validation import run_validation
+
+from test_planner import _los_rate
 
 WORKERS = 4
 ORACLE_N = 10**6
@@ -107,27 +114,34 @@ class TestMarcumApproximation:
             f"{np.sqrt(sq[worst_a].mean()):.4f}).")
 
 
+@pytest.fixture(scope="module")
+def grid(scn):
+    reports = run_validation(scn, n=ORACLE_N, workers=WORKERS)
+
+    def cells(metric):
+        return [r for r in reports if r.metric == metric]
+
+    return cells
+
+
 class TestDepMatchesOracle:
-    def test_grid(self, scn):
-        reports = run_validation(scn, n=ORACLE_N, seed=scn.seed,
-                                 workers=WORKERS, metrics=("dep",))
+    def test_grid(self, grid):
+        reports = grid("dep")
         bad = [r for r in reports if not r.passed]
         assert not bad, "DEP cells out of tolerance:\n" + _fail_lines(reports)
 
 
 class TestOutageMatchesOracle:
-    def test_grid(self, scn):
-        reports = run_validation(scn, n=ORACLE_N, seed=scn.seed,
-                                 workers=WORKERS, metrics=("outage",))
+    def test_grid(self, grid):
+        reports = grid("outage")
         bad = [r for r in reports if not r.passed]
         assert not bad, ("outage cells out of tolerance:\n"
                          + _fail_lines(reports))
 
 
 class TestCscMatchesOracle:
-    def test_grid(self, scn):
-        reports = run_validation(scn, n=ORACLE_N, seed=scn.seed,
-                                 workers=WORKERS, metrics=("csc",))
+    def test_grid(self, grid):
+        reports = grid("csc")
         bad = [r for r in reports if not r.passed]
         assert not bad, ("capacity cells out of tolerance:\n"
                          + _fail_lines(reports))
@@ -208,20 +222,19 @@ class TestTruncatedMeanAccuracy:
     MINIMAX_TOL = 1e-3
 
     def test_rician_surrogate_vs_exact_law(self):
+        def integrand(x, k):
+            # x times the unit-mean Rician power density
+            return x * 2.0 * (k + 1.0) * stats.ncx2.pdf(
+                2.0 * (k + 1.0) * x, 2, 2.0 * k)
+
+        # every (k, segment between grid points) is one element of a
+        # single vectorised tanh-sinh quadrature
+        starts = np.concatenate(([0.0], self.A_GRID[:-1]))
+        res = integrate.tanhsinh(integrand, starts, self.A_GRID,
+                                 args=(self.K_GRID[:, None],))
+        assert res.success.all()
         worst = None
-        for k in self.K_GRID:
-            def integrand(x, k=k):
-                # x times the unit-mean Rician power density
-                return x * 2.0 * (k + 1.0) * float(stats.ncx2.pdf(
-                    2.0 * (k + 1.0) * x, 2, 2.0 * k))
-            cum = 0.0
-            prev = 0.0
-            exact = []
-            for a in self.A_GRID:
-                seg, _ = integrate.quad(integrand, prev, a, limit=200)
-                cum += seg
-                prev = a
-                exact.append(cum)
+        for k, exact in zip(self.K_GRID, np.cumsum(res.integral, axis=1)):
             # the floor below is computed on the same exact law
             np.testing.assert_allclose(
                 _rician_truncated_mean(self.A_GRID, k), exact, atol=1e-10)
@@ -261,6 +274,10 @@ class TestTruncatedMeanAccuracy:
             "rounding.")
 
 
+def _with_rho(scn, rho):
+    return replace(scn, noise=NoiseModel(scn.noise.sigma_n2, rho))
+
+
 @pytest.fixture(scope="module")
 def wscn():
     return default_scenario(alice=NodePosition(400.0, 0.0, 500.0))
@@ -277,8 +294,10 @@ class TestMonotonicity:
 
     def _dep_curve(self, scn, mode, rhos=None, powers=None):
         if rhos is not None:
-            return [expected_min_dep(scn, mode, rho=r).value for r in rhos]
-        return [expected_min_dep(scn, mode, p_a=p).value for p in powers]
+            return [expected_min_dep(_with_rho(scn, r), mode).value
+                    for r in rhos]
+        return [expected_min_dep(replace(scn, p_a=p), mode).value
+                for p in powers]
 
     def test_dep_nondecreasing_in_noise_uncertainty(self, wscn):
         rhos = db_to_linear(np.linspace(0.5, 4.0, self.N))
@@ -295,30 +314,25 @@ class TestMonotonicity:
     def test_outage_nondecreasing_in_noise_uncertainty(self, wscn):
         rhos = db_to_linear(np.linspace(0.5, 4.0, self.N))
         for mode in ("om", "dm"):
-            g = float(snr_threshold(wscn.r_b, wscn.band(mode).bandwidth_hz))
-            v = [float(outage(wscn, mode, gamma_th=g, rho=r)) for r in rhos]
+            v = [float(outage(_with_rho(wscn, r), mode)) for r in rhos]
             assert all(b >= a - self.SLACK for a, b in zip(v, v[1:])), mode
 
     def test_outage_nondecreasing_in_rate(self, wscn):
         rates = np.linspace(0.2e6, 3.0e6, self.N)
         for mode in ("om", "dm"):
-            w = wscn.band(mode).bandwidth_hz
-            v = [float(outage(wscn, mode,
-                              gamma_th=float(snr_threshold(r, w))))
-                 for r in rates]
+            v = [float(outage(replace(wscn, r_b=r), mode)) for r in rates]
             assert all(b >= a - self.SLACK for a, b in zip(v, v[1:])), mode
 
     def test_outage_nonincreasing_in_power(self, wscn):
         powers = dbm_to_mw(np.linspace(0.0, 25.0, self.N))
         for mode in ("om", "dm"):
-            g = float(snr_threshold(wscn.r_b, wscn.band(mode).bandwidth_hz))
-            v = [float(outage(wscn, mode, p_a=p, gamma_th=g)) for p in powers]
+            v = [float(outage(replace(wscn, p_a=p), mode)) for p in powers]
             assert all(b <= a + self.SLACK for a, b in zip(v, v[1:])), mode
 
     def test_capacity_nondecreasing_in_power(self, wscn):
         powers = dbm_to_mw(np.linspace(0.0, 25.0, self.N))
         for mode in ("om", "dm"):
-            v = [csc(wscn, mode, p_a=p) for p in powers]
+            v = [csc(replace(wscn, p_a=p), mode) for p in powers]
             assert all(b >= a - self.SLACK for a, b in zip(v, v[1:])), mode
 
 
@@ -330,21 +344,29 @@ class TestOptimizerSoundness:
     def test_ecr_matches_fine_grid(self, scn):
         for mode in ("om", "dm"):
             for alice in self.POSITIONS:
-                res = maximize_ecr(scn, mode, alice=alice)
+                point = replace(scn, alice=alice)
+                res = maximize_ecr(point, mode)
                 assert res.feasible
-                # reference: same covert power, 10x finer rate grid
-                ref = maximize_ecr(scn, mode, alice=alice, n_rate=1280,
-                                   refine=False)
-                rel = abs(res.objective - ref.objective) / ref.objective
+                # reference: same covert power, 10x finer rate grid up to
+                # the LoS capacity at p_max
+                bob = link_states(point, mode, None, "bob")
+                w = scn.band(mode).bandwidth_hz
+                r_hi = _los_rate(point, mode, scn.p_max)
+                rates = np.linspace(r_hi / 1280, r_hi, 1280)
+                ref = np.max(rates * (1.0 - outage_over_states(
+                    bob, res.p_a_opt, snr_threshold(rates, w),
+                    scn.noise.sigma_n2, scn.noise.rho)))
+                rel = abs(res.objective - ref) / ref
                 assert rel <= 0.01, (mode, alice.x, rel)
 
     def test_csc_constraint_and_scan(self, scn):
         for mode in ("om", "dm"):
             for alice in self.POSITIONS:
-                res = maximize_csc(scn, mode, alice=alice)
+                point = replace(scn, alice=alice)
+                res = maximize_csc(point, mode)
                 assert res.feasible
-                dep = expected_min_dep(scn, mode, alice=alice,
-                                       p_a=res.p_a_opt).value
+                dep = expected_min_dep(replace(point, p_a=res.p_a_opt),
+                                       mode).value
                 if res.binding == "covertness":
                     assert abs(dep - (1.0 - scn.epsilon)) <= 1e-4, (
                         mode, alice.x, dep)
@@ -354,7 +376,7 @@ class TestOptimizerSoundness:
                 # more than one scan step above the reported optimum
                 powers = np.linspace(scn.p_max / 10**4, scn.p_max, 10**4)
                 deps = np.array([
-                    expected_min_dep(scn, mode, alice=alice, p_a=p).value
+                    expected_min_dep(replace(point, p_a=p), mode).value
                     for p in powers[::100]])  # coarse covertness frontier
                 ok = powers[::100][deps >= 1.0 - scn.epsilon - CONSTRAINT_SLACK]
                 if ok.size:
@@ -365,15 +387,16 @@ class TestOptimizerSoundness:
     def test_reported_optima_are_feasible(self, scn):
         for mode in ("om", "dm"):
             for alice in self.POSITIONS:
-                for res in (maximize_ecr(scn, mode, alice=alice),
-                            maximize_csc(scn, mode, alice=alice)):
-                    dep = expected_min_dep(scn, mode, alice=alice,
-                                           p_a=res.p_a_opt).value
+                point = replace(scn, alice=alice)
+                for res in (maximize_ecr(point, mode),
+                            maximize_csc(point, mode)):
+                    dep = expected_min_dep(replace(point, p_a=res.p_a_opt),
+                                           mode).value
                     assert dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
                     assert res.p_a_opt <= scn.p_max * (1 + 1e-12)
                     if res.r_b_opt is not None:
-                        assert res.r_b_opt <= max_rate(scn, mode,
-                                                       alice=alice)
+                        assert res.r_b_opt <= _los_rate(point, mode,
+                                                        scn.p_max)
 
 
 class TestModeSelection:

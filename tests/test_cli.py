@@ -1,5 +1,6 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -73,6 +74,7 @@ class TestSweep:
             assert gap < max(0.03, 5 * float(row["mc_outage_stderr"]))
 
     def test_mc_outage_and_csc_share_the_outage_seed(self, capsys):
+        from a2gcovert.channel import NoiseModel
         from a2gcovert.cli import _fmt
         from a2gcovert.oracle import mc_ergodic_capacity, mc_outage
         from a2gcovert.scenario import db_to_linear, default_scenario
@@ -86,10 +88,10 @@ class TestSweep:
         scn = default_scenario(seed=seed)
         for i, row in enumerate(rows):
             rho = db_to_linear(float(row["axis_value"]))
+            point = replace(scn, noise=NoiseModel(scn.noise.sigma_n2, rho))
             row_seed = _row_seed(seed, i, "dm", "outage")
-            est = mc_outage(scn, rho=rho, mode="dm", n=n, seed=row_seed)
-            cap = mc_ergodic_capacity(scn, rho=rho, mode="dm", n=n,
-                                      seed=row_seed)
+            est = mc_outage(point, mode="dm", n=n, seed=row_seed)
+            cap = mc_ergodic_capacity(point, mode="dm", n=n, seed=row_seed)
             assert row["mc_outage"] == _fmt(est.mean)
             assert row["mc_csc"] == _fmt(cap.mean)
             assert row["mc_csc_stderr"] == _fmt(cap.std_error)

@@ -1,15 +1,16 @@
 """The link-state table and the metrics evaluated over it."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from a2gcovert.channel import link_states, path_loss, rician_factor
+from a2gcovert.channel import NoiseModel, link_states, path_loss, rician_factor
 from a2gcovert.detection import expected_min_dep
 from a2gcovert.errors import DomainError
 from a2gcovert.geometry import alice_main_lobe_covers_willie, lobe_gains
 from a2gcovert.scenario import NodePosition, db_to_linear, dbm_to_mw
-from a2gcovert.throughput import csc, outage, snr_threshold
+from a2gcovert.throughput import csc, outage
 
 
 class TestTable:
@@ -96,12 +97,11 @@ _RECORDED = (
                          _RECORDED)
 def test_metrics_keep_their_recorded_values(scn, x_a, p_dbm, rho_db, mode,
                                             dep, p_out, cap):
-    alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
-    p_a, rho = dbm_to_mw(p_dbm), db_to_linear(rho_db)
-    g = float(snr_threshold(1e6, scn.band(mode).bandwidth_hz))
-    assert expected_min_dep(scn, mode, alice=alice, p_a=p_a,
-                            rho=rho).value == pytest.approx(dep, abs=1e-12)
-    assert outage(scn, mode, alice=alice, p_a=p_a, gamma_th=g,
-                  rho=rho) == pytest.approx(p_out, abs=1e-10)
-    assert csc(scn, mode, alice=alice, p_a=p_a, rho=rho) == pytest.approx(
-        cap, rel=1e-10)
+    point = replace(scn, alice=NodePosition(x_a, scn.alice.y, scn.alice.h),
+                    p_a=dbm_to_mw(p_dbm),
+                    noise=NoiseModel(scn.noise.sigma_n2, db_to_linear(rho_db)),
+                    r_b=1e6)
+    assert expected_min_dep(point, mode).value == pytest.approx(dep,
+                                                                abs=1e-12)
+    assert outage(point, mode) == pytest.approx(p_out, abs=1e-10)
+    assert csc(point, mode) == pytest.approx(cap, rel=1e-10)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ from test_detection import _corner_scenarios
 
 N_SMOKE = 50_000
 SEED = 123
+
+
+def _at(scn, p_a, rho):
+    """The scenario at transmit power p_a and noise uncertainty rho."""
+    return replace(scn, p_a=p_a, noise=NoiseModel(scn.noise.sigma_n2, rho))
 
 
 class TestDeterminism:
@@ -68,8 +74,8 @@ class TestEstimates:
         assert est.mean > 0.0
 
     def test_silent_transmitter_dep_is_one(self, scn):
-        est = mc_expected_min_dep(scn, mode="om", p_a=0.0, n=N_SMOKE,
-                                  seed=SEED)
+        est = mc_expected_min_dep(replace(scn, p_a=0.0), mode="om",
+                                  n=N_SMOKE, seed=SEED)
         assert est.mean == pytest.approx(1.0)
         assert est.std_error == pytest.approx(0.0)
 
@@ -79,8 +85,8 @@ class TestEstimates:
         with pytest.raises(DomainError):
             mc_outage(scn, mode="fm", n=N_SMOKE, seed=SEED)
         with pytest.raises(DomainError):
-            mc_expected_min_dep(scn, mode="om", p_a=-1.0, n=N_SMOKE,
-                                seed=SEED)
+            mc_dep_points(scn, [(-1.0, scn.noise.rho)], mode="om",
+                          n=N_SMOKE, seed=SEED)
 
 
 class TestVarianceMerge:
@@ -120,7 +126,7 @@ class TestSharedDraws:
         multi = mc_dep_points(scn, self.POINTS, mode=mode, n=N_SMOKE,
                               seed=SEED)
         for (p_a, rho), est in zip(self.POINTS, multi):
-            one = mc_expected_min_dep(scn, p_a=p_a, rho=rho, mode=mode,
+            one = mc_expected_min_dep(_at(scn, p_a, rho), mode=mode,
                                       n=N_SMOKE, seed=SEED)
             assert one == est
 
@@ -128,16 +134,18 @@ class TestSharedDraws:
     def test_receiver_calls_are_points_of_the_multi_point_call(self, scn,
                                                                mode):
         w = scn.band(mode).bandwidth_hz
-        gammas = tuple(float(snr_threshold(r, w)) for r in (0.5e6, 2e6))
+        rates = (0.5e6, 2e6)
+        gammas = tuple(float(snr_threshold(r, w)) for r in rates)
         multi = mc_receiver_points(
             scn, [(p_a, rho, gammas) for p_a, rho in self.POINTS],
             mode=mode, n=N_SMOKE, seed=SEED)
         for (p_a, rho), est in zip(self.POINTS, multi):
-            for g, out in zip(gammas, est.outage):
-                assert mc_outage(scn, p_a=p_a, rho=rho, gamma_th=g,
-                                 mode=mode, n=N_SMOKE, seed=SEED) == out
-            assert mc_ergodic_capacity(scn, p_a=p_a, rho=rho, mode=mode,
-                                       n=N_SMOKE, seed=SEED) == est.capacity
+            point = _at(scn, p_a, rho)
+            for r_b, out in zip(rates, est.outage):
+                assert mc_outage(replace(point, r_b=r_b), mode=mode,
+                                 n=N_SMOKE, seed=SEED) == out
+            assert mc_ergodic_capacity(point, mode=mode, n=N_SMOKE,
+                                       seed=SEED) == est.capacity
 
     def test_noise_power_once_per_distinct_rho(self, scn, monkeypatch):
         # rho values repeat and are not adjacent; each point's estimates
@@ -263,9 +271,8 @@ class TestAgainstAnalyticSmoke:
         assert abs(ana - est.mean) <= max(0.02, 4 * est.std_error)
 
     def test_outage_dm(self, scn):
-        from a2gcovert.throughput import outage, snr_threshold
-        g = float(snr_threshold(scn.r_b, scn.dm.bandwidth_hz))
-        ana = float(outage(scn, "dm", gamma_th=g))
+        from a2gcovert.throughput import outage
+        ana = float(outage(scn, "dm"))
         est = mc_outage(scn, mode="dm", n=200_000, seed=SEED)
         assert abs(ana - est.mean) <= max(0.02, 4 * est.std_error)
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -7,21 +10,41 @@ from a2gcovert.detection import expected_min_dep
 from a2gcovert.errors import DomainError
 from a2gcovert.planner import (
     CONSTRAINT_SLACK,
-    max_rate,
     maximize_csc,
     maximize_ecr,
     select_mode,
 )
-from a2gcovert.scenario import NodePosition, default_scenario
+from a2gcovert.scenario import NodePosition, dbm_to_mw
 from a2gcovert.throughput import csc, outage_over_states, snr_threshold
 from a2gcovert.validation import GRID_X_A
 
 
-class TestMaxRate:
-    def test_positive_and_dm_exceeds_om_gainwise(self, scn):
-        r_om = max_rate(scn, "om")
-        r_dm = max_rate(scn, "dm")
-        assert r_om > 0 and r_dm > 0
+def _los_rate(scn, mode, p_a):
+    """Capacity of the LoS (main-lobe) state at unit fading gain and p_a."""
+    bob = link_states(scn, mode, None, "bob")
+    return scn.band(mode).bandwidth_hz * math.log2(
+        1.0 + bob.received(p_a)[0] / scn.noise.sigma_n2)
+
+
+def _dep_at(scn, mode, p_a):
+    return expected_min_dep(replace(scn, p_a=p_a), mode).value
+
+
+class TestCovertPowerLimit:
+    @pytest.mark.parametrize("p_max_dbm", [150.0, 200.0])
+    def test_huge_power_cap_keeps_the_covert_limit(self, scn, p_max_dbm):
+        # p_max * 1e-12 is not covert here; the bisection then starts at a
+        # power that the first-order DEP bound shows to be covert
+        loud = replace(scn, p_max=dbm_to_mw(p_max_dbm))
+        want = maximize_csc(scn, "om").p_a_opt
+        for maximize in (maximize_ecr, maximize_csc):
+            res = maximize(loud, "om")
+            assert res.feasible and res.binding == "covertness"
+            assert res.p_a_opt == pytest.approx(want, rel=1e-6)
+            res = maximize(loud, "dm")
+            assert res.feasible and res.binding == "covertness"
+            assert _dep_at(loud, "dm", res.p_a_opt) == pytest.approx(
+                1.0 - scn.epsilon, abs=1e-4)
 
 
 class TestMaximizeEcr:
@@ -30,40 +53,41 @@ class TestMaximizeEcr:
             res = maximize_ecr(scn, mode)
             assert res.feasible
             assert 0.0 < res.p_a_opt <= scn.p_max
-            assert 0.0 < res.r_b_opt <= max_rate(scn, mode)
+            assert 0.0 < res.r_b_opt <= _los_rate(scn, mode, scn.p_max)
             assert res.objective > 0.0
 
     def test_optimum_is_covert(self, scn):
         for mode in ("om", "dm"):
             res = maximize_ecr(scn, mode)
-            dep = expected_min_dep(scn, mode, p_a=res.p_a_opt).value
+            dep = _dep_at(scn, mode, res.p_a_opt)
             assert dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
 
     def test_binding_labels(self, scn):
         # near the warden the covertness constraint caps power below p_max
         near = NodePosition(1000.0, 0.0, 500.0)
-        res = maximize_ecr(scn, "om", alice=near)
+        res = maximize_ecr(replace(scn, alice=near), "om")
         assert res.binding == "covertness"
         assert res.p_a_opt < scn.p_max
         # far away the power budget binds first
         far = NodePosition(2000.0, 0.0, 500.0)
-        res = maximize_ecr(scn, "om", alice=far)
+        res = maximize_ecr(replace(scn, alice=far), "om")
         assert res.binding == "power"
         assert res.p_a_opt == pytest.approx(scn.p_max)
 
-    def test_infeasible_when_power_floor_is_not_covert(self):
-        # with a huge budget the smallest searched power (p_max * 1e-12) is
-        # still loud enough to be detected, so the problem reports infeasible
-        strict = default_scenario(p_max=1e15, epsilon=0.01)
-        res = maximize_ecr(strict, "om")
-        assert not res.feasible
-        assert res.objective == 0.0
-        assert res.binding == "covertness"
-
-    def test_refinement_never_worse_than_grid(self, scn):
-        coarse = maximize_ecr(scn, "om", n_rate=16, refine=False)
-        refined = maximize_ecr(scn, "om", n_rate=16, refine=True)
-        assert refined.objective >= coarse.objective
+    def test_optimum_does_not_depend_on_a_slack_power_cap(self, scn):
+        # once the cap lies above the covert limit the optimum stays put:
+        # the rate grid tops out at the covert power, not at the cap; the
+        # powers agree to the bisection's 1e-6, the objectives to 1e-5
+        for mode in ("om", "dm"):
+            covert = [res for res in (
+                maximize_ecr(replace(scn, p_max=dbm_to_mw(p)), mode)
+                for p in (20.0, 60.0, 100.0)) if res.binding == "covertness"]
+            assert len(covert) >= 2
+            for res in covert[1:]:
+                assert res.p_a_opt == pytest.approx(covert[0].p_a_opt,
+                                                    rel=1e-6)
+                assert res.objective == pytest.approx(covert[0].objective,
+                                                      rel=1e-5)
 
     @pytest.mark.parametrize("mode", ["om", "dm"])
     @pytest.mark.parametrize("x_a", GRID_X_A)
@@ -71,9 +95,10 @@ class TestMaximizeEcr:
                                                       mode):
         # reference: the 128-point grid polished by bounded Brent between
         # the best point's neighbours, to xatol = r_hi * 1e-9
-        alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
-        res = maximize_ecr(scn, mode, alice=alice)
-        bob = link_states(scn, mode, alice, "bob")
+        point = replace(scn, alice=NodePosition(x_a, scn.alice.y,
+                                                scn.alice.h))
+        res = maximize_ecr(point, mode)
+        bob = link_states(point, mode, None, "bob")
         w = scn.band(mode).bandwidth_hz
         sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
 
@@ -81,7 +106,7 @@ class TestMaximizeEcr:
             return r * (1.0 - outage_over_states(
                 bob, res.p_a_opt, snr_threshold(r, w), sigma_n2, rho))
 
-        r_hi = max_rate(scn, mode, alice)
+        r_hi = _los_rate(point, mode, res.p_a_opt)
         rates = np.linspace(r_hi / 128, r_hi, 128)
         obj = ecr(rates)
         j = int(np.argmax(obj))
@@ -95,8 +120,6 @@ class TestMaximizeEcr:
     def test_validation(self, scn):
         with pytest.raises(DomainError):
             maximize_ecr(scn, "fm")
-        with pytest.raises(DomainError):
-            maximize_ecr(scn, "om", n_rate=1)
 
 
 class TestMaximizeCsc:
@@ -106,25 +129,19 @@ class TestMaximizeCsc:
             assert res.feasible
             assert res.r_b_opt is None
             assert res.objective == pytest.approx(
-                csc(scn, mode, p_a=res.p_a_opt))
+                csc(replace(scn, p_a=res.p_a_opt), mode))
 
     def test_constraint_tight_when_covertness_binds(self, scn):
         res = maximize_csc(scn, "om")
         assert res.binding == "covertness"
-        dep = expected_min_dep(scn, "om", p_a=res.p_a_opt).value
+        dep = _dep_at(scn, "om", res.p_a_opt)
         assert dep == pytest.approx(1.0 - scn.epsilon, abs=1e-4)
 
     def test_power_binding_far_from_warden(self, scn):
         far = NodePosition(2000.0, 0.0, 500.0)
-        res = maximize_csc(scn, "om", alice=far)
+        res = maximize_csc(replace(scn, alice=far), "om")
         assert res.binding == "power"
         assert res.p_a_opt == pytest.approx(scn.p_max)
-
-    def test_infeasible_when_power_floor_is_not_covert(self):
-        strict = default_scenario(p_max=1e15, epsilon=0.01)
-        res = maximize_csc(strict, "om")
-        assert not res.feasible
-        assert res.p_a_opt == 0.0
 
     def test_unknown_mode(self, scn):
         with pytest.raises(DomainError):

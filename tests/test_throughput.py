@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from a2gcovert.throughput import (
     csc_over_states,
     ecr,
     outage,
+    outage_over_states,
     snr_threshold,
 )
 
 from test_detection import _corner_scenarios
+
+
+def _outage_at(scn, mode, p_a, gamma_th):
+    """The outage kernel on the scenario's link to Bob at (p_a, gamma_th)."""
+    return outage_over_states(link_states(scn, mode, None, "bob"), p_a,
+                              gamma_th, scn.noise.sigma_n2, scn.noise.rho)
 
 
 class TestSnrThreshold:
@@ -45,46 +53,44 @@ class TestSnrThreshold:
 class TestOutage:
     def test_probability_range(self, scn):
         for mode in ("om", "dm"):
-            g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-            p = float(outage(scn, mode, gamma_th=g))
+            p = float(outage(scn, mode))
             assert 0.0 <= p <= 1.0
 
     def test_zero_rate_never_outages(self, scn):
-        assert float(outage(scn, "om", gamma_th=0.0)) == 0.0
-        assert float(outage(scn, "dm", gamma_th=0.0)) == 0.0
+        silent = replace(scn, r_b=0.0)
+        assert float(outage(silent, "om")) == 0.0
+        assert float(outage(silent, "dm")) == 0.0
 
     def test_zero_power_always_outages(self, scn):
-        assert float(outage(scn, "om", p_a=0.0, gamma_th=1.0)) == 1.0
-        assert float(outage(scn, "dm", p_a=0.0, gamma_th=1.0)) == 1.0
+        assert float(_outage_at(scn, "om", 0.0, 1.0)) == 1.0
+        assert float(_outage_at(scn, "dm", 0.0, 1.0)) == 1.0
 
     def test_broadcasting_grid(self, scn):
         p = np.array([1.0, 10.0, 100.0])[:, None]
         g = np.array([0.5, 1.0, 2.0, 4.0])[None, :]
         for mode in ("om", "dm"):
-            grid = outage(scn, mode, p_a=p, gamma_th=g)
+            grid = _outage_at(scn, mode, p, g)
             assert grid.shape == (3, 4)
             # worse in rate along axis 1, better in power along axis 0
             assert np.all(np.diff(grid, axis=1) >= -1e-12)
             assert np.all(np.diff(grid, axis=0) <= 1e-12)
 
     def test_monotone_in_distance(self, scn):
-        g = float(snr_threshold(scn.r_b, scn.om.bandwidth_hz))
         near = NodePosition(0.0, 0.0, 500.0)
         far = NodePosition(1500.0, 0.0, 500.0)
-        assert float(outage(scn, "om", alice=near, gamma_th=g)) < (
-            float(outage(scn, "om", alice=far, gamma_th=g)))
+        assert float(outage(replace(scn, alice=near), "om")) < (
+            float(outage(replace(scn, alice=far), "om")))
 
     def test_dm_closed_form_tracks_exact(self, scn):
-        g = float(snr_threshold(scn.r_b, scn.dm.bandwidth_hz))
-        exact = float(outage(scn, "dm", gamma_th=g))
-        approx = float(outage_dm_closed_form(scn, gamma_th=g))
+        exact = float(outage(scn, "dm"))
+        approx = float(outage_dm_closed_form(scn))
         assert abs(exact - approx) < 0.06
 
     def test_negative_inputs_rejected(self, scn):
         with pytest.raises(DomainError):
-            outage(scn, "om", p_a=-1.0)
+            _outage_at(scn, "om", -1.0, 1.0)
         with pytest.raises(DomainError):
-            outage(scn, "dm", gamma_th=-0.5)
+            _outage_at(scn, "dm", scn.p_a, -0.5)
         with pytest.raises(DomainError):
             outage(scn, "fm")
 
@@ -92,20 +98,18 @@ class TestOutage:
     @settings(max_examples=20, deadline=None)
     def test_outage_is_probability(self, scn, gamma):
         for mode in ("om", "dm"):
-            v = float(outage(scn, mode, gamma_th=gamma))
+            v = float(_outage_at(scn, mode, scn.p_a, gamma))
             assert 0.0 <= v <= 1.0
 
 
 class TestEcr:
     def test_definition(self, scn):
         for mode in ("om", "dm"):
-            g = snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz)
-            expected = scn.r_b * (1.0 - float(outage(scn, mode,
-                                                     gamma_th=float(g))))
+            expected = scn.r_b * (1.0 - float(outage(scn, mode)))
             assert float(ecr(scn, mode)) == pytest.approx(expected)
 
     def test_zero_rate_is_zero(self, scn):
-        assert float(ecr(scn, "om", r_b=0.0)) == 0.0
+        assert float(ecr(replace(scn, r_b=0.0), "om")) == 0.0
 
     def test_bounded_by_target_rate(self, scn):
         for mode in ("om", "dm"):
@@ -118,12 +122,14 @@ class TestCsc:
         assert csc(scn, "dm") > 0.0
 
     def test_zero_power_is_zero(self, scn):
-        assert csc(scn, "om", p_a=0.0) == 0.0
-        assert csc(scn, "dm", p_a=0.0) == 0.0
+        silent = replace(scn, p_a=0.0)
+        assert csc(silent, "om") == 0.0
+        assert csc(silent, "dm") == 0.0
 
     def test_nondecreasing_in_power(self, scn):
         for mode in ("om", "dm"):
-            vals = [csc(scn, mode, p_a=p) for p in np.logspace(-1, 2, 8)]
+            vals = [csc(replace(scn, p_a=p), mode)
+                    for p in np.logspace(-1, 2, 8)]
             assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:]))
 
     def test_below_nominal_capacity_upper_bound(self, scn):
@@ -137,7 +143,9 @@ class TestCsc:
 
     def test_negative_power_rejected(self, scn):
         with pytest.raises(DomainError):
-            csc(scn, "om", p_a=-0.1)
+            csc_over_states(link_states(scn, "om", None, "bob"), -0.1,
+                            scn.noise.sigma_n2, scn.noise.rho,
+                            scn.om.bandwidth_hz)
         with pytest.raises(DomainError):
             csc(scn, "fm")
 
@@ -192,8 +200,8 @@ class TestCscKernel:
         mean_snr = sum(p * u for p, u in zip(table.probs, table.received(1e-9))
                        ) / scn.noise.sigma_n2 * mean_noise_gain
         want = scn.band(mode).bandwidth_hz / math.log(2.0) * mean_snr
-        assert csc(scn, mode, p_a=1e-9) == pytest.approx(want, rel=1e-9,
-                                                          abs=0.0)
+        assert csc(replace(scn, p_a=1e-9), mode) == pytest.approx(
+            want, rel=1e-9, abs=0.0)
 
     def test_matches_tight_quadrature_on_random_states(self):
         # Rice factors up to the parser's ceiling, gamma shapes up to 300
@@ -250,7 +258,7 @@ class TestRicianOutage:
                 c = marcum_mu_nu(math.sqrt(2.0 * k))
                 b = math.sqrt(2.0 * (k + 1.0) * g * scn.noise.sigma_n2 / unit)
                 want += prob * -math.expm1(-math.exp(c.mu + c.nu * math.log(b)))
-            assert outage(scn, "om", p_a=p_a, gamma_th=g) == pytest.approx(
+            assert outage(replace(scn, p_a=p_a), "om") == pytest.approx(
                 want, rel=1e-6)
 
     def test_no_overflow_at_large_rice_factors(self):
@@ -258,10 +266,9 @@ class TestRicianOutage:
         # exponent was formed in log space; the outage was 1 and stays 1
         scn = scenario_from_flat({"om.k_half_pi_db": 37.88, "om.k0_db": 6.98,
                                   "alice.h": 1445.5, "alice.x": -316.2})
-        g = float(snr_threshold(scn.r_b, scn.om.bandwidth_hz))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert [outage(scn, "om", p_a=p, gamma_th=g)
+            assert [outage(replace(scn, p_a=p), "om")
                     for p in (1e-12, 1e-3)] == [1.0, 1.0]
 
 
@@ -279,9 +286,9 @@ class TestReceiverProperties:
             warnings.simplefilter("error")
             try:
                 scn = scenario_from_flat(flat)
-                g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-                p_out = [outage(scn, mode, p_a=p, gamma_th=g) for p in powers]
-                cap = [csc(scn, mode, p_a=p) for p in powers]
+                points = [replace(scn, p_a=p) for p in powers]
+                p_out = [outage(point, mode) for point in points]
+                cap = [csc(point, mode) for point in points]
             except A2GError:
                 return
         assert all(0.0 <= v <= 1.0 for v in p_out)

@@ -1,26 +1,33 @@
 import itertools
+from dataclasses import replace
+
+import pytest
 
 from a2gcovert import validation
+from a2gcovert.channel import NoiseModel
+from a2gcovert.detection import expected_min_dep
 from a2gcovert.oracle import BATCH_SIZE
+from a2gcovert.scenario import NodePosition, db_to_linear, dbm_to_mw
+from a2gcovert.throughput import csc, outage
 from a2gcovert.validation import run_validation
 
 N = 20_000
-X_A = (400.0, 1360.0)
 
 
-def _grid(scn, metrics, **kwargs):
-    kwargs = {"n": N, "x_a_values": X_A, **kwargs}
-    return run_validation(scn, seed=5, metrics=metrics, **kwargs)
+@pytest.fixture(scope="module")
+def grid(scn):
+    return run_validation(replace(scn, seed=5), n=N)
 
 
 class TestSharedDraws:
-    def test_mc_outage_and_csc_are_monotone_in_power(self, scn):
-        reports = _grid(scn, ("outage", "csc"))
+    def test_mc_outage_and_csc_are_monotone_in_power(self, grid):
         series = {}
-        for r in reports:
+        for r in grid:
+            if r.metric == "dep":
+                continue
             key = (r.metric, r.mode, r.x_a, r.rho_db, r.r_b)
             series.setdefault(key, []).append((r.p_a_dbm, r.mc_mean))
-        assert len(series) == 2 * 2 * 2 * (3 + 1)
+        assert len(series) == len(validation.GRID_X_A) * 2 * 2 * (3 + 1)
         for (metric, *_), points in series.items():
             means = [m for _, m in sorted(points)]
             assert len(means) == len(validation.GRID_P_A_DBM)
@@ -30,39 +37,33 @@ class TestSharedDraws:
                 else:
                     assert hi >= lo
 
-    def test_dep_only_run_draws_no_receiver_samples(self, scn, monkeypatch):
-        def no_receiver(*args, **kwargs):
-            raise AssertionError("drew receiver samples for a DEP-only grid")
-
-        monkeypatch.setattr(validation, "mc_receiver_points", no_receiver)
-        reports = _grid(scn, ("dep",))
-        assert len(reports) == len(X_A) * 3 * 2 * 2
-        assert {r.metric for r in reports} == {"dep"}
-
-    def test_metric_subsets_reproduce_the_full_run(self, scn):
-        full = _grid(scn, ("dep", "outage", "csc"), p_a_dbm_values=(15.0,))
-        for metric in ("dep", "outage", "csc"):
-            part = _grid(scn, (metric,), p_a_dbm_values=(15.0,))
-            assert part == [r for r in full if r.metric == metric]
-
-    def test_report_order(self, scn):
-        reports = _grid(scn, ("dep", "outage", "csc"),
-                        p_a_dbm_values=(5.0, 25.0))
+    def test_report_order(self, scn, grid):
         keys = [(r.x_a, r.p_a_dbm, r.rho_db, r.mode, r.metric, r.r_b)
-                for r in reports]
+                for r in grid]
         want = []
         for x_a, p, rho, mode in itertools.product(
-                X_A, (5.0, 25.0), validation.GRID_RHO_DB, ("om", "dm")):
+                validation.GRID_X_A, validation.GRID_P_A_DBM,
+                validation.GRID_RHO_DB, ("om", "dm")):
             want.append((x_a, p, rho, mode, "dep", None))
             want += [(x_a, p, rho, mode, "outage", r_b)
                      for r_b in validation.GRID_R_B]
             want.append((x_a, p, rho, mode, "csc", None))
         assert keys == want
+        # each cell's analytic value, taken from the state-table kernels,
+        # is the scenario-level metric at the cell's operating point
+        metrics = {"dep": lambda s, m: expected_min_dep(s, m).value,
+                   "outage": outage, "csc": csc}
+        for r in grid:
+            point = replace(
+                scn, alice=NodePosition(r.x_a, scn.alice.y, scn.alice.h),
+                p_a=dbm_to_mw(r.p_a_dbm),
+                noise=NoiseModel(scn.noise.sigma_n2, db_to_linear(r.rho_db)),
+                r_b=scn.r_b if r.r_b is None else r.r_b)
+            assert r.analytic == pytest.approx(
+                metrics[r.metric](point, r.mode), rel=1e-12, abs=0.0), r
 
     def test_worker_count_does_not_change_reports(self, scn):
         # more batches than workers, so the pool splits every draw set
-        kwargs = {"n": 2 * BATCH_SIZE + 5, "x_a_values": (400.0,),
-                  "p_a_dbm_values": (15.0,)}
-        one = _grid(scn, ("dep", "outage", "csc"), workers=1, **kwargs)
-        eight = _grid(scn, ("dep", "outage", "csc"), workers=8, **kwargs)
-        assert one == eight
+        n = 2 * BATCH_SIZE + 5
+        assert (run_validation(scn, n=n, workers=1)
+                == run_validation(scn, n=n, workers=8))
