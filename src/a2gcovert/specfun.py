@@ -21,8 +21,12 @@ truncated-mean objective.  The objective is a maximum over a grid, so it
 is not smooth, and a simplex on such a function can stall short of the
 minimiser (McKinnon 1998); the stopping rule is therefore tight (xatol
 1e-10, fatol 1e-13), which makes the result the minimiser itself rather
-than wherever a looser simplex stopped, whatever the start.  The module
-uses numpy and ``scipy.special`` only.
+than wherever a looser simplex stopped, whatever the start.  The simplex
+keeps its three vertices as Python floats, not numpy arrays, with scipy's
+coefficients and order of operations, so every vertex is the IEEE value
+scipy's ``minimize(method="Nelder-Mead")`` computes; vertices are ordered
+by value with NaN last, as ``np.argsort`` orders them.  The module uses
+numpy and ``scipy.special`` only.
 
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
@@ -137,80 +141,123 @@ def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
     truncated mean with upper limit x is x d(x) - integral_0^x d, by
     integration by parts (trapezoid rule here); the objective is its
     maximum over the grid.  ln b is taken once, and every evaluation works
-    in two buffers of its own.
+    in two buffers of its own, through ufuncs and slices bound once: the
+    fit calls it about 200 times.
     """
     log_b = np.log(np.maximum(bs_x, 1e-300))
     half_dx = 0.5 * (xs[1] - xs[0])
     d = np.empty_like(xs)
+    d_hi, d_lo = d[1:], d[:-1]
     run = np.zeros_like(xs)
     tail = run[1:]
+    add, subtract, multiply, exp, negative, absolute = (
+        np.add, np.subtract, np.multiply, np.exp, np.negative, np.absolute)
+    accumulate, max_of = np.add.accumulate, np.maximum.reduce
 
     def trunc_mean_err(p):
         mu, nu = p
-        np.multiply(nu, log_b, out=d)
-        np.add(mu, d, out=d)
-        np.exp(d, out=d)
-        np.negative(d, out=d)
-        np.exp(d, out=d)
-        np.subtract(qs_x, d, out=d)  # = F_exact - F_fit
-        np.add(d[1:], d[:-1], out=tail)
-        np.multiply(tail, half_dx, out=tail)
-        np.cumsum(tail, out=tail)
-        np.multiply(xs, d, out=d)
-        np.subtract(d, run, out=d)
-        return float(np.max(np.abs(d, out=d)))
+        multiply(nu, log_b, out=d)
+        add(mu, d, out=d)
+        exp(d, out=d)
+        negative(d, out=d)
+        exp(d, out=d)
+        subtract(qs_x, d, out=d)  # = F_exact - F_fit
+        add(d_hi, d_lo, out=tail)
+        multiply(tail, half_dx, out=tail)
+        accumulate(tail, out=tail)
+        multiply(xs, d, out=d)
+        subtract(d, run, out=d)
+        return float(max_of(absolute(d, out=d)))
 
     return trunc_mean_err
 
 
-def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
+def _nan_last(vertex):
+    """Sort key of a (value, point) vertex: ``np.argsort``'s order.
+
+    NaN goes after every number; Python's own ordering leaves it wherever
+    the comparisons happen to put it.
+    """
+    fv = vertex[0]
+    return fv != fv, fv
+
+
+def _nelder_mead(f, start, xatol: float, fatol: float, maxiter: int):
     """Minimise f over the plane by Nelder-Mead; returns (x, f(x)).
 
     The coefficients (reflection 1, expansion 2, contraction 1/2, shrink
-    1/2), the start simplex (each nonzero coordinate of x0 scaled by 1.05,
+    1/2), the start simplex (each nonzero coordinate of start scaled by 1.05,
     a zero one set to 0.00025) and the stopping test (every vertex within
     xatol of the best and every value within fatol of its value) are those
     of scipy's ``minimize(method="Nelder-Mead")``, and so is the
-    arithmetic: from the same start the two return the same point.
+    arithmetic: from the same start the two return the same point.  The
+    three vertices are (value, (x, y)) tuples of Python floats, which
+    round every operation as scipy's float64 arrays do.  After each step
+    they are sorted stably by value with NaN last, the order
+    ``np.argsort`` gives three values, so f may return NaN where it is
+    undefined; the value returned is NaN if any vertex's is, as
+    ``np.min`` gives.
     """
-    x0 = np.asarray(x0, dtype=float)
-    sim = np.array([x0, x0, x0])
-    for k in range(2):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+    x, y = float(start[0]), float(start[1])
+    first = ((x, y), (1.05 * x if x != 0 else 0.00025, y),
+             (x, 1.05 * y if y != 0 else 0.00025))
+    sim = sorted(((f(v), v) for v in first), key=_nan_last)
     for _ in range(1, maxiter):  # scipy counts the start as iteration 1
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        (f0, (x0, y0)), (f1, (x1, y1)), (f2, (x2, y2)) = sim
+        if (abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol
+                and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol
+                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
             break
-        xbar = (sim[0] + sim[1]) / 2
-        xr = 2 * xbar - sim[2]
+        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+        xr = (2 * xb - x2, 2 * yb - y2)
         fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[2]
+        if fxr < f0:
+            xe = (3 * xb - 2 * x2, 3 * yb - 2 * y2)
             fxe = f(xe)
-            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[1]:
-            sim[2], fsim[2] = xr, fxr
+            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < f1:
+            sim[2] = (fxr, xr)
         else:
-            if fxr < fsim[2]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[2]
+            if fxr < f2:  # outside contraction
+                xc = (1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2)
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[2]
+                xc = (0.5 * xb + 0.5 * x2, 0.5 * yb + 0.5 * y2)
                 fxc = f(xc)
-                accept = fxc < fsim[2]
+                accept = fxc < f2
             if accept:
-                sim[2], fsim[2] = xc, fxc
+                sim[2] = (fxc, xc)
             else:  # shrink toward the best vertex
-                for j in (1, 2):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(np.min(fsim))
+                for j, (xj, yj) in ((1, (x1, y1)), (2, (x2, y2))):
+                    v = (x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
+                    sim[j] = (f(v), v)
+        sim.sort(key=_nan_last)
+    f_best, x_best = sim[0]
+    return x_best, f_best if sim[2][0] == sim[2][0] else math.nan
+
+
+def _fit_problem(a: float):
+    """The objective of the Marcum fit at a and its start point (mu, nu).
+
+    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4, whose b are the
+    noncentral chi-square quantiles sqrt(chndtrix(1 - level, 2, a^2)).
+    The start is the linearisation ln(-ln Q1) = mu + nu ln b over that
+    window; the objective is the worst running CDF-area mismatch in the
+    power variable x = b^2 / (2(k+1)), k = a^2/2 (``_trunc_mean_objective``).
+    """
+    b_lo, b_hi = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
+                                          a * a))
+    bs = np.linspace(b_lo, b_hi, 48)
+    qs = marcum_q1_exact(a, bs)
+    mask = (qs > 1e-4) & (qs < 0.9999)
+    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
+
+    k1 = a * a / 2.0 + 1.0  # k + 1
+    xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
+    bs_x = np.sqrt(2.0 * k1 * xs)
+    objective = _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
+    return objective, (float(mu0), float(nu0))
 
 
 @lru_cache(maxsize=4096)
@@ -223,32 +270,18 @@ def _fitted_mu_nu(a: float) -> tuple[float, float]:
     endpoints is far too crude (it misplaces the CDF transition by whole
     units of b), so we refit the same two-parameter form per argument.
 
-    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4, whose b are the
-    noncentral chi-square quantiles sqrt(chndtrix(1 - level, 2, a^2)).
     Nelder-Mead starts from the linearisation ln(-ln Q1) = mu + nu ln b and
     minimises the worst running CDF-area mismatch in the power variable
-    x = b^2 / (2(k+1)), k = a^2/2.  That running area is exactly the error
-    the coefficients induce in truncated fading-power means, the only
-    quantity this regime of the approximation feeds downstream.  The
-    tolerances (xatol 1e-10, fatol 1e-13) put the result at the minimiser,
+    (``_fit_problem``).  That running area is exactly the error the
+    coefficients induce in truncated fading-power means, the only quantity
+    this regime of the approximation feeds downstream.  The tolerances
+    (xatol 1e-10, fatol 1e-13) put the result at the minimiser,
     independent of the start (see the module docstring).
     """
-    b_lo, b_hi = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
-                                          a * a))
-    bs = np.linspace(b_lo, b_hi, 48)
-    qs = marcum_q1_exact(a, bs)
-
-    # start from the linearisation ln(-ln Q) = mu + nu ln b
-    mask = (qs > 1e-4) & (qs < 0.9999)
-    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
-
-    k1 = a * a / 2.0 + 1.0  # k + 1
-    xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
-    bs_x = np.sqrt(2.0 * k1 * xs)
-    objective = _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
-    (mu, nu), _ = _nelder_mead(objective, [mu0, nu0], xatol=1e-10,
-                               fatol=1e-13, maxiter=2000)
-    return float(mu), float(nu)
+    objective, start = _fit_problem(a)
+    (mu, nu), _ = _nelder_mead(objective, start, xatol=1e-10, fatol=1e-13,
+                               maxiter=2000)
+    return mu, nu
 
 
 def marcum_mu_nu(x: float) -> MarcumApproxCoeffs:

@@ -240,6 +240,16 @@ class TestValidate:
         n_fail = sum(1 for row in rows if row["passed"] != "true")
         assert code == (0 if n_fail == 0 else 1)
 
+    def test_gap_has_four_significant_digits(self, capsys):
+        code, out, _ = run_cli(["validate", "--samples", "10000"], capsys)
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 240
+        for row in rows:
+            gap = float(row["gap"])
+            assert gap == float(f"{gap:.4g}")
+            diff = abs(float(row["analytic"]) - float(row["mc_mean"]))
+            assert gap == pytest.approx(diff, rel=1e-3, abs=1e-9)
+
     def test_sample_floor(self, capsys):
         code, _, err = run_cli(["validate", "--samples", "100"], capsys)
         assert code == 2

@@ -13,6 +13,7 @@ from a2gcovert.specfun import (
     marcum_q1_exact,
 )
 from a2gcovert.specfun import (
+    _fit_problem,
     _fitted_mu_nu,
     _nelder_mead,
     _trunc_mean_objective,
@@ -151,6 +152,35 @@ class TestNelderMead:
                                 options={"xatol": 1e-10, "fatol": 1e-13,
                                          "maxiter": 2000})
         assert np.array_equal(x, ref.x)
+
+    @pytest.mark.parametrize("x0", [[1.0, 1.0], [0.9, -1.5], [3.0, 0.5]])
+    def test_nan_region_matches_scipy_bit_for_bit(self, x0):
+        # NaN right of p0 = 1.02: the start simplex and early reflections
+        # land there, and scipy's np.argsort sorts those vertices last;
+        # from [3, 0.5] every vertex stays NaN until maxiter
+        def bowl(p):
+            if p[0] > 1.02:
+                return math.nan
+            return float((p[0] - 0.3) ** 2 + 2.0 * (p[1] + 0.2) ** 2)
+
+        opts = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 300}
+        x, fx = _nelder_mead(bowl, x0, **opts)
+        ref = optimize.minimize(bowl, x0=x0, method="Nelder-Mead",
+                                options=opts)
+        assert np.array_equal(x, ref.x)
+        assert np.array_equal(fx, ref.fun, equal_nan=True)
+
+    # across (0, 10), densest on 2.88-5.35, the arguments of the 20-point
+    # mode-map track of the benchmark
+    @pytest.mark.parametrize("a", [
+        0.05, 0.4, 0.9, 1.3, 1.75, 2.2, 2.6, 2.88, 3.1, 3.35, 3.6, 3.85,
+        4.1, 4.35, 4.6, 4.85, 5.1, 5.35, 5.9, 6.5, 7.2, 7.9, 8.6, 9.3, 9.95])
+    def test_production_fit_matches_scipy_bit_for_bit(self, a):
+        objective, start = _fit_problem(a)
+        ref = optimize.minimize(objective, x0=start, method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-13,
+                                         "maxiter": 2000})
+        assert _fitted_mu_nu(a) == tuple(ref.x)
 
     @pytest.mark.parametrize("a", [0.3, 2.027, 3.05, 7.5])
     def test_fit_is_the_minimiser_whatever_the_start(self, a):
