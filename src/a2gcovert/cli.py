@@ -4,7 +4,8 @@ Output is CSV with ``#``-prefixed metadata lines (scenario hash, seed, unit
 interpretations) followed by one header row; ``--json`` emits the same rows
 as a JSON document.  All numbers are serialized with 10 significant digits,
 and outputs are byte-stable for fixed (scenario, seed) regardless of the
-worker count.
+worker count.  ``sweep --mc`` draws each link once per group of points
+with equal state tables (``_mc_cells``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import NoiseModel
+from .channel import NoiseModel, link_states
 from .detection import expected_min_dep
 from .errors import A2GError
-from .oracle import McEstimate, mc_expected_min_dep, mc_receiver_points
+from .oracle import mc_dep_points, mc_receiver_points
 from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
     NodePosition,
@@ -82,8 +83,9 @@ def _apply_axis(scn: Scenario, axis: str, value: float) -> Scenario:
     raise A2GError(f"unknown sweep axis {axis!r}")
 
 
-# Stable ids that place each (mode, metric) column of a sweep row in the
-# seed entropy; never renumber them, or MC outputs change.
+# Stable ids that place each (mode, metric) column of a group of sweep
+# points in the seed entropy, keyed by the group's first row; never
+# renumber them, or MC outputs change.
 _MODE_IDS = {"om": 0, "dm": 1}
 _MC_METRIC_IDS = {"dep": 0, "outage": 1, "csc": 2}
 
@@ -110,32 +112,51 @@ def _analytic_metric(scn: Scenario, mode: str, metric: str) -> float:
     raise A2GError(f"unknown metric {metric!r}")
 
 
-def _mc_metrics(scn: Scenario, mode: str, metrics: list[str], n: int,
-                seed: int, axis_index: int,
-                workers: int) -> dict[str, McEstimate]:
-    """Monte Carlo estimates of a sweep row's dep, outage and csc columns.
+def _mc_cells(points: list[Scenario], modes: list[str], metrics: list[str],
+              n: int, seed: int, workers: int) -> dict[tuple[int, str], dict]:
+    """Monte Carlo estimates of the sweep's dep, outage and csc columns,
+    keyed by (row index, mode) and then by metric.
 
-    Outage and csc come from one draw set of the receiver link, seeded as
-    the outage column when both are asked for.
+    The points of a mode whose Willie and Bob state tables are equal form
+    a group, and each link is drawn once per group: one ``mc_dep_points``
+    call and one ``mc_receiver_points`` call, seeded as the group's first
+    row.  Outage and csc come from one draw set of the receiver link,
+    seeded as the outage column when both are asked for.
     """
-    out = {}
-    if "dep" in metrics:
-        out["dep"] = mc_expected_min_dep(
-            scn, mode, n=n, seed=_row_seed(seed, axis_index, mode, "dep"),
-            workers=workers)
     bob = [m for m in ("outage", "csc") if m in metrics]
-    if bob:
-        gammas = ((float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz)),)
-                  if "outage" in bob else ())
-        (est,) = mc_receiver_points(
-            scn, [(scn.p_a, scn.noise.rho, gammas)], mode=mode, n=n,
-            seed=_row_seed(seed, axis_index, mode, bob[0]), workers=workers,
-            capacity="csc" in bob)
-        if gammas:
-            out["outage"] = est.outage[0]
-        if est.capacity is not None:
-            out["csc"] = est.capacity
-    return out
+    cells: dict[tuple[int, str], dict] = {}
+    for mode in modes:
+        groups: dict[tuple, list[int]] = {}
+        for i, point in enumerate(points):
+            key = (link_states(point, mode, None, "willie"),
+                   link_states(point, mode, None, "bob"))
+            groups.setdefault(key, []).append(i)
+        for group in groups.values():
+            members = [points[i] for i in group]
+            if "dep" in metrics:
+                ests = mc_dep_points(
+                    members[0], [(pt.p_a, pt.noise.rho) for pt in members],
+                    mode=mode, n=n,
+                    seed=_row_seed(seed, group[0], mode, "dep"),
+                    workers=workers)
+                for i, est in zip(group, ests):
+                    cells.setdefault((i, mode), {})["dep"] = est
+            if bob:
+                ops = [(pt.p_a, pt.noise.rho,
+                        (float(snr_threshold(pt.r_b,
+                                             pt.band(mode).bandwidth_hz)),)
+                        if "outage" in bob else ()) for pt in members]
+                ests = mc_receiver_points(
+                    members[0], ops, mode=mode, n=n,
+                    seed=_row_seed(seed, group[0], mode, bob[0]),
+                    workers=workers, capacity="csc" in bob)
+                for i, est in zip(group, ests):
+                    cell = cells.setdefault((i, mode), {})
+                    if est.outage:
+                        cell["outage"] = est.outage[0]
+                    if est.capacity is not None:
+                        cell["csc"] = est.capacity
+    return cells
 
 
 def _emit(rows: list[dict], header: list[str], meta: list[str], args) -> None:
@@ -202,24 +223,28 @@ def _cmd_sweep(args) -> int:
         for m in metrics:
             if m in ("dep", "outage", "csc"):
                 header += [f"mc_{m}", f"mc_{m}_stderr"]
-    rows: list[dict] = []
-    for i, v in enumerate(values):
+    points = []
+    for v in values:
         point = _apply_axis(scn, args.axis, float(v))
         if args.axis == "x_a":
             point.check_safe_distance(point.alice,
                                       allow_unsafe=args.allow_unsafe)
+        points.append(point)
+    mc = (_mc_cells(points, [m for m in ("om", "dm") if m in modes], metrics,
+                    args.samples, scn.seed, args.workers) if args.mc else {})
+    rows: list[dict] = []
+    for i, (v, point) in enumerate(zip(values, points)):
         per_mode: dict[str, dict] = {}
         for mode in ("om", "dm"):
             if mode not in modes and "hybrid" not in modes:
                 continue
             row = {"axis_value": float(v), "mode": mode}
-            mc = (_mc_metrics(point, mode, metrics, args.samples, scn.seed, i,
-                              args.workers) if args.mc else {})
+            cells = mc.get((i, mode), {})
             for metric in metrics:
                 row[metric] = _analytic_metric(point, mode, metric)
-                if metric in mc:
-                    row[f"mc_{metric}"] = mc[metric].mean
-                    row[f"mc_{metric}_stderr"] = mc[metric].std_error
+                if metric in cells:
+                    row[f"mc_{metric}"] = cells[metric].mean
+                    row[f"mc_{metric}_stderr"] = cells[metric].std_error
             per_mode[mode] = row
         for mode in modes:
             if mode == "hybrid":

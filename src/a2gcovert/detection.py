@@ -89,14 +89,27 @@ def _check_noise(sigma_n2: float, rho: float):
         raise DomainError("noise uncertainty factor rho must exceed 1")
 
 
+def _noise_cdf(x, sigma_n2: float, rho: float, out) -> np.ndarray:
+    """P(sigma_n2 rho^U <= x) for U uniform on [-1, 1], written to ``out``
+    (x itself allowed): 0 below sigma_n2 / rho, 1 above rho sigma_n2,
+    logarithmic between."""
+    below, above = x < sigma_n2 / rho, x > rho * sigma_n2
+    np.maximum(x, sigma_n2 / (2 * rho), out=out)
+    out *= rho
+    np.log(out, out=out)
+    out -= math.log(sigma_n2)
+    out /= 2.0 * math.log(rho)
+    np.copyto(out, 0.0, where=below)
+    np.copyto(out, 1.0, where=above)
+    return out
+
+
 def false_alarm_probability(tau, sigma_n2: float, rho: float):
     """P(radiometer trips with no transmission), piecewise in tau."""
     _check_noise(sigma_n2, rho)
     tau = np.asarray(tau, dtype=float)
-    mid = 1.0 - (np.log(rho * np.maximum(tau, sigma_n2 / (2 * rho)))
-                 - math.log(sigma_n2)) / (2.0 * math.log(rho))
-    out = np.where(tau < sigma_n2 / rho, 1.0,
-                   np.where(tau > rho * sigma_n2, 0.0, mid))
+    out = _noise_cdf(tau, sigma_n2, rho, np.empty_like(tau))
+    np.subtract(1.0, out, out=out)
     return out[()] if tau.ndim == 0 else out
 
 
@@ -107,19 +120,16 @@ def missed_detection_probability(tau, k_a, sigma_n2: float, rho: float):
     k_a = np.asarray(k_a, dtype=float)
     if np.any(k_a < 0):
         raise DomainError("received signal power k_a must be nonnegative")
-    excess = tau - k_a
-    mid = (np.log(rho * np.maximum(excess, sigma_n2 / (2 * rho)))
-           - math.log(sigma_n2)) / (2.0 * math.log(rho))
-    out = np.where(excess < sigma_n2 / rho, 0.0,
-                   np.where(excess > rho * sigma_n2, 1.0, mid))
-    shape0 = tau.ndim == 0 and k_a.ndim == 0
-    return out[()] if shape0 else out
+    excess = np.asarray(tau - k_a)
+    out = _noise_cdf(excess, sigma_n2, rho, excess)
+    return out[()] if out.ndim == 0 else out
 
 
 def dep_at_threshold(tau, k_a, sigma_n2: float, rho: float):
     """Total detection error P_FA(tau) + P_MD(tau)."""
-    return (false_alarm_probability(tau, sigma_n2, rho)
-            + missed_detection_probability(tau, k_a, sigma_n2, rho))
+    out = missed_detection_probability(tau, k_a, sigma_n2, rho)
+    out += false_alarm_probability(tau, sigma_n2, rho)
+    return out
 
 
 def threshold_breakpoints(k_a: float, sigma_n2: float, rho: float) -> np.ndarray:

@@ -23,6 +23,8 @@ error, but the estimates of one call are correlated: an outage estimate
 never rises with p_a, and a capacity estimate never falls.  A batch
 overwrites a few arrays of its own point by point; nothing is shared
 between batches, which may run in different threads.
+``validation.run_validation`` calls them once per (position, mode) and
+``sweep --mc`` once per group of sweep points with equal state tables.
 ``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
 one-point calls of these two, at the scenario as configured.
 

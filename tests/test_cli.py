@@ -74,6 +74,8 @@ class TestSweep:
             assert gap < max(0.03, 5 * float(row["mc_outage_stderr"]))
 
     def test_mc_outage_and_csc_share_the_outage_seed(self, capsys):
+        # a rho sweep is one group of equal state tables: every row is
+        # evaluated on the draws of row 0's outage seed
         from a2gcovert.channel import NoiseModel
         from a2gcovert.cli import _fmt
         from a2gcovert.oracle import mc_ergodic_capacity, mc_outage
@@ -86,15 +88,86 @@ class TestSweep:
         assert code == 0
         _, _, rows = parse_csv(out)
         scn = default_scenario(seed=seed)
-        for i, row in enumerate(rows):
+        group_seed = _row_seed(seed, 0, "dm", "outage")
+        for row in rows:
             rho = db_to_linear(float(row["axis_value"]))
             point = replace(scn, noise=NoiseModel(scn.noise.sigma_n2, rho))
-            row_seed = _row_seed(seed, i, "dm", "outage")
-            est = mc_outage(point, mode="dm", n=n, seed=row_seed)
-            cap = mc_ergodic_capacity(point, mode="dm", n=n, seed=row_seed)
+            est = mc_outage(point, mode="dm", n=n, seed=group_seed)
+            cap = mc_ergodic_capacity(point, mode="dm", n=n, seed=group_seed)
             assert row["mc_outage"] == _fmt(est.mean)
             assert row["mc_csc"] == _fmt(cap.mean)
             assert row["mc_csc_stderr"] == _fmt(cap.std_error)
+
+    def test_x_a_rows_keep_their_own_seeds(self, capsys):
+        # every x_a point has its own state tables, so each row is a group
+        # of one, drawn from its own row's seeds
+        from a2gcovert.cli import _fmt
+        from a2gcovert.oracle import (mc_ergodic_capacity,
+                                      mc_expected_min_dep, mc_outage)
+        from a2gcovert.scenario import NodePosition, default_scenario
+        n, seed = 20000, 9
+        code, out, _ = run_cli(
+            ["sweep", "--axis", "x_a", "--start", "400", "--stop", "1600",
+             "--points", "3", "--metrics", "dep,outage,csc", "--mc",
+             "--samples", str(n), "--seed", str(seed)], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        scn = default_scenario(seed=seed)
+        for j, row in enumerate(rows):
+            i, mode = j // 2, row["mode"]
+            point = replace(scn, alice=NodePosition(
+                float(row["axis_value"]), scn.alice.y, scn.alice.h))
+            dep = mc_expected_min_dep(point, mode, n=n,
+                                      seed=_row_seed(seed, i, mode, "dep"))
+            bob_seed = _row_seed(seed, i, mode, "outage")
+            est = mc_outage(point, mode, n=n, seed=bob_seed)
+            cap = mc_ergodic_capacity(point, mode, n=n, seed=bob_seed)
+            assert row["mc_dep"] == _fmt(dep.mean)
+            assert row["mc_dep_stderr"] == _fmt(dep.std_error)
+            assert row["mc_outage"] == _fmt(est.mean)
+            assert row["mc_outage_stderr"] == _fmt(est.std_error)
+            assert row["mc_csc"] == _fmt(cap.mean)
+            assert row["mc_csc_stderr"] == _fmt(cap.std_error)
+
+    def test_p_a_rows_share_draws(self, capsys):
+        # common draws: the MC outage cannot rise with p_a, nor the CSC
+        # fall, even where a step moves them by about one standard error
+        code, out, _ = run_cli(
+            ["sweep", "--axis", "p_a", "--start", "14.9", "--stop", "15.1",
+             "--points", "6", "--metrics", "outage,csc", "--mc",
+             "--samples", "20000", "--seed", "3"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        for mode in ("om", "dm"):
+            cells = [r for r in rows if r["mode"] == mode]
+            outages = [float(r["mc_outage"]) for r in cells]
+            capacities = [float(r["mc_csc"]) for r in cells]
+            assert outages == sorted(outages, reverse=True)
+            assert capacities == sorted(capacities)
+            assert outages[0] > outages[-1]
+
+    def test_hybrid_only_draws_nothing(self, capsys, monkeypatch):
+        from a2gcovert import cli
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(cli, "mc_dep_points", counting)
+        monkeypatch.setattr(cli, "mc_receiver_points", counting)
+        base = ["sweep", "--axis", "p_a", "--start", "5", "--stop", "20",
+                "--points", "3", "--metrics", "dep,outage,ecr,csc",
+                "--modes", "hybrid", "--seed", "11"]
+        code, out, _ = run_cli(base + ["--mc", "--samples", "20000"], capsys)
+        assert code == 0 and calls == []
+        _, header, rows = parse_csv(out)
+        assert header[-2:] == ["mc_csc", "mc_csc_stderr"]
+        _, _, plain = parse_csv(run_cli(base, capsys)[1])
+        assert [{k: v for k, v in r.items() if not k.startswith("mc_")}
+                for r in rows] == plain
+        assert all(v == "" for r in rows
+                   for k, v in r.items() if k.startswith("mc_"))
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -273,6 +346,17 @@ class TestDeterminism:
                 "--mc", "--samples", "30000", "--seed", "11"]
         assert main(base + ["--workers", "1", "--out", str(a)]) == 0
         assert main(base + ["--workers", "8", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_mc_sweep_bytes_stable_across_workers(self, tmp_path, capsys):
+        # three batches per oracle call, so the workers really split them
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["sweep", "--axis", "rho", "--start", "1", "--stop", "3",
+                "--points", "3", "--metrics", "dep,outage,csc", "--mc",
+                "--samples", "140000", "--seed", "5"]
+        assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+        assert main(base + ["--workers", "4", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 

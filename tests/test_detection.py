@@ -56,6 +56,39 @@ class TestErrorPieces:
             false_alarm_probability(tau, SIGMA, RHO)
             + missed_detection_probability(tau, k_a, SIGMA, RHO))
 
+    def test_pieces_are_the_written_out_form_bit_for_bit(self):
+        def ramp(x, s, rho):  # log-ramp of the noise cdf, as printed
+            return (np.log(rho * np.maximum(x, s / (2 * rho))) - math.log(s)
+                    ) / (2.0 * math.log(rho))
+
+        def fa(tau, s, rho):
+            return np.where(tau < s / rho, 1.0, np.where(
+                tau > rho * s, 0.0, 1.0 - ramp(tau, s, rho)))
+
+        def md(tau, k_a, s, rho):
+            x = tau - k_a
+            return np.where(x < s / rho, 0.0,
+                            np.where(x > rho * s, 1.0, ramp(x, s, rho)))
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            s, rho = 10.0 ** rng.uniform(-10, -6), 10.0 ** rng.uniform(0.02, 1)
+            k_a = s * 10.0 ** rng.uniform(-2, 2)
+            top = threshold_breakpoints(k_a, s, rho)[-1]
+            tau = np.append(np.linspace(-top, 2 * top, 301), np.nan)
+            kept = tau.copy()
+            got = dep_at_threshold(tau, k_a, s, rho)
+            assert np.array_equal(got, fa(tau, s, rho) + md(tau, k_a, s, rho),
+                                  equal_nan=True)
+            assert np.array_equal(tau, kept, equal_nan=True)
+            ks = k_a * rng.uniform(0.0, 3.0, 20)
+            assert np.array_equal(missed_detection_probability(top, ks, s, rho),
+                                  md(top, ks, s, rho))
+            for t in tau[::30]:
+                one = dep_at_threshold(float(t), k_a, s, rho)
+                assert isinstance(one, np.float64)
+                assert one == fa(t, s, rho) + md(t, k_a, s, rho)
+
     def test_noise_validation(self):
         with pytest.raises(DomainError):
             false_alarm_probability(1e-8, 0.0, RHO)

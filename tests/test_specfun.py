@@ -118,12 +118,8 @@ class TestFittedMuNu:
 
 
 def _fit_objective(a):
-    """The truncated-mean objective of the fit at a, on its window."""
-    k1 = a * a / 2.0 + 1.0
-    b_hi = math.sqrt(special.chndtrix(1.0 - 1e-4, 2.0, a * a))
-    xs = np.linspace(0.0, max(6.0, b_hi * b_hi / (2.0 * k1)), 801)
-    bs_x = np.sqrt(2.0 * k1 * xs)
-    return _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
+    """The truncated-mean objective that the fit at a minimises."""
+    return _fit_problem(a)[0]
 
 
 class TestNelderMead:
