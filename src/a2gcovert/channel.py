@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, QuadratureError
-from .geometry import NodePosition, alice_main_lobe_covers_willie, lobe_gains
+from .geometry import alice_main_lobe_covers_willie, lobe_gains
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -94,10 +94,6 @@ class NoiseModel:
         if self.rho < 1:
             raise DomainError("noise uncertainty factor rho must be >= 1")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.sigma_n2 / self.rho, self.sigma_n2 * self.rho)
-
     def power(self, u):
         """Noise power sigma_n2 * rho^u at exponent(s) u in [-1, 1].
 
@@ -154,10 +150,8 @@ class LinkStates:
                 for g, loss in zip(self.rx_gains, self.losses)]
 
 
-def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
-                receiver: str) -> LinkStates:
-    """State table of the link from ``alice`` (None: ``scn.alice``) to
-    "bob" or "willie".
+def link_states(scn: Scenario, mode: str, receiver: str) -> LinkStates:
+    """State table of the link from ``scn.alice`` to "bob" or "willie".
 
     In mode "dm" Alice's beam is steered at Bob: Bob sees her main lobe,
     Willie her main lobe only inside it (``alice_main_lobe_covers_willie``)
@@ -168,9 +162,8 @@ def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
         raise DomainError(f"unknown mode {mode!r}")
     if receiver not in ("bob", "willie"):
         raise DomainError(f"unknown receiver {receiver!r}")
-    alice = scn.alice if alice is None else alice
     band = scn.band(mode)
-    link = scn.link(alice, getattr(scn, receiver))
+    link = scn.link(scn.alice, getattr(scn, receiver))
     probs = (link.p_los, 1.0 - link.p_los)
     losses = (path_loss(link.d, band.pl_los), path_loss(link.d, band.pl_nlos))
     if mode == "om":
@@ -179,7 +172,7 @@ def link_states(scn: Scenario, mode: str, alice: NodePosition | None,
             for los in (True, False)), 1.0, (1.0, 1.0), losses)
     a_tab = lobe_gains(scn.ant_alice)
     covered = receiver == "bob" or alice_main_lobe_covers_willie(
-        alice, scn.bob, scn.willie, scn.ant_alice)
+        scn.alice, scn.bob, scn.willie, scn.ant_alice)
     rx = lobe_gains(getattr(scn, f"ant_{receiver}"))
     return LinkStates(
         "gamma", ("main/los", "main/nlos", "side/los", "side/nlos"),

@@ -21,7 +21,7 @@ from . import __version__
 from .channel import NoiseModel, link_states
 from .detection import expected_min_dep
 from .errors import A2GError
-from .oracle import mc_dep_points, mc_receiver_points
+from .oracle import derived_seed, mc_dep_points, mc_receiver_points
 from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
     NodePosition,
@@ -90,12 +90,6 @@ _MODE_IDS = {"om": 0, "dm": 1}
 _MC_METRIC_IDS = {"dep": 0, "outage": 1, "csc": 2}
 
 
-def _row_seed(seed: int, axis_index: int, mode: str, metric: str) -> int:
-    entropy = (int(seed), int(axis_index), _MODE_IDS[mode],
-               _MC_METRIC_IDS[metric])
-    return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
-
-
 def _analytic_metric(scn: Scenario, mode: str, metric: str) -> float:
     if metric == "dep":
         return expected_min_dep(scn, mode).value
@@ -123,33 +117,33 @@ def _mc_cells(points: list[Scenario], modes: list[str], metrics: list[str],
     row.  Outage and csc come from one draw set of the receiver link,
     seeded as the outage column when both are asked for.
     """
-    bob = [m for m in ("outage", "csc") if m in metrics]
+    rx = [m for m in ("outage", "csc") if m in metrics]
     cells: dict[tuple[int, str], dict] = {}
     for mode in modes:
         groups: dict[tuple, list[int]] = {}
         for i, point in enumerate(points):
-            key = (link_states(point, mode, None, "willie"),
-                   link_states(point, mode, None, "bob"))
+            key = (link_states(point, mode, "willie"),
+                   link_states(point, mode, "bob"))
             groups.setdefault(key, []).append(i)
-        for group in groups.values():
+        for (willie, bob), group in groups.items():
             members = [points[i] for i in group]
+            sigma_n2 = members[0].noise.sigma_n2
+            seeds = {m: derived_seed(seed, group[0], _MODE_IDS[mode], k)
+                     for m, k in _MC_METRIC_IDS.items()}
             if "dep" in metrics:
                 ests = mc_dep_points(
-                    members[0], [(pt.p_a, pt.noise.rho) for pt in members],
-                    mode=mode, n=n,
-                    seed=_row_seed(seed, group[0], mode, "dep"),
-                    workers=workers)
+                    willie, [(pt.p_a, pt.noise.rho) for pt in members],
+                    sigma_n2, n, seeds["dep"], workers)
                 for i, est in zip(group, ests):
                     cells.setdefault((i, mode), {})["dep"] = est
-            if bob:
+            if rx:
+                w = members[0].band(mode).bandwidth_hz
                 ops = [(pt.p_a, pt.noise.rho,
-                        (float(snr_threshold(pt.r_b,
-                                             pt.band(mode).bandwidth_hz)),)
-                        if "outage" in bob else ()) for pt in members]
+                        (float(snr_threshold(pt.r_b, w)),)
+                        if "outage" in rx else ()) for pt in members]
                 ests = mc_receiver_points(
-                    members[0], ops, mode=mode, n=n,
-                    seed=_row_seed(seed, group[0], mode, bob[0]),
-                    workers=workers, capacity="csc" in bob)
+                    bob, ops, sigma_n2, n, seeds[rx[0]], workers,
+                    bandwidth_hz=w if "csc" in rx else None)
                 for i, est in zip(group, ests):
                     cell = cells.setdefault((i, mode), {})
                     if est.outage:

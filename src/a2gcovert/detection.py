@@ -239,5 +239,5 @@ def expected_min_dep(scn: Scenario, mode: str) -> ExpectedDep:
     transmitter's lobe toward the warden is deterministic given the beam
     steered at the intended receiver.
     """
-    return dep_over_states(link_states(scn, mode, None, "willie"), scn.p_a,
+    return dep_over_states(link_states(scn, mode, "willie"), scn.p_a,
                            scn.noise.sigma_n2, scn.noise.rho)

@@ -9,24 +9,27 @@ so results are bit-identical for any worker count, including 1, and the
 standard error does not cancel for samples far from zero (capacities of
 10^6-10^8 b/s).
 
-Draws are shared between operating points.  A call samples one link once
-per batch: Alice to Willie (``mc_dep_points``) or Alice to Bob
-(``mc_receiver_points``), over its state table from ``channel.link_states``.
-A batch draws the states' counts, multinomial, then each state's fading
-from its own law (never from a quadrature), scaled by its mean received
-power; on Bob's link, then the noise exponent u of the noise power
-sigma_n2 * rho^u.  Every point of the call is evaluated on the same draws:
-each (p_a, rho) for the warden's DEP; each (p_a, rho), its SNR thresholds
-and the ergodic capacity for the receiver.  This is the method of common
-random numbers: each estimate is unbiased with its own n-draw standard
-error, but the estimates of one call are correlated: an outage estimate
-never rises with p_a, and a capacity estimate never falls.  A batch
-overwrites a few arrays of its own point by point; nothing is shared
-between batches, which may run in different threads.
-``validation.run_validation`` calls them once per (position, mode) and
-``sweep --mc`` once per group of sweep points with equal state tables.
+The two estimators are kernels over one link's state table
+(``channel.LinkStates``), as the analytic ``dep_over_states``,
+``outage_over_states`` and ``csc_over_states`` are: ``mc_dep_points``
+samples Willie's link and ``mc_receiver_points`` Bob's, and a caller that
+evaluates both sides passes them the same table objects.  Draws are shared
+between operating points.  A batch draws the states' counts, multinomial,
+then each state's fading from its own law (never from a quadrature),
+scaled by its mean received power; on Bob's link, then the noise exponent
+u of the noise power sigma_n2 * rho^u.  Every point of the call is
+evaluated on the same draws: each (p_a, rho) for the warden's DEP; each
+(p_a, rho), its SNR thresholds and, given a bandwidth, the ergodic
+capacity for the receiver.  This is the method of common random numbers:
+each estimate is unbiased with its own n-draw standard error, but the
+estimates of one call are correlated: an outage estimate never rises with
+p_a, and a capacity estimate never falls.  A batch overwrites a few arrays
+of its own point by point; nothing is shared between batches, which may
+run in different threads.  ``validation.run_validation`` calls them once
+per (position, mode) and ``sweep --mc`` once per group of sweep points
+with equal state tables, each call seeded by ``derived_seed``.
 ``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
-one-point calls of these two, at the scenario as configured.
+one-point calls of these two, on the tables of the scenario as configured.
 
 The DEP estimator evaluates the exact conditional minimum-DEP kernel per
 draw: given the received power and the noise-uncertainty bounds, the
@@ -53,13 +56,14 @@ from .channel import (
 )
 from .detection import min_dep_values, threshold_breakpoints
 from .errors import DomainError
-from .scenario import NodePosition, Scenario
+from .scenario import Scenario
 from .throughput import snr_threshold
 
 __all__ = [
     "McEstimate",
     "ReceiverEstimates",
     "BATCH_SIZE",
+    "derived_seed",
     "mc_dep_points",
     "mc_receiver_points",
     "mc_expected_min_dep",
@@ -91,6 +95,11 @@ class ReceiverEstimates:
 
     outage: tuple[McEstimate, ...]
     capacity: McEstimate | None
+
+
+def derived_seed(*entropy: int) -> int:
+    """An oracle seed derived from integers, e.g. (seed, group, link)."""
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
@@ -137,8 +146,8 @@ def _run_batches(sample_batch, n: int, seed: int,
     (count, mean, M2) triple per statistic; the result holds one estimate
     per statistic, in the same order.
     """
-    if n < 1:
-        raise DomainError("need at least one sample")
+    if n < 1000:
+        raise DomainError("oracle estimates need n >= 1000")
     sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
     if n % BATCH_SIZE:
         sizes.append(n % BATCH_SIZE)
@@ -160,15 +169,6 @@ def _run_batches(sample_batch, n: int, seed: int,
         out.append(McEstimate(mean=mean, std_error=se, n_samples=n,
                               seed=seed))
     return out
-
-
-def _check_common(scn: Scenario, mode: str, p_a: float, n: int):
-    if mode not in ("om", "dm"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
-    if n < 1000:
-        raise DomainError("oracle estimates need n >= 1000")
 
 
 def _unit_power_sampler(states: LinkStates):
@@ -193,25 +193,23 @@ def _unit_power_sampler(states: LinkStates):
     return draw
 
 
-def mc_dep_points(scn: Scenario, points, alice: NodePosition | None = None,
-                  mode: str = "om", n: int = 10**6, seed: int | None = None,
-                  workers: int = 1) -> list[McEstimate]:
-    """Estimate the fading-averaged minimum DEP at each (p_a, rho) point.
+def mc_dep_points(states: LinkStates, points, sigma_n2: float, n: int,
+                  seed: int, workers: int = 1) -> list[McEstimate]:
+    """Estimate the fading-averaged minimum DEP at each (p_a, rho) point of
+    Willie's link ``states``, at nominal noise power sigma_n2.
 
-    Every point is evaluated on one shared set of n draws of Willie's link;
-    the result holds one estimate per point, in order.
+    Every point is evaluated on one shared set of n draws of the link; the
+    result holds one estimate per point, in order.
     """
-    alice = alice if alice is not None else scn.alice
-    seed = scn.seed if seed is None else int(seed)
     points = [(float(p_a), float(rho)) for p_a, rho in points]
     if not points:
         raise DomainError("need at least one operating point")
     for p_a, rho in points:
-        _check_common(scn, mode, p_a, n)
+        if p_a < 0:
+            raise DomainError("transmit power must be nonnegative")
         if rho <= 1:
             raise DomainError("noise uncertainty factor rho must exceed 1")
-    draw = _unit_power_sampler(link_states(scn, mode, alice, "willie"))
-    sigma_n2 = scn.noise.sigma_n2
+    draw = _unit_power_sampler(states)
 
     def batch(rng, m):
         unit = draw(rng, m)
@@ -223,31 +221,31 @@ def mc_dep_points(scn: Scenario, points, alice: NodePosition | None = None,
     return _run_batches(batch, n, seed, workers)
 
 
-def mc_receiver_points(scn: Scenario, points,
-                       alice: NodePosition | None = None, mode: str = "om",
-                       n: int = 10**6, seed: int | None = None,
-                       workers: int = 1,
-                       capacity: bool = True) -> list[ReceiverEstimates]:
-    """Estimate outages and ergodic capacity at each (p_a, rho, gamma_ths).
+def mc_receiver_points(states: LinkStates, points, sigma_n2: float, n: int,
+                       seed: int, workers: int = 1,
+                       bandwidth_hz: float | None = None
+                       ) -> list[ReceiverEstimates]:
+    """Estimate outages, and the ergodic capacity in a band of width
+    ``bandwidth_hz`` when it is given, at each (p_a, rho, gamma_ths) point
+    of Bob's link ``states``, at nominal noise power sigma_n2.
 
     Every point, threshold and capacity is evaluated on one shared set of n
-    draws of Bob's link (fading, lobe state, noise exponent); the result
+    draws of the link (fading, lobe state, noise exponent); the result
     holds one ``ReceiverEstimates`` per point, in order.
     """
-    alice = alice if alice is not None else scn.alice
-    seed = scn.seed if seed is None else int(seed)
+    capacity = bandwidth_hz is not None
     checked = []
     for p_a, rho, gammas in points:
         p_a, gammas = float(p_a), tuple(float(g) for g in gammas)
-        _check_common(scn, mode, p_a, n)
+        if p_a < 0:
+            raise DomainError("transmit power must be nonnegative")
         if any(g < 0 for g in gammas):
             raise DomainError("gamma_th must be nonnegative")
-        checked.append((p_a, NoiseModel(scn.noise.sigma_n2, float(rho)),
-                        gammas))
+        checked.append((p_a, NoiseModel(sigma_n2, float(rho)), gammas))
     if not any(gammas or capacity for _, _, gammas in checked):
         raise DomainError("need at least one statistic to estimate")
-    draw = _unit_power_sampler(link_states(scn, mode, alice, "bob"))
-    w_ln2 = scn.band(mode).bandwidth_hz / math.log(2.0)
+    draw = _unit_power_sampler(states)
+    w_ln2 = bandwidth_hz / math.log(2.0) if capacity else None
     by_rho: dict[float, list[int]] = {}
     for i, (_, noise, _) in enumerate(checked):
         by_rho.setdefault(noise.rho, []).append(i)
@@ -278,32 +276,33 @@ def mc_receiver_points(scn: Scenario, points,
             for _, _, gammas in checked]
 
 
-def mc_expected_min_dep(scn: Scenario, mode: str, n: int = 10**6,
-                        seed: int | None = None,
+def mc_expected_min_dep(scn: Scenario, mode: str, n: int, seed: int,
                         workers: int = 1) -> McEstimate:
     """Estimate the fading-averaged minimum DEP by direct sampling."""
-    return mc_dep_points(scn, [(scn.p_a, scn.noise.rho)], mode=mode, n=n,
-                         seed=seed, workers=workers)[0]
+    return mc_dep_points(link_states(scn, mode, "willie"),
+                         [(scn.p_a, scn.noise.rho)], scn.noise.sigma_n2, n,
+                         seed, workers)[0]
 
 
-def mc_outage(scn: Scenario, mode: str, n: int = 10**6,
-              seed: int | None = None, workers: int = 1) -> McEstimate:
+def mc_outage(scn: Scenario, mode: str, n: int, seed: int,
+              workers: int = 1) -> McEstimate:
     """Estimate P(SNR < gamma_th) at the receiver, at the threshold of the
     rate r_b, by direct sampling."""
-    _check_common(scn, mode, scn.p_a, n)  # before scn.band(mode)
+    states = link_states(scn, mode, "bob")
     gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-    (est,) = mc_receiver_points(scn, [(scn.p_a, scn.noise.rho, (gamma_th,))],
-                                mode=mode, n=n, seed=seed, workers=workers,
-                                capacity=False)
+    (est,) = mc_receiver_points(
+        states, [(scn.p_a, scn.noise.rho, (gamma_th,))], scn.noise.sigma_n2,
+        n, seed, workers)
     return est.outage[0]
 
 
-def mc_ergodic_capacity(scn: Scenario, mode: str, n: int = 10**6,
-                        seed: int | None = None,
+def mc_ergodic_capacity(scn: Scenario, mode: str, n: int, seed: int,
                         workers: int = 1) -> McEstimate:
     """Estimate E[W log2(1 + SNR)] at the receiver by direct sampling."""
-    (est,) = mc_receiver_points(scn, [(scn.p_a, scn.noise.rho, ())],
-                                mode=mode, n=n, seed=seed, workers=workers)
+    (est,) = mc_receiver_points(
+        link_states(scn, mode, "bob"), [(scn.p_a, scn.noise.rho, ())],
+        scn.noise.sigma_n2, n, seed, workers,
+        bandwidth_hz=scn.band(mode).bandwidth_hz)
     return est.capacity
 
 

@@ -90,7 +90,7 @@ def _covert_power_limit(scn: Scenario, mode: str) -> tuple[float, str]:
     power at which that bound reaches 1 - epsilon is covert.  An unknown
     mode raises ``DomainError`` (from ``link_states``).
     """
-    willie = link_states(scn, mode, None, "willie")
+    willie = link_states(scn, mode, "willie")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
 
     def is_covert(p_a: float) -> bool:
@@ -126,7 +126,7 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
     """
     p_opt, binding = _covert_power_limit(scn, mode)
     w = scn.band(mode).bandwidth_hz
-    bob = link_states(scn, mode, None, "bob")
+    bob = link_states(scn, mode, "bob")
     sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
     # state 0 is the LoS state (in the main lobe in mode "dm")
     r_hi = w * math.log2(1.0 + bob.received(p_opt)[0] / sigma_n2)
@@ -155,7 +155,7 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
 def maximize_csc(scn: Scenario, mode: str) -> OptimizationResult:
     """Largest covert power (capacity is monotone in power), by bisection."""
     p_opt, binding = _covert_power_limit(scn, mode)
-    objective = csc_over_states(link_states(scn, mode, None, "bob"), p_opt,
+    objective = csc_over_states(link_states(scn, mode, "bob"), p_opt,
                                 scn.noise.sigma_n2, scn.noise.rho,
                                 scn.band(mode).bandwidth_hz)
     return OptimizationResult(p_a_opt=p_opt, r_b_opt=None,

@@ -83,7 +83,6 @@ class LinkGeometry:
     """Derived spatial quantities of one UAV-to-ground link."""
 
     d: float
-    theta_deg: float
     theta_rad: float
     p_los: float
 
@@ -138,7 +137,6 @@ class Scenario:
         theta = elevation_angle_deg(uav, node)
         return LinkGeometry(
             d=d,
-            theta_deg=theta,
             theta_rad=math.radians(theta),
             p_los=los_probability(theta, self.scurve),
         )

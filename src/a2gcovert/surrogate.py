@@ -147,7 +147,7 @@ def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
     """DEP state mixture under a surrogate law: ``surrogate(param, cutoff)``
     gives its CDF at the cutoff and its truncated mean below it."""
     p_a, sigma_n2, rho = scn.p_a, scn.noise.sigma_n2, scn.noise.rho
-    states = link_states(scn, mode, None, "willie")
+    states = link_states(scn, mode, "willie")
     terms: dict[str, float] = {}
     for label, p_state, param, unit in zip(states.labels, states.probs,
                                            states.params,
@@ -213,6 +213,6 @@ def outage_dm_closed_form(scn: Scenario) -> float:
     percentage points at mid-range outage levels, so use
     ``outage(scn, "dm")`` for accuracy-sensitive work.
     """
-    return _mixture(link_states(scn, "dm", None, "bob"), scn.p_a,
+    return _mixture(link_states(scn, "dm", "bob"), scn.p_a,
                     snr_threshold(scn.r_b, scn.dm.bandwidth_hz),
                     scn.noise.sigma_n2, scn.noise.rho, _alzer_outage)

@@ -146,7 +146,7 @@ def outage(scn: Scenario, mode: str) -> float:
     """Outage probability at the receiver in mode "om" or "dm" at the rate
     r_b, averaged over its link states."""
     return outage_over_states(
-        link_states(scn, mode, None, "bob"), scn.p_a,
+        link_states(scn, mode, "bob"), scn.p_a,
         snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz),
         scn.noise.sigma_n2, scn.noise.rho)
 
@@ -195,6 +195,6 @@ def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
 
 def csc(scn: Scenario, mode: str) -> float:
     """Ergodic covert Shannon capacity (bits/s) in mode "om" or "dm"."""
-    return csc_over_states(link_states(scn, mode, None, "bob"), scn.p_a,
+    return csc_over_states(link_states(scn, mode, "bob"), scn.p_a,
                            scn.noise.sigma_n2, scn.noise.rho,
                            scn.band(mode).bandwidth_hz)

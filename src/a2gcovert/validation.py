@@ -4,18 +4,20 @@ Each cell places the UAV on the sweep line, fixes a transmit power and a
 noise-uncertainty factor, and compares one closed-form metric against the
 sampling oracle.  Tolerances widen to three standard errors when the
 statistical noise exceeds the base tolerance.  The cells at one UAV
-position and mode share the oracle's draws (see ``run_validation``).
+position and mode share one state table per link, which the analytic
+kernels and the oracle both read, and the oracle's draws (see
+``run_validation``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import link_states
 from .detection import dep_over_states
-from .oracle import mc_dep_points, mc_receiver_points
+from .oracle import derived_seed, mc_dep_points, mc_receiver_points
 from .scenario import NodePosition, Scenario, db_to_linear, dbm_to_mw
 from .throughput import csc_over_states, outage_over_states, snr_threshold
 
@@ -60,11 +62,6 @@ class CellReport:
 _WILLIE, _BOB = 0, 1
 
 
-def _group_seed(seed: int, group: int, link: int) -> int:
-    return int(np.random.SeedSequence(
-        entropy=(int(seed), int(group), int(link))).generate_state(1)[0])
-
-
 def _report(metric, mode, x_a, p_a_dbm, rho_db, r_b, analytic, est,
             base_abs_tol=None, rel_tol=None) -> CellReport:
     if rel_tol is not None:
@@ -86,12 +83,13 @@ def run_validation(scn: Scenario, n: int = 10**6,
     The grid is ``GRID_X_A`` x ``GRID_P_A_DBM`` x ``GRID_RHO_DB`` x both
     modes, with each outage cell at every rate of ``GRID_R_B``.  Each (UAV
     position, mode) is a group, numbered in loop order.  A group builds the
-    state tables of Willie's and Bob's links once and evaluates every
-    analytic cell on them with the DEP, outage and CSC kernels.  It draws
-    Willie's link once and Bob's link once, n draws each, from oracle seeds
-    derived from (``scn.seed``, group index, link); every (p_a, rho) cell of
-    the group, each rate threshold and the capacity are estimated on those
-    draws.  Each cell's estimate is unbiased with its own n-draw standard
+    state tables of Willie's and Bob's links once, at ``scn`` with Alice
+    moved to the position, and passes the same tables to the analytic DEP,
+    outage and CSC kernels and to the oracle.  It draws Willie's link once
+    and Bob's link once, n draws each, from oracle seeds ``derived_seed``
+    (``scn.seed``, group index, link); every (p_a, rho) cell of the group,
+    each rate threshold and the capacity are estimated on those draws.
+    Each cell's estimate is unbiased with its own n-draw standard
     error, but the cells of a group are correlated: e.g. the MC outage is
     exactly non-increasing in p_a.  The report is reproducible and
     independent of the worker count.
@@ -104,20 +102,21 @@ def run_validation(scn: Scenario, n: int = 10**6,
     reports: list[CellReport] = []
     group = 0
     for x_a in GRID_X_A:
-        alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
+        point = replace(scn, alice=NodePosition(x_a, scn.alice.y, scn.alice.h))
         tables, dep_est, bob_est = {}, {}, {}
         for mode in modes:
+            willie, bob = (link_states(point, mode, "willie"),
+                           link_states(point, mode, "bob"))
             w = scn.band(mode).bandwidth_hz
             gammas = snr_threshold(np.array(GRID_R_B), w)
-            tables[mode] = (link_states(scn, mode, alice, "willie"),
-                            link_states(scn, mode, alice, "bob"), w, gammas)
+            tables[mode] = (willie, bob, w, gammas)
             dep_est[mode] = mc_dep_points(
-                scn, ops, alice=alice, mode=mode, n=n,
-                seed=_group_seed(scn.seed, group, _WILLIE), workers=workers)
+                willie, ops, sigma_n2, n,
+                derived_seed(scn.seed, group, _WILLIE), workers)
             bob_est[mode] = mc_receiver_points(
-                scn, [(p_a, rho, tuple(gammas)) for p_a, rho in ops],
-                alice=alice, mode=mode, n=n,
-                seed=_group_seed(scn.seed, group, _BOB), workers=workers)
+                bob, [(p_a, rho, tuple(gammas)) for p_a, rho in ops],
+                sigma_n2, n, derived_seed(scn.seed, group, _BOB), workers,
+                bandwidth_hz=w)
             group += 1
         for c, (p_dbm, rho_db) in enumerate(cells):
             p_a, rho = ops[c]

@@ -165,15 +165,15 @@ class TestNakagamiPower:
 class TestNoiseAndPathLoss:
     def test_noise_support(self):
         n = NoiseModel(sigma_n2=1e-8, rho=10 ** 0.2)
-        lo, hi = n.support
-        assert lo == pytest.approx(1e-8 / n.rho)
-        assert hi == pytest.approx(1e-8 * n.rho)
+        lo, hi = n.power(np.array([-1.0, 1.0]))
+        assert lo == pytest.approx(n.sigma_n2 / n.rho)
+        assert hi == pytest.approx(n.sigma_n2 * n.rho)
 
     def test_noise_sampler_within_support(self):
         n = NoiseModel(sigma_n2=1e-8, rho=10 ** 0.2)
         rng = np.random.default_rng(14)
         draws = n.power(sample_noise_exponent(rng, size=50_000))
-        lo, hi = n.support
+        lo, hi = n.sigma_n2 / n.rho, n.sigma_n2 * n.rho
         assert np.all((draws >= lo) & (draws <= hi))
         # log-uniform: the log of the draws is uniform, so its mean is ln(sigma^2)
         assert np.log(draws).mean() == pytest.approx(math.log(1e-8), rel=1e-3)

@@ -5,7 +5,15 @@ from dataclasses import replace
 import pytest
 
 from a2gcovert import __version__, scenario
-from a2gcovert.cli import _row_seed, build_parser, main
+from a2gcovert.cli import _MC_METRIC_IDS, _MODE_IDS, build_parser, main
+from a2gcovert.oracle import derived_seed
+
+
+def _row_seed(seed, axis_index, mode, metric):
+    """The oracle seed of a (mode, metric) column of a group of sweep
+    points whose first row is ``axis_index``."""
+    return derived_seed(seed, axis_index, _MODE_IDS[mode],
+                        _MC_METRIC_IDS[metric])
 
 
 def run_cli(args, capsys):

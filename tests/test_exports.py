@@ -1,6 +1,7 @@
 """Every name that the package or one of its modules exports exists."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +18,17 @@ def test_every_exported_name_exists(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["channel", "detection", "throughput",
+                                  "planner", "oracle", "validation"])
+def test_no_position_override(name):
+    # an operating point is a scenario: other UAV positions go through
+    # dataclasses.replace, not an ``alice`` argument (geometry is exempt:
+    # its primitives take positions by definition)
+    module = importlib.import_module(f"a2gcovert.{name}")
+    takes_alice = [n for n in module.__all__
+                   if inspect.isfunction(getattr(module, n))
+                   and "alice" in inspect.signature(
+                       getattr(module, n)).parameters]
+    assert takes_alice == []

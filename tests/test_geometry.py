@@ -144,7 +144,7 @@ class TestMainLobeCoverage:
         scn = default_scenario(alice=self.ALICE, bob=self.BOB,
                                willie=self.WILLIE, ant_alice=ant_a,
                                ant_willie=ant_w)
-        states = link_states(scn, "dm", None, "willie")
+        states = link_states(scn, "dm", "willie")
         assert [states.tx_gain * g for g in states.rx_gains] == (
             pytest.approx([ta.g_main * tw.g_main] * 2
                           + [ta.g_main * tw.g_side] * 2))

@@ -18,7 +18,7 @@ class TestTable:
         # Alice 500 m straight above Willie: elevation 90 degrees
         d, theta = 500.0, 90.0
         p_los = 1.0 / (1.0 + 4.88 * math.exp(-0.429 * (theta - 4.88)))
-        om = link_states(scn, "om", scn.alice, "willie")
+        om = link_states(scn, "om", "willie")
         assert om.law == "rician" and om.labels == ("los", "nlos")
         assert om.probs == pytest.approx((p_los, 1.0 - p_los), abs=1e-15)
         # Rice factor law k0 exp(eta2 theta) at theta = pi/2 is k_half_pi
@@ -26,7 +26,7 @@ class TestTable:
         assert om.received(1.0) == pytest.approx(
             [1e-6 * d ** -1.64, 1e-7 * d ** -2.71], rel=1e-14)
 
-        dm = link_states(scn, "dm", scn.alice, "willie")
+        dm = link_states(scn, "dm", "willie")
         w_tab = lobe_gains(scn.ant_willie)
         assert dm.law == "gamma"
         assert dm.labels == ("main/los", "main/nlos", "side/los", "side/nlos")
@@ -45,13 +45,13 @@ class TestTable:
 
     def test_receiver_link_sees_both_main_lobes(self, scn):
         link = scn.link(scn.alice, scn.bob)
-        dm = link_states(scn, "dm", scn.alice, "bob")
+        dm = link_states(scn, "dm", "bob")
         a_tab, b_tab = lobe_gains(scn.ant_alice), lobe_gains(scn.ant_bob)
         assert dm.received(2.0)[0] == pytest.approx(
             2.0 * a_tab.g_main * b_tab.g_main * path_loss(link.d,
                                                           scn.dm.pl_los),
             rel=1e-15)
-        om = link_states(scn, "om", scn.alice, "bob")
+        om = link_states(scn, "om", "bob")
         assert om.params[0] == rician_factor(link.theta_rad, scn.om.rician,
                                              True)
 
@@ -59,16 +59,16 @@ class TestTable:
     @pytest.mark.parametrize("receiver", ["bob", "willie"])
     @pytest.mark.parametrize("x_a", [-800.0, 400.0, 1000.0, 2000.0])
     def test_probabilities_sum_to_one(self, scn, mode, receiver, x_a):
-        table = link_states(scn, mode, NodePosition(x_a, 0.0, 500.0),
-                            receiver)
+        table = link_states(
+            replace(scn, alice=NodePosition(x_a, 0.0, 500.0)), mode, receiver)
         assert sum(table.probs) == pytest.approx(1.0, abs=1e-15)
         assert len(table.labels) == len(table.params) == len(table.probs)
 
     def test_bad_mode_or_receiver(self, scn):
         with pytest.raises(DomainError):
-            link_states(scn, "fm", scn.alice, "bob")
+            link_states(scn, "fm", "bob")
         with pytest.raises(DomainError):
-            link_states(scn, "om", scn.alice, "eve")
+            link_states(scn, "om", "eve")
 
 
 # Values of the former per-mode state loops at positions of the validation

@@ -85,8 +85,9 @@ class TestEstimates:
         with pytest.raises(DomainError):
             mc_outage(scn, mode="fm", n=N_SMOKE, seed=SEED)
         with pytest.raises(DomainError):
-            mc_dep_points(scn, [(-1.0, scn.noise.rho)], mode="om",
-                          n=N_SMOKE, seed=SEED)
+            mc_dep_points(link_states(scn, "om", "willie"),
+                          [(-1.0, scn.noise.rho)], scn.noise.sigma_n2,
+                          N_SMOKE, SEED)
 
 
 class TestVarianceMerge:
@@ -123,8 +124,8 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("mode", ["om", "dm"])
     def test_dep_call_is_one_point_of_the_multi_point_call(self, scn, mode):
-        multi = mc_dep_points(scn, self.POINTS, mode=mode, n=N_SMOKE,
-                              seed=SEED)
+        multi = mc_dep_points(link_states(scn, mode, "willie"), self.POINTS,
+                              scn.noise.sigma_n2, N_SMOKE, SEED)
         for (p_a, rho), est in zip(self.POINTS, multi):
             one = mc_expected_min_dep(_at(scn, p_a, rho), mode=mode,
                                       n=N_SMOKE, seed=SEED)
@@ -137,8 +138,9 @@ class TestSharedDraws:
         rates = (0.5e6, 2e6)
         gammas = tuple(float(snr_threshold(r, w)) for r in rates)
         multi = mc_receiver_points(
-            scn, [(p_a, rho, gammas) for p_a, rho in self.POINTS],
-            mode=mode, n=N_SMOKE, seed=SEED)
+            link_states(scn, mode, "bob"),
+            [(p_a, rho, gammas) for p_a, rho in self.POINTS],
+            scn.noise.sigma_n2, N_SMOKE, SEED, bandwidth_hz=w)
         for (p_a, rho), est in zip(self.POINTS, multi):
             point = _at(scn, p_a, rho)
             for r_b, out in zip(rates, est.outage):
@@ -161,25 +163,31 @@ class TestSharedDraws:
             return power(self, u)
 
         monkeypatch.setattr(NoiseModel, "power", counted)
-        multi = mc_receiver_points(scn, points, mode="dm", n=N_SMOKE,
-                                   seed=SEED)
+        bob, w = link_states(scn, "dm", "bob"), scn.dm.bandwidth_hz
+        multi = mc_receiver_points(bob, points, scn.noise.sigma_n2, N_SMOKE,
+                                   SEED, bandwidth_hz=w)
         assert sorted(calls) == sorted(set(rhos))  # one batch
         for point, est in zip(points, multi):
-            assert mc_receiver_points(scn, [point], mode="dm", n=N_SMOKE,
-                                      seed=SEED) == [est]
+            assert mc_receiver_points(bob, [point], scn.noise.sigma_n2,
+                                      N_SMOKE, SEED, bandwidth_hz=w) == [est]
 
     def test_bad_point_raises_before_drawing(self, scn, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew samples for an invalid point")
 
         monkeypatch.setattr(oracle, "_run_batches", no_draws)
+        willie, bob = link_states(scn, "om", "willie"), link_states(
+            scn, "om", "bob")
+        sigma_n2, w = scn.noise.sigma_n2, scn.om.bandwidth_hz
         with pytest.raises(DomainError):
-            mc_dep_points(scn, [(1.0, 2.0), (-1.0, 2.0)], n=N_SMOKE)
+            mc_dep_points(willie, [(1.0, 2.0), (-1.0, 2.0)], sigma_n2,
+                          N_SMOKE, SEED)
         with pytest.raises(DomainError):
-            mc_receiver_points(scn, [(1.0, 2.0, (1.0,)), (-1.0, 2.0, ())],
-                               n=N_SMOKE)
+            mc_receiver_points(bob, [(1.0, 2.0, (1.0,)), (-1.0, 2.0, ())],
+                               sigma_n2, N_SMOKE, SEED, bandwidth_hz=w)
         with pytest.raises(DomainError):
-            mc_receiver_points(scn, [(1.0, 2.0, (1.0, -1.0))], n=N_SMOKE)
+            mc_receiver_points(bob, [(1.0, 2.0, (1.0, -1.0))], sigma_n2,
+                               N_SMOKE, SEED, bandwidth_hz=w)
 
 
 class TestSamplerLaw:
@@ -204,8 +212,9 @@ class TestSamplerLaw:
     @pytest.mark.parametrize("receiver", ["willie", "bob"])
     @pytest.mark.parametrize("mode", ["om", "dm"])
     def test_draws_follow_the_mixture_law(self, scn, mode, receiver, x_a):
-        alice = NodePosition(x_a, scn.alice.y, scn.alice.h)
-        states = link_states(scn, mode, alice, receiver)
+        point = replace(scn, alice=NodePosition(x_a, scn.alice.y,
+                                                scn.alice.h))
+        states = link_states(point, mode, receiver)
         draw = oracle._unit_power_sampler(states)
         y = np.sort(draw(np.random.default_rng(SEED), self.N))
         cdf = self._mixture_cdf(states, y)
@@ -228,11 +237,14 @@ class TestOracleProperties:
                 scn = scenario_from_flat(flat)
                 rho = scn.noise.rho
                 g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-                dep = mc_dep_points(scn, [(p, rho) for p in self.POWERS],
-                                    mode=mode, n=2000, seed=SEED)
+                sigma_n2 = scn.noise.sigma_n2
+                dep = mc_dep_points(link_states(scn, mode, "willie"),
+                                    [(p, rho) for p in self.POWERS],
+                                    sigma_n2, 2000, SEED)
                 rx = mc_receiver_points(
-                    scn, [(p, rho, (g,)) for p in self.POWERS], mode=mode,
-                    n=2000, seed=SEED)
+                    link_states(scn, mode, "bob"),
+                    [(p, rho, (g,)) for p in self.POWERS], sigma_n2, 2000,
+                    SEED, bandwidth_hz=scn.band(mode).bandwidth_hz)
             except A2GError:
                 return
         p_out = [est.outage[0] for est in rx]

@@ -21,7 +21,7 @@ from a2gcovert.validation import GRID_X_A
 
 def _los_rate(scn, mode, p_a):
     """Capacity of the LoS (main-lobe) state at unit fading gain and p_a."""
-    bob = link_states(scn, mode, None, "bob")
+    bob = link_states(scn, mode, "bob")
     return scn.band(mode).bandwidth_hz * math.log2(
         1.0 + bob.received(p_a)[0] / scn.noise.sigma_n2)
 
@@ -98,7 +98,7 @@ class TestMaximizeEcr:
         point = replace(scn, alice=NodePosition(x_a, scn.alice.y,
                                                 scn.alice.h))
         res = maximize_ecr(point, mode)
-        bob = link_states(point, mode, None, "bob")
+        bob = link_states(point, mode, "bob")
         w = scn.band(mode).bandwidth_hz
         sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
 

@@ -59,7 +59,7 @@ class TestDefaults:
     def test_link_geometry(self, scn):
         link = scn.link(scn.alice, scn.willie)
         assert link.d == pytest.approx(500.0)
-        assert link.theta_deg == pytest.approx(90.0)
+        assert link.theta_rad == pytest.approx(math.pi / 2)
         link_b = scn.link(scn.alice, scn.bob)
         assert link_b.d == pytest.approx(math.hypot(1500.0, 500.0))
 

@@ -76,7 +76,7 @@ class TestAlzerPrecision:
         scn = scenario_from_flat({"alice.x": -500.0, "alice.h": 200.0,
                                   "noise.rho_db": 0.5, "dm.s_los": 40,
                                   "dm.s_nlos": 10})
-        table = link_states(scn, "dm", None, "bob")
+        table = link_states(scn, "dm", "bob")
         g = float(snr_threshold(scn.r_b, scn.dm.bandwidth_hz))
         sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
         for p_a in np.logspace(-4, 3, 8):

@@ -28,7 +28,7 @@ from test_detection import _corner_scenarios
 
 def _outage_at(scn, mode, p_a, gamma_th):
     """The outage kernel on the scenario's link to Bob at (p_a, gamma_th)."""
-    return outage_over_states(link_states(scn, mode, None, "bob"), p_a,
+    return outage_over_states(link_states(scn, mode, "bob"), p_a,
                               gamma_th, scn.noise.sigma_n2, scn.noise.rho)
 
 
@@ -143,7 +143,7 @@ class TestCsc:
 
     def test_negative_power_rejected(self, scn):
         with pytest.raises(DomainError):
-            csc_over_states(link_states(scn, "om", None, "bob"), -0.1,
+            csc_over_states(link_states(scn, "om", "bob"), -0.1,
                             scn.noise.sigma_n2, scn.noise.rho,
                             scn.om.bandwidth_hz)
         with pytest.raises(DomainError):
@@ -194,7 +194,7 @@ class TestCscKernel:
         # at p_a = 1e-9 mW the SNR is ~1e-12, where ln(1 + snr) = snr to
         # that order: the capacity is W / ln 2 E[snr]
         scn = scenario_from_flat({"alice.x": x_a})
-        table = link_states(scn, mode, None, "bob")
+        table = link_states(scn, mode, "bob")
         rho = scn.noise.rho
         mean_noise_gain = (rho - 1.0 / rho) / (2.0 * math.log(rho))
         mean_snr = sum(p * u for p, u in zip(table.probs, table.received(1e-9))
@@ -249,7 +249,7 @@ class TestRicianOutage:
         scn = scenario_from_flat({"noise.rho_db": 1e-5, "om.k0_db": 0.0,
                                   "om.k_half_pi_db": 31.769112813747075,
                                   "alice.h": 1.0, "alice.x": -500.0})
-        table = link_states(scn, "om", None, "bob")
+        table = link_states(scn, "om", "bob")
         g = float(snr_threshold(scn.r_b, scn.om.bandwidth_hz))
         for p_a in (1e-3, 1.0, 1e3):
             want = 0.0
