@@ -5,11 +5,12 @@ The module holds the fading, path-loss and noise laws, the Rician factor
 of an elevation, ``link_states``, ``_state_rule`` and the samplers, which
 take an explicit numpy Generator (the paper's surrogate CDFs are in
 ``surrogate``).  ``link_states`` describes the discrete states of one link
-(LoS, and in mode "dm" the receive lobe) once; every primary metric is
-evaluated over it.  ``_state_rule`` is the one fading quadrature: a
-composite Gauss-Legendre rule on a fixed window per state, which forms
-each state's Rician or gamma power density at its nodes and which the
-warden's DEP and the ergodic capacity both average their kernels with.
+(LoS, and in mode "dm" the receive lobe) once, with the receiver's noise
+power and the band; every primary metric is evaluated over it.
+``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
+rule on a fixed window per state, which forms each state's Rician or
+gamma power density at its nodes and which the warden's DEP and the
+ergodic capacity both average their kernels with.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class LinkStates:
     "side/nlos" in mode "dm", by the receive lobe.  Its unit-mean fading
     power follows ``law``: "rician" with Rice factor params[i], or "gamma"
     with integer shape params[i].  Its mean received power per mW of
-    transmit power is tx_gain * rx_gains[i] * losses[i].
+    transmit power is tx_gain * rx_gains[i] * losses[i], against the
+    receiver's nominal noise power sigma_n2 (mW) in the band bandwidth_hz.
     """
 
     law: str
@@ -143,6 +145,8 @@ class LinkStates:
     tx_gain: float
     rx_gains: tuple[float, ...]
     losses: tuple[float, ...]
+    sigma_n2: float
+    bandwidth_hz: float
 
     def received(self, p_a: float) -> list[float]:
         """Mean received power of each state at transmit power p_a (mW)."""
@@ -166,10 +170,11 @@ def link_states(scn: Scenario, mode: str, receiver: str) -> LinkStates:
     link = scn.link(scn.alice, getattr(scn, receiver))
     probs = (link.p_los, 1.0 - link.p_los)
     losses = (path_loss(link.d, band.pl_los), path_loss(link.d, band.pl_nlos))
+    sigma_n2, w = scn.noise.sigma_n2, band.bandwidth_hz
     if mode == "om":
         return LinkStates("rician", ("los", "nlos"), probs, tuple(
             rician_factor(link.theta_rad, band.rician, los)
-            for los in (True, False)), 1.0, (1.0, 1.0), losses)
+            for los in (True, False)), 1.0, (1.0, 1.0), losses, sigma_n2, w)
     a_tab = lobe_gains(scn.ant_alice)
     covered = receiver == "bob" or alice_main_lobe_covers_willie(
         scn.alice, scn.bob, scn.willie, scn.ant_alice)
@@ -179,7 +184,7 @@ def link_states(scn: Scenario, mode: str, receiver: str) -> LinkStates:
         tuple(p_lobe * p for p_lobe in (rx.p_main, rx.p_side) for p in probs),
         (band.nakagami.s_los, band.nakagami.s_nlos) * 2,
         a_tab.g_main if covered else a_tab.g_side,
-        (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2)
+        (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2, sigma_n2, w)
 
 
 # composite Gauss-Legendre rule: (panels, nodes per panel, nodes per panel

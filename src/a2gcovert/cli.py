@@ -112,10 +112,11 @@ def _mc_cells(points: list[Scenario], modes: list[str], metrics: list[str],
     keyed by (row index, mode) and then by metric.
 
     The points of a mode whose Willie and Bob state tables are equal form
-    a group, and each link is drawn once per group: one ``mc_dep_points``
-    call and one ``mc_receiver_points`` call, seeded as the group's first
-    row.  Outage and csc come from one draw set of the receiver link,
-    seeded as the outage column when both are asked for.
+    a group; as the tables carry the noise power and band, a group's
+    points share them.  Each link is drawn once per group: one
+    ``mc_dep_points`` call and one ``mc_receiver_points`` call, seeded as
+    the group's first row.  Outage and csc come from one draw set of the
+    receiver link, seeded as the outage column when both are asked for.
     """
     rx = [m for m in ("outage", "csc") if m in metrics]
     cells: dict[tuple[int, str], dict] = {}
@@ -127,23 +128,20 @@ def _mc_cells(points: list[Scenario], modes: list[str], metrics: list[str],
             groups.setdefault(key, []).append(i)
         for (willie, bob), group in groups.items():
             members = [points[i] for i in group]
-            sigma_n2 = members[0].noise.sigma_n2
             seeds = {m: derived_seed(seed, group[0], _MODE_IDS[mode], k)
                      for m, k in _MC_METRIC_IDS.items()}
             if "dep" in metrics:
                 ests = mc_dep_points(
-                    willie, [(pt.p_a, pt.noise.rho) for pt in members],
-                    sigma_n2, n, seeds["dep"], workers)
+                    willie, [(pt.p_a, pt.noise.rho) for pt in members], n,
+                    seeds["dep"], workers)
                 for i, est in zip(group, ests):
                     cells.setdefault((i, mode), {})["dep"] = est
             if rx:
-                w = members[0].band(mode).bandwidth_hz
                 ops = [(pt.p_a, pt.noise.rho,
-                        (float(snr_threshold(pt.r_b, w)),)
+                        (float(snr_threshold(pt.r_b, bob.bandwidth_hz)),)
                         if "outage" in rx else ()) for pt in members]
-                ests = mc_receiver_points(
-                    bob, ops, sigma_n2, n, seeds[rx[0]], workers,
-                    bandwidth_hz=w if "csc" in rx else None)
+                ests = mc_receiver_points(bob, ops, n, seeds[rx[0]], workers,
+                                          capacity="csc" in rx)
                 for i, est in zip(group, ests):
                     cell = cells.setdefault((i, mode), {})
                     if est.outage:

@@ -8,10 +8,11 @@ minimum over fading and over the discrete channel / lobe states gives the
 covertness metric the transmitter can actually evaluate.
 
 ``dep_over_states`` averages over the warden link's state table
-(``channel.link_states``), for the scenario-level function, the planner
-and the validation grid alike, by ``_state_averages``: the composite Gauss-Legendre fading rule of
-``channel._state_rule`` (the one the ergodic capacity uses too), applied to
-all states in one array operation.  The DEP cutoff is a panel edge, and
+(``channel.link_states``), at the noise power it carries, for the
+scenario-level function, the planner and the validation grid alike, by
+``_state_averages``: the composite Gauss-Legendre fading rule of
+``channel._state_rule`` (the one the ergodic capacity uses too), applied
+to all states in one array operation.  The DEP cutoff is a panel edge, and
 panels are graded toward 0 when the noise uncertainty rho is large.  A
 16-node rule on the same panels gives each state an error estimate;
 ``ExpectedDep.abs_err`` carries their weighted sum, and an estimate above
@@ -208,13 +209,12 @@ def _state_averages(law: str, params, units, sigma_n2: float,
     return [min(1.0, max(0.0, v)) for v in val], err
 
 
-def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
-                    rho: float) -> ExpectedDep:
+def dep_over_states(states: LinkStates, p_a: float, rho: float) -> ExpectedDep:
     """Fading-averaged minimum DEP over the states of the warden's link.
 
     Each state's exact fading density is integrated against the minimum-DEP
-    kernel by ``_state_averages``; a silent transmitter leaves the warden
-    erring with certainty in every state.
+    kernel at ``states.sigma_n2`` by ``_state_averages``; a silent
+    transmitter leaves the warden erring with certainty in every state.
     """
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
@@ -222,7 +222,8 @@ def dep_over_states(states: LinkStates, p_a: float, sigma_n2: float,
         vals, errs = [1.0] * len(states.probs), [0.0] * len(states.probs)
     else:
         vals, errs = _state_averages(states.law, states.params,
-                                     states.received(p_a), sigma_n2, rho)
+                                     states.received(p_a), states.sigma_n2,
+                                     rho)
     terms = {label: p * v for label, p, v in zip(states.labels, states.probs,
                                                   vals)}
     return ExpectedDep(value=sum(terms.values()), terms=terms,
@@ -240,4 +241,4 @@ def expected_min_dep(scn: Scenario, mode: str) -> ExpectedDep:
     steered at the intended receiver.
     """
     return dep_over_states(link_states(scn, mode, "willie"), scn.p_a,
-                           scn.noise.sigma_n2, scn.noise.rho)
+                           scn.noise.rho)

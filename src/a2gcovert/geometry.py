@@ -100,10 +100,13 @@ def elevation_angle_deg(uav: NodePosition, ground: NodePosition) -> float:
 
 
 def los_probability(theta_deg: float, s: SCurveParams) -> float:
-    """LoS probability 1 / (1 + sigma*exp(-f*(theta - sigma)))."""
+    """LoS probability 1 / (1 + sigma exp(-f (theta - sigma))), 0 on overflow."""
     if not (0 < theta_deg <= 90):
         raise DomainError("elevation angle must be in (0, 90] degrees")
-    return 1.0 / (1.0 + s.sigma * math.exp(-s.f * (theta_deg - s.sigma)))
+    try:
+        return 1.0 / (1.0 + s.sigma * math.exp(-s.f * (theta_deg - s.sigma)))
+    except OverflowError:
+        return 0.0
 
 
 def _sidelobe_ratio(n: int) -> float:

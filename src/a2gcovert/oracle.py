@@ -17,19 +17,20 @@ evaluates both sides passes them the same table objects.  Draws are shared
 between operating points.  A batch draws the states' counts, multinomial,
 then each state's fading from its own law (never from a quadrature),
 scaled by its mean received power; on Bob's link, then the noise exponent
-u of the noise power sigma_n2 * rho^u.  Every point of the call is
-evaluated on the same draws: each (p_a, rho) for the warden's DEP; each
-(p_a, rho), its SNR thresholds and, given a bandwidth, the ergodic
-capacity for the receiver.  This is the method of common random numbers:
-each estimate is unbiased with its own n-draw standard error, but the
-estimates of one call are correlated: an outage estimate never rises with
-p_a, and a capacity estimate never falls.  A batch overwrites a few arrays
-of its own point by point; nothing is shared between batches, which may
-run in different threads.  ``validation.run_validation`` calls them once
-per (position, mode) and ``sweep --mc`` once per group of sweep points
-with equal state tables, each call seeded by ``derived_seed``.
-``mc_expected_min_dep``, ``mc_outage`` and ``mc_ergodic_capacity`` are
-one-point calls of these two, on the tables of the scenario as configured.
+u of the noise power sigma_n2 * rho^u, at the table's nominal sigma_n2.
+Every point of the call is evaluated on the same draws: each (p_a, rho)
+for the warden's DEP; each (p_a, rho), its SNR thresholds and, if asked,
+the ergodic capacity in the table's band for the receiver.  This is the
+method of common random numbers: each estimate is unbiased with its own
+n-draw standard error, but the estimates of one call are correlated: an
+outage estimate never rises with p_a, and a capacity estimate never
+falls.  A batch overwrites a few arrays of its own point by point; nothing
+is shared between batches, which may run in different threads.
+``validation.run_validation`` calls them once per (position, mode) and
+``sweep --mc`` once per group of sweep points with equal state tables,
+each call seeded by ``derived_seed``.  ``mc_expected_min_dep``,
+``mc_outage`` and ``mc_ergodic_capacity`` are one-point calls of these
+two, on the tables of the scenario as configured.
 
 The DEP estimator evaluates the exact conditional minimum-DEP kernel per
 draw: given the received power and the noise-uncertainty bounds, the
@@ -193,10 +194,10 @@ def _unit_power_sampler(states: LinkStates):
     return draw
 
 
-def mc_dep_points(states: LinkStates, points, sigma_n2: float, n: int,
-                  seed: int, workers: int = 1) -> list[McEstimate]:
+def mc_dep_points(states: LinkStates, points, n: int, seed: int,
+                  workers: int = 1) -> list[McEstimate]:
     """Estimate the fading-averaged minimum DEP at each (p_a, rho) point of
-    Willie's link ``states``, at nominal noise power sigma_n2.
+    Willie's link ``states``, at its noise power ``states.sigma_n2``.
 
     Every point is evaluated on one shared set of n draws of the link; the
     result holds one estimate per point, in order.
@@ -215,25 +216,23 @@ def mc_dep_points(states: LinkStates, points, sigma_n2: float, n: int,
         unit = draw(rng, m)
         dep = np.empty(m)
         return [_moments(min_dep_values(np.multiply(unit, p_a, out=dep),
-                                        sigma_n2, rho, out=dep))
+                                        states.sigma_n2, rho, out=dep))
                 for p_a, rho in points]
 
     return _run_batches(batch, n, seed, workers)
 
 
-def mc_receiver_points(states: LinkStates, points, sigma_n2: float, n: int,
-                       seed: int, workers: int = 1,
-                       bandwidth_hz: float | None = None
+def mc_receiver_points(states: LinkStates, points, n: int, seed: int,
+                       workers: int = 1, capacity: bool = False
                        ) -> list[ReceiverEstimates]:
-    """Estimate outages, and the ergodic capacity in a band of width
-    ``bandwidth_hz`` when it is given, at each (p_a, rho, gamma_ths) point
-    of Bob's link ``states``, at nominal noise power sigma_n2.
+    """Estimate outages, and with ``capacity`` the ergodic capacity in the
+    band ``states.bandwidth_hz``, at each (p_a, rho, gamma_ths) point of
+    Bob's link ``states``, at its nominal noise power ``states.sigma_n2``.
 
     Every point, threshold and capacity is evaluated on one shared set of n
     draws of the link (fading, lobe state, noise exponent); the result
     holds one ``ReceiverEstimates`` per point, in order.
     """
-    capacity = bandwidth_hz is not None
     checked = []
     for p_a, rho, gammas in points:
         p_a, gammas = float(p_a), tuple(float(g) for g in gammas)
@@ -241,11 +240,11 @@ def mc_receiver_points(states: LinkStates, points, sigma_n2: float, n: int,
             raise DomainError("transmit power must be nonnegative")
         if any(g < 0 for g in gammas):
             raise DomainError("gamma_th must be nonnegative")
-        checked.append((p_a, NoiseModel(sigma_n2, float(rho)), gammas))
+        checked.append((p_a, NoiseModel(states.sigma_n2, float(rho)), gammas))
     if not any(gammas or capacity for _, _, gammas in checked):
         raise DomainError("need at least one statistic to estimate")
     draw = _unit_power_sampler(states)
-    w_ln2 = bandwidth_hz / math.log(2.0) if capacity else None
+    w_ln2 = states.bandwidth_hz / math.log(2.0)
     by_rho: dict[float, list[int]] = {}
     for i, (_, noise, _) in enumerate(checked):
         by_rho.setdefault(noise.rho, []).append(i)
@@ -280,8 +279,7 @@ def mc_expected_min_dep(scn: Scenario, mode: str, n: int, seed: int,
                         workers: int = 1) -> McEstimate:
     """Estimate the fading-averaged minimum DEP by direct sampling."""
     return mc_dep_points(link_states(scn, mode, "willie"),
-                         [(scn.p_a, scn.noise.rho)], scn.noise.sigma_n2, n,
-                         seed, workers)[0]
+                         [(scn.p_a, scn.noise.rho)], n, seed, workers)[0]
 
 
 def mc_outage(scn: Scenario, mode: str, n: int, seed: int,
@@ -289,10 +287,9 @@ def mc_outage(scn: Scenario, mode: str, n: int, seed: int,
     """Estimate P(SNR < gamma_th) at the receiver, at the threshold of the
     rate r_b, by direct sampling."""
     states = link_states(scn, mode, "bob")
-    gamma_th = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
+    gamma_th = float(snr_threshold(scn.r_b, states.bandwidth_hz))
     (est,) = mc_receiver_points(
-        states, [(scn.p_a, scn.noise.rho, (gamma_th,))], scn.noise.sigma_n2,
-        n, seed, workers)
+        states, [(scn.p_a, scn.noise.rho, (gamma_th,))], n, seed, workers)
     return est.outage[0]
 
 
@@ -300,9 +297,8 @@ def mc_ergodic_capacity(scn: Scenario, mode: str, n: int, seed: int,
                         workers: int = 1) -> McEstimate:
     """Estimate E[W log2(1 + SNR)] at the receiver by direct sampling."""
     (est,) = mc_receiver_points(
-        link_states(scn, mode, "bob"), [(scn.p_a, scn.noise.rho, ())],
-        scn.noise.sigma_n2, n, seed, workers,
-        bandwidth_hz=scn.band(mode).bandwidth_hz)
+        link_states(scn, mode, "bob"), [(scn.p_a, scn.noise.rho, ())], n,
+        seed, workers, capacity=True)
     return est.capacity
 
 

@@ -91,17 +91,17 @@ def _covert_power_limit(scn: Scenario, mode: str) -> tuple[float, str]:
     mode raises ``DomainError`` (from ``link_states``).
     """
     willie = link_states(scn, mode, "willie")
-    sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+    rho = scn.noise.rho
 
     def is_covert(p_a: float) -> bool:
-        dep = dep_over_states(willie, p_a, sigma_n2, rho).value
+        dep = dep_over_states(willie, p_a, rho).value
         return dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
 
     if is_covert(scn.p_max):
         return scn.p_max, "power"
     mean_unit = float(np.dot(willie.probs, willie.received(1.0)))
-    lo = min(scn.p_max * 1e-12,
-             scn.epsilon * math.log(rho) * sigma_n2 / (rho * mean_unit))
+    lo = min(scn.p_max * 1e-12, scn.epsilon * math.log(rho)
+             * willie.sigma_n2 / (rho * mean_unit))
     hi = scn.p_max
     while (hi - lo) > _POWER_REL_TOL * hi:
         mid = math.sqrt(lo * hi)
@@ -125,15 +125,14 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
     rounds narrow the bracket by 16^3.
     """
     p_opt, binding = _covert_power_limit(scn, mode)
-    w = scn.band(mode).bandwidth_hz
     bob = link_states(scn, mode, "bob")
-    sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+    w = bob.bandwidth_hz
     # state 0 is the LoS state (in the main lobe in mode "dm")
-    r_hi = w * math.log2(1.0 + bob.received(p_opt)[0] / sigma_n2)
+    r_hi = w * math.log2(1.0 + bob.received(p_opt)[0] / bob.sigma_n2)
 
     def ecr(rates: np.ndarray) -> np.ndarray:
         return rates * (1.0 - outage_over_states(
-            bob, p_opt, snr_threshold(rates, w), sigma_n2, rho))
+            bob, p_opt, snr_threshold(rates, w), scn.noise.rho))
 
     rates = np.linspace(r_hi / _N_RATE, r_hi, _N_RATE)
     obj = ecr(rates)
@@ -156,8 +155,7 @@ def maximize_csc(scn: Scenario, mode: str) -> OptimizationResult:
     """Largest covert power (capacity is monotone in power), by bisection."""
     p_opt, binding = _covert_power_limit(scn, mode)
     objective = csc_over_states(link_states(scn, mode, "bob"), p_opt,
-                                scn.noise.sigma_n2, scn.noise.rho,
-                                scn.band(mode).bandwidth_hz)
+                                scn.noise.rho)
     return OptimizationResult(p_a_opt=p_opt, r_b_opt=None,
                               objective=objective, binding=binding,
                               feasible=True)

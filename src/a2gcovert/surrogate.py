@@ -146,7 +146,7 @@ def varrho(p_received_unit: float, sigma_n2: float, rho: float) -> float:
 def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
     """DEP state mixture under a surrogate law: ``surrogate(param, cutoff)``
     gives its CDF at the cutoff and its truncated mean below it."""
-    p_a, sigma_n2, rho = scn.p_a, scn.noise.sigma_n2, scn.noise.rho
+    p_a, rho = scn.p_a, scn.noise.rho
     states = link_states(scn, mode, "willie")
     terms: dict[str, float] = {}
     for label, p_state, param, unit in zip(states.labels, states.probs,
@@ -155,8 +155,8 @@ def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
         term = 1.0  # a silent transmitter
         if p_a > 0.0:
             # CDF weight at the cutoff times the log-average error level
-            cdf, t = surrogate(param, varrho(unit, sigma_n2, rho))
-            level = 1.0 - math.log1p(rho * unit * t / sigma_n2) / (
+            cdf, t = surrogate(param, varrho(unit, states.sigma_n2, rho))
+            level = 1.0 - math.log1p(rho * unit * t / states.sigma_n2) / (
                 2.0 * math.log(rho))
             term = cdf * min(1.0, max(0.0, level))
         terms[label] = p_state * term
@@ -213,6 +213,6 @@ def outage_dm_closed_form(scn: Scenario) -> float:
     percentage points at mid-range outage levels, so use
     ``outage(scn, "dm")`` for accuracy-sensitive work.
     """
-    return _mixture(link_states(scn, "dm", "bob"), scn.p_a,
-                    snr_threshold(scn.r_b, scn.dm.bandwidth_hz),
-                    scn.noise.sigma_n2, scn.noise.rho, _alzer_outage)
+    bob = link_states(scn, "dm", "bob")
+    return _mixture(bob, scn.p_a, snr_threshold(scn.r_b, bob.bandwidth_hz),
+                    scn.noise.rho, _alzer_outage)

@@ -1,10 +1,10 @@
 """Receiver-side performance: outage probability, ECR and ergodic capacity.
 
-Each metric is a kernel over the state table of Alice's link to Bob
-(``channel.link_states``): ``outage_over_states`` and ``csc_over_states``.
-The scenario-level functions evaluate the scenario as configured: they
-build the table and call the kernel.  The planner and the validation grid
-build each table once and call the kernels directly.
+Each metric is a kernel over the state table of Alice's link to Bob, at
+Bob's noise power and in the band it carries (``channel.link_states``):
+``outage_over_states`` and ``csc_over_states``.  The scenario-level
+functions build the table and call the kernel; the planner and the
+validation grid build each table once and call the kernels directly.
 
 In a Rician ("om") state the outage is a closed form built on the
 exponential-type Marcum-Q surrogate plus the log-uniform noise average; its
@@ -52,13 +52,14 @@ def __getattr__(name):
 
 
 def snr_threshold(r_b: float, bandwidth_hz: float):
-    """Outage SNR threshold gamma_th = 2^(R_b / W) - 1."""
+    """Outage SNR threshold gamma_th = 2^(R_b / W) - 1, inf on overflow."""
     if bandwidth_hz <= 0:
         raise DomainError("bandwidth must be positive")
     r_b = np.asarray(r_b, dtype=float)
     if np.any(r_b < 0):
         raise DomainError("target rate must be nonnegative")
-    out = np.expm1(np.log(2.0) * r_b / bandwidth_hz)
+    with np.errstate(over="ignore"):
+        out = np.expm1(np.log(2.0) * r_b / bandwidth_hz)
     return out[()] if r_b.ndim == 0 else out
 
 
@@ -104,10 +105,10 @@ def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
     return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
 
 
-def _mixture(states: LinkStates, p_a, gamma_th, sigma_n2: float, rho: float,
-             state_outage):
+def _mixture(states: LinkStates, p_a, gamma_th, rho: float, state_outage):
     """Outage over the states; ``state_outage(param, unit,
-    log(gamma_th / p_a), sigma_n2, rho)`` gives each state's."""
+    log(gamma_th / p_a), sigma_n2, rho)`` gives each state's; a state of
+    mean received power 0 is in outage."""
     p_a, gamma_th = np.broadcast_arrays(np.asarray(p_a, dtype=float),
                                         np.asarray(gamma_th, dtype=float))
     if (p_a < 0).any() or (gamma_th < 0).any():
@@ -123,21 +124,20 @@ def _mixture(states: LinkStates, p_a, gamma_th, sigma_n2: float, rho: float,
         acc = 0.0
         for prob, param, unit in zip(states.probs, states.params,
                                      states.received(1.0)):
-            acc = acc + prob * state_outage(param, unit, log_ratio, sigma_n2,
-                                            rho)
+            acc = acc + prob * (1.0 if unit == 0.0 else state_outage(
+                param, unit, log_ratio, states.sigma_n2, rho))
         total[active] = acc
     total = np.minimum(np.maximum(total, 0.0), 1.0)
     return float(total[0]) if p_a.ndim == 0 else total.reshape(p_a.shape)
 
 
-def outage_over_states(states: LinkStates, p_a, gamma_th, sigma_n2: float,
-                       rho: float):
+def outage_over_states(states: LinkStates, p_a, gamma_th, rho: float):
     """Outage probability P(SNR < gamma_th) over the states of Bob's link.
 
     ``p_a`` and ``gamma_th`` broadcast, so callers can evaluate a whole
     power-rate grid in one shot; two scalars give a float.
     """
-    return _mixture(states, p_a, gamma_th, sigma_n2, rho,
+    return _mixture(states, p_a, gamma_th, rho,
                     _rician_outage if states.law == "rician"
                     else _gamma_outage)
 
@@ -145,10 +145,10 @@ def outage_over_states(states: LinkStates, p_a, gamma_th, sigma_n2: float,
 def outage(scn: Scenario, mode: str) -> float:
     """Outage probability at the receiver in mode "om" or "dm" at the rate
     r_b, averaged over its link states."""
-    return outage_over_states(
-        link_states(scn, mode, "bob"), scn.p_a,
-        snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz),
-        scn.noise.sigma_n2, scn.noise.rho)
+    bob = link_states(scn, mode, "bob")
+    return outage_over_states(bob, scn.p_a,
+                              snr_threshold(scn.r_b, bob.bandwidth_hz),
+                              scn.noise.rho)
 
 
 def ecr(scn: Scenario, mode: str) -> float:
@@ -161,18 +161,17 @@ def ecr(scn: Scenario, mode: str) -> float:
 _REL_TOL = 1e-9
 
 
-def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
-                    rho: float, bandwidth_hz: float) -> float:
+def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     """Ergodic covert Shannon capacity (bits/s) over the states of Bob's
-    link.
+    link, in its band W = ``states.bandwidth_hz``.
 
-    A state with mean SNR g at the nominal noise contributes
-    W / ln 2 E[ln(1 + g x rho^-u)], over its fading power x and the noise
-    exponent u ~ U[-1, 1]: the fading rule of ``channel._state_rule`` in x,
-    graded toward the window start by the branch point x = -1 / (g rho) of
-    the logarithm at u = -1, and the 64-node Gauss-Legendre rule in u.  An
-    error estimate above 1e-9 of a state's value raises
-    ``QuadratureError`` naming the state.
+    A state with mean SNR g at the nominal noise ``states.sigma_n2``
+    contributes W / ln 2 E[ln(1 + g x rho^-u)], over its fading power x
+    and the noise exponent u ~ U[-1, 1]: the fading rule of
+    ``channel._state_rule`` in x, graded toward the window start by the
+    branch point x = -1 / (g rho) of the logarithm at u = -1, and the
+    64-node Gauss-Legendre rule in u.  An error estimate above 1e-9 of a
+    state's value raises ``QuadratureError`` naming the state.
     """
     if p_a < 0:
         raise DomainError("transmit power must be nonnegative")
@@ -180,7 +179,7 @@ def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
         return 0.0
     if rho <= 1:
         raise DomainError("noise uncertainty factor rho must exceed 1")
-    gains = [unit / sigma_n2 for unit in states.received(p_a)]
+    gains = [unit / states.sigma_n2 for unit in states.received(p_a)]
     rule = _state_rule(_RULE, states.law, states.params,
                        [1.0 / (g * rho) if g > 0.0 else math.inf
                         for g in gains])
@@ -190,11 +189,11 @@ def csc_over_states(states: LinkStates, p_a: float, sigma_n2: float,
                   for g, x in zip(gains, rule.x)])
     val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
                           lambda i: f"mean SNR {gains[i]:.6g}")
-    return bandwidth_hz / math.log(2.0) * float(np.dot(states.probs, val))
+    return (states.bandwidth_hz / math.log(2.0)
+            * float(np.dot(states.probs, val)))
 
 
 def csc(scn: Scenario, mode: str) -> float:
     """Ergodic covert Shannon capacity (bits/s) in mode "om" or "dm"."""
     return csc_over_states(link_states(scn, mode, "bob"), scn.p_a,
-                           scn.noise.sigma_n2, scn.noise.rho,
-                           scn.band(mode).bandwidth_hz)
+                           scn.noise.rho)

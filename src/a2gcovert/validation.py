@@ -98,7 +98,6 @@ def run_validation(scn: Scenario, n: int = 10**6,
              for rho_db in GRID_RHO_DB]
     ops = [(dbm_to_mw(p_dbm), db_to_linear(rho_db)) for p_dbm, rho_db in cells]
     modes = ("om", "dm")
-    sigma_n2 = scn.noise.sigma_n2
     reports: list[CellReport] = []
     group = 0
     for x_a in GRID_X_A:
@@ -107,26 +106,24 @@ def run_validation(scn: Scenario, n: int = 10**6,
         for mode in modes:
             willie, bob = (link_states(point, mode, "willie"),
                            link_states(point, mode, "bob"))
-            w = scn.band(mode).bandwidth_hz
-            gammas = snr_threshold(np.array(GRID_R_B), w)
-            tables[mode] = (willie, bob, w, gammas)
+            gammas = snr_threshold(np.array(GRID_R_B), bob.bandwidth_hz)
+            tables[mode] = (willie, bob, gammas)
             dep_est[mode] = mc_dep_points(
-                willie, ops, sigma_n2, n,
-                derived_seed(scn.seed, group, _WILLIE), workers)
+                willie, ops, n, derived_seed(scn.seed, group, _WILLIE),
+                workers)
             bob_est[mode] = mc_receiver_points(
-                bob, [(p_a, rho, tuple(gammas)) for p_a, rho in ops],
-                sigma_n2, n, derived_seed(scn.seed, group, _BOB), workers,
-                bandwidth_hz=w)
+                bob, [(p_a, rho, tuple(gammas)) for p_a, rho in ops], n,
+                derived_seed(scn.seed, group, _BOB), workers, capacity=True)
             group += 1
         for c, (p_dbm, rho_db) in enumerate(cells):
             p_a, rho = ops[c]
             for mode in modes:
-                willie, bob, w, gammas = tables[mode]
+                willie, bob, gammas = tables[mode]
                 reports.append(_report(
                     "dep", mode, x_a, p_dbm, rho_db, None,
-                    dep_over_states(willie, p_a, sigma_n2, rho).value,
+                    dep_over_states(willie, p_a, rho).value,
                     dep_est[mode][c], base_abs_tol=DEP_ABS_TOL))
-                p_out = outage_over_states(bob, p_a, gammas, sigma_n2, rho)
+                p_out = outage_over_states(bob, p_a, gammas, rho)
                 for r_b, ana, est in zip(GRID_R_B, p_out,
                                          bob_est[mode][c].outage):
                     reports.append(_report(
@@ -134,6 +131,6 @@ def run_validation(scn: Scenario, n: int = 10**6,
                         est, base_abs_tol=OUTAGE_ABS_TOL))
                 reports.append(_report(
                     "csc", mode, x_a, p_dbm, rho_db, None,
-                    csc_over_states(bob, p_a, sigma_n2, rho, w),
+                    csc_over_states(bob, p_a, rho),
                     bob_est[mode][c].capacity, rel_tol=CSC_REL_TOL))
     return reports

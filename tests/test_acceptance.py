@@ -350,12 +350,12 @@ class TestOptimizerSoundness:
                 # reference: same covert power, 10x finer rate grid up to
                 # the LoS capacity at p_max
                 bob = link_states(point, mode, "bob")
-                w = scn.band(mode).bandwidth_hz
+                w = bob.bandwidth_hz
                 r_hi = _los_rate(point, mode, scn.p_max)
                 rates = np.linspace(r_hi / 1280, r_hi, 1280)
                 ref = np.max(rates * (1.0 - outage_over_states(
                     bob, res.p_a_opt, snr_threshold(rates, w),
-                    scn.noise.sigma_n2, scn.noise.rho)))
+                    scn.noise.rho)))
                 rel = abs(res.objective - ref) / ref
                 assert rel <= 0.01, (mode, alice.x, rel)
 

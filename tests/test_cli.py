@@ -284,6 +284,19 @@ class TestOptimize:
             assert float(row["objective"]) > 0.0
             assert row["binding"] in ("power", "covertness")
 
+    @pytest.mark.parametrize("config", [
+        "dm.alpha_nlos = 3e6", "om.alpha_nlos = 2710", "scurve.sigma = 4880"])
+    def test_unreachable_states(self, config, tmp_path, capsys):
+        # NLoS path loss underflowing to 0, or a LoS probability of 0
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text(config + "\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", "ecr", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert {row["mode"] for row in rows} == {"om", "dm"}
+        assert all(float(row["objective"]) >= 0.0 for row in rows)
+
     def test_csc_has_no_rate(self, capsys):
         code, out, _ = run_cli(
             ["optimize", "--metric", "csc", "--mode", "om"], capsys)

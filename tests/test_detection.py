@@ -247,7 +247,7 @@ class TestExpectedMinDep:
     def test_negative_power_rejected(self, scn):
         with pytest.raises(DomainError):
             dep_over_states(link_states(scn, "om", "willie"), -1.0,
-                            scn.noise.sigma_n2, scn.noise.rho)
+                            scn.noise.rho)
 
     def test_closed_forms_follow_exact_at_low_power(self, scn):
         # at low power the surrogate bias is small and both routes agree

@@ -32,3 +32,19 @@ def test_no_position_override(name):
                    and "alice" in inspect.signature(
                        getattr(module, n)).parameters]
     assert takes_alice == []
+
+
+@pytest.mark.parametrize("name", ["channel", "detection", "throughput",
+                                  "oracle", "planner", "validation"])
+def test_no_noise_or_band_next_to_a_state_table(name):
+    # a link's state table carries its receiver's nominal noise power and
+    # the mode's band; a function that takes the table reads them from it
+    module = importlib.import_module(f"a2gcovert.{name}")
+    both = []
+    for n in module.__all__:
+        if inspect.isfunction(getattr(module, n)):
+            params = inspect.signature(getattr(module, n)).parameters
+            if "states" in params and {"sigma_n2", "bandwidth_hz"} & set(
+                    params):
+                both.append(n)
+    assert both == []

@@ -52,6 +52,11 @@ class TestLosProbability:
         vals = [los_probability(t, self.S) for t in (5, 20, 45, 70, 90)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_overflowing_exponential_reads_the_limit(self):
+        # sigma = 4880: exp(f (sigma - theta)) overflows, 1 / (1 + inf) = 0
+        steep = SCurveParams(sigma=4880.0, f=0.429)
+        assert [los_probability(t, steep) for t in (0.5, 90.0)] == [0.0, 0.0]
+
     def test_angle_domain(self):
         with pytest.raises(DomainError):
             los_probability(0.0, self.S)

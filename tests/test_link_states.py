@@ -64,6 +64,19 @@ class TestTable:
         assert sum(table.probs) == pytest.approx(1.0, abs=1e-15)
         assert len(table.labels) == len(table.params) == len(table.probs)
 
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    def test_table_carries_noise_power_and_band(self, scn, mode):
+        for receiver in ("bob", "willie"):
+            table = link_states(scn, mode, receiver)
+            assert table.sigma_n2 == scn.noise.sigma_n2
+            assert table.bandwidth_hz == scn.band(mode).bandwidth_hz
+        # tables that differ only in the noise power are unequal
+        base = link_states(scn, mode, "bob")
+        louder = link_states(replace(scn, noise=NoiseModel(
+            2.0 * scn.noise.sigma_n2, scn.noise.rho)), mode, "bob")
+        assert louder != base
+        assert replace(louder, sigma_n2=base.sigma_n2) == base
+
     def test_bad_mode_or_receiver(self, scn):
         with pytest.raises(DomainError):
             link_states(scn, "fm", "bob")

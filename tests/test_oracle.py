@@ -86,8 +86,7 @@ class TestEstimates:
             mc_outage(scn, mode="fm", n=N_SMOKE, seed=SEED)
         with pytest.raises(DomainError):
             mc_dep_points(link_states(scn, "om", "willie"),
-                          [(-1.0, scn.noise.rho)], scn.noise.sigma_n2,
-                          N_SMOKE, SEED)
+                          [(-1.0, scn.noise.rho)], N_SMOKE, SEED)
 
 
 class TestVarianceMerge:
@@ -125,7 +124,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("mode", ["om", "dm"])
     def test_dep_call_is_one_point_of_the_multi_point_call(self, scn, mode):
         multi = mc_dep_points(link_states(scn, mode, "willie"), self.POINTS,
-                              scn.noise.sigma_n2, N_SMOKE, SEED)
+                              N_SMOKE, SEED)
         for (p_a, rho), est in zip(self.POINTS, multi):
             one = mc_expected_min_dep(_at(scn, p_a, rho), mode=mode,
                                       n=N_SMOKE, seed=SEED)
@@ -140,7 +139,7 @@ class TestSharedDraws:
         multi = mc_receiver_points(
             link_states(scn, mode, "bob"),
             [(p_a, rho, gammas) for p_a, rho in self.POINTS],
-            scn.noise.sigma_n2, N_SMOKE, SEED, bandwidth_hz=w)
+            N_SMOKE, SEED, capacity=True)
         for (p_a, rho), est in zip(self.POINTS, multi):
             point = _at(scn, p_a, rho)
             for r_b, out in zip(rates, est.outage):
@@ -163,13 +162,12 @@ class TestSharedDraws:
             return power(self, u)
 
         monkeypatch.setattr(NoiseModel, "power", counted)
-        bob, w = link_states(scn, "dm", "bob"), scn.dm.bandwidth_hz
-        multi = mc_receiver_points(bob, points, scn.noise.sigma_n2, N_SMOKE,
-                                   SEED, bandwidth_hz=w)
+        bob = link_states(scn, "dm", "bob")
+        multi = mc_receiver_points(bob, points, N_SMOKE, SEED, capacity=True)
         assert sorted(calls) == sorted(set(rhos))  # one batch
         for point, est in zip(points, multi):
-            assert mc_receiver_points(bob, [point], scn.noise.sigma_n2,
-                                      N_SMOKE, SEED, bandwidth_hz=w) == [est]
+            assert mc_receiver_points(bob, [point], N_SMOKE, SEED,
+                                      capacity=True) == [est]
 
     def test_bad_point_raises_before_drawing(self, scn, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -178,16 +176,14 @@ class TestSharedDraws:
         monkeypatch.setattr(oracle, "_run_batches", no_draws)
         willie, bob = link_states(scn, "om", "willie"), link_states(
             scn, "om", "bob")
-        sigma_n2, w = scn.noise.sigma_n2, scn.om.bandwidth_hz
         with pytest.raises(DomainError):
-            mc_dep_points(willie, [(1.0, 2.0), (-1.0, 2.0)], sigma_n2,
-                          N_SMOKE, SEED)
+            mc_dep_points(willie, [(1.0, 2.0), (-1.0, 2.0)], N_SMOKE, SEED)
         with pytest.raises(DomainError):
             mc_receiver_points(bob, [(1.0, 2.0, (1.0,)), (-1.0, 2.0, ())],
-                               sigma_n2, N_SMOKE, SEED, bandwidth_hz=w)
+                               N_SMOKE, SEED, capacity=True)
         with pytest.raises(DomainError):
-            mc_receiver_points(bob, [(1.0, 2.0, (1.0, -1.0))], sigma_n2,
-                               N_SMOKE, SEED, bandwidth_hz=w)
+            mc_receiver_points(bob, [(1.0, 2.0, (1.0, -1.0))], N_SMOKE, SEED,
+                               capacity=True)
 
 
 class TestSamplerLaw:
@@ -236,15 +232,14 @@ class TestOracleProperties:
             try:
                 scn = scenario_from_flat(flat)
                 rho = scn.noise.rho
-                g = float(snr_threshold(scn.r_b, scn.band(mode).bandwidth_hz))
-                sigma_n2 = scn.noise.sigma_n2
+                bob = link_states(scn, mode, "bob")
+                g = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
                 dep = mc_dep_points(link_states(scn, mode, "willie"),
                                     [(p, rho) for p in self.POWERS],
-                                    sigma_n2, 2000, SEED)
+                                    2000, SEED)
                 rx = mc_receiver_points(
-                    link_states(scn, mode, "bob"),
-                    [(p, rho, (g,)) for p in self.POWERS], sigma_n2, 2000,
-                    SEED, bandwidth_hz=scn.band(mode).bandwidth_hz)
+                    bob, [(p, rho, (g,)) for p in self.POWERS], 2000, SEED,
+                    capacity=True)
             except A2GError:
                 return
         p_out = [est.outage[0] for est in rx]

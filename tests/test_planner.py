@@ -99,12 +99,12 @@ class TestMaximizeEcr:
                                                 scn.alice.h))
         res = maximize_ecr(point, mode)
         bob = link_states(point, mode, "bob")
-        w = scn.band(mode).bandwidth_hz
-        sigma_n2, rho = scn.noise.sigma_n2, scn.noise.rho
+        w = bob.bandwidth_hz
+        rho = scn.noise.rho
 
         def ecr(r):
             return r * (1.0 - outage_over_states(
-                bob, res.p_a_opt, snr_threshold(r, w), sigma_n2, rho))
+                bob, res.p_a_opt, snr_threshold(r, w), rho))
 
         r_hi = _los_rate(point, mode, res.p_a_opt)
         rates = np.linspace(r_hi / 128, r_hi, 128)

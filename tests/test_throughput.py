@@ -11,6 +11,7 @@ from scipy import integrate, special
 from a2gcovert import throughput
 from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
+from a2gcovert.planner import maximize_ecr
 from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
 from a2gcovert.surrogate import outage_dm_closed_form
@@ -29,7 +30,7 @@ from test_detection import _corner_scenarios
 def _outage_at(scn, mode, p_a, gamma_th):
     """The outage kernel on the scenario's link to Bob at (p_a, gamma_th)."""
     return outage_over_states(link_states(scn, mode, "bob"), p_a,
-                              gamma_th, scn.noise.sigma_n2, scn.noise.rho)
+                              gamma_th, scn.noise.rho)
 
 
 class TestSnrThreshold:
@@ -48,6 +49,16 @@ class TestSnrThreshold:
             snr_threshold(1e6, 0.0)
         with pytest.raises(DomainError):
             snr_threshold(-1.0, 1e6)
+
+    def test_rate_far_above_the_band(self, scn):
+        # gamma_th overflows to inf, silently: outage 1 and ECR 0
+        huge = replace(scn, r_b=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert snr_threshold(1e12, 1e6) == math.inf
+            for mode in ("om", "dm"):
+                assert outage(huge, mode) == 1.0
+                assert ecr(huge, mode) == 0.0
 
 
 class TestOutage:
@@ -144,8 +155,7 @@ class TestCsc:
     def test_negative_power_rejected(self, scn):
         with pytest.raises(DomainError):
             csc_over_states(link_states(scn, "om", "bob"), -0.1,
-                            scn.noise.sigma_n2, scn.noise.rho,
-                            scn.om.bandwidth_hz)
+                            scn.noise.rho)
         with pytest.raises(DomainError):
             csc(scn, "fm")
 
@@ -182,9 +192,11 @@ def _tight_capacity(law, param, snr, rho):
     return 0.5 * val
 
 
-def _one_state(law, param):
-    """A single-state table with unit gains, always in that state."""
-    return LinkStates(law, ("state",), (1.0,), (param,), 1.0, (1.0,), (1.0,))
+def _one_state(law, param, bandwidth_hz):
+    """A single-state table with unit gains and unit noise power, always in
+    that state."""
+    return LinkStates(law, ("state",), (1.0,), (param,), 1.0, (1.0,), (1.0,),
+                      1.0, bandwidth_hz)
 
 
 class TestCscKernel:
@@ -221,8 +233,8 @@ class TestCscKernel:
             rho = 10.0 ** (rho_db / 10.0)
             snr = float(10.0 ** rng.uniform(-12.0, 6.0))
             # W = ln 2 turns bits/s back into the mean of ln(1 + snr)
-            got = csc_over_states(_one_state(law, param), snr, 1.0, rho,
-                                  math.log(2.0))
+            got = csc_over_states(_one_state(law, param, math.log(2.0)),
+                                  snr, rho)
             want = _tight_capacity(law, param, snr, rho)
             err = abs(got - want) / want
             if err > worst[0]:
@@ -230,15 +242,45 @@ class TestCscKernel:
         assert worst[0] <= 1e-10, f"kernel error {worst[0]:.3g} at {worst[1]}"
 
     def test_starved_rule_raises_naming_the_state(self, monkeypatch):
-        states = _one_state("rician", 7200.0)
-        assert csc_over_states(states, 1.0, 1.0, 2.0, 1.0) > 0.0
+        states = _one_state("rician", 7200.0, 1.0)
+        assert csc_over_states(states, 1.0, 2.0) > 0.0
         # one panel of 4 nodes, estimated by 2
         monkeypatch.setattr(throughput, "_RULE", (1, 4, 2))
         with pytest.raises(QuadratureError) as info:
-            csc_over_states(states, 1.0, 1.0, 2.0, 1.0)
+            csc_over_states(states, 1.0, 2.0)
         msg = str(info.value)
         assert "rician" in msg and "k = 7200" in msg
         assert "mean SNR" in msg and "window b in [108" in msg
+
+
+class TestSilentState:
+    # a state whose mean received power underflows to 0 is in outage at
+    # every positive threshold, in the exact kernels and in the surrogate
+
+    @pytest.mark.parametrize("law, param", [("rician", 5.0), ("gamma", 2)])
+    def test_kernel(self, law, param):
+        dead = replace(_one_state(law, param, 1.0), losses=(0.0,))
+        gammas = np.array([0.0, 1e-300, 4.0])
+        assert outage_over_states(dead, 1.0, gammas, 2.0).tolist() == [
+            0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("key, value, mode", [
+        ("dm.alpha_nlos", 3e6, "dm"), ("om.alpha_nlos", 2710.0, "om")])
+    def test_underflowing_path_loss(self, key, value, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scn = scenario_from_flat({key: value})
+            bob = link_states(scn, mode, "bob")
+            dead = sum(p for p, unit in zip(bob.probs, bob.received(1.0))
+                       if unit == 0.0)
+            p_out = outage(scn, mode)
+            res = maximize_ecr(scn, mode)
+            closed = outage_dm_closed_form(scn)
+        assert dead > 0.0
+        assert dead <= p_out <= 1.0
+        assert ecr(scn, mode) == scn.r_b * (1.0 - p_out)
+        assert 0.0 < res.objective <= res.r_b_opt
+        assert 0.0 <= closed <= 1.0
 
 
 class TestRicianOutage:
