@@ -119,10 +119,21 @@ def rician_factor(theta_rad: float, law: RicianLaw, los: bool) -> float:
 
 
 def path_loss(d: float, pl: PathLoss) -> float:
-    """Large-scale loss beta * d^(-alpha) for d > 0."""
+    """Large-scale loss beta * d^(-alpha) for d > 0.
+
+    The power law does not hold where that gain overflows a float, as
+    d^(-alpha) does below 1 m at a large alpha: ``DomainError``.
+    """
     if d <= 0:
         raise DomainError("distance must be positive")
-    return pl.beta * d ** (-pl.alpha)
+    try:
+        loss = pl.beta * d ** (-pl.alpha)
+    except OverflowError:
+        loss = math.inf
+    if loss == math.inf:
+        raise DomainError(f"path loss beta * d^(-alpha) overflows at "
+                          f"d = {d:g} m, alpha = {pl.alpha:g}")
+    return loss
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Both problems are monotone in transmit power (throughput rises, expected DEP
 falls), so the optimal power is the covertness limit capped at the power
-budget, found by geometric bisection.  The ECR problem additionally searches
+budget: the result of a geometric bisection, found in about 5 DEP kernel
+calls by a bracketed root search that the bisection is then replayed
+against, and cached per warden state table, so the ECR and CSC solves at
+one point share it.  The ECR problem additionally searches
 the target rate, since the rate objective need not be concave: on a
 deterministic grid, then by a vectorised bracket refinement that evaluates
 33 rates between the best point's neighbours in one outage call per round.
 
 A solve builds the state tables of the warden's and the receiver's link
-(``channel.link_states``) once; the bisection, the rate grid and the
+(``channel.link_states``) once; the power search, the rate grid and the
 refinement call the DEP, outage and CSC kernels on them directly.  The
 module uses numpy alone; it needs no scalar optimiser.
 """
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import link_states
+from .channel import LinkStates, link_states
 from .detection import dep_over_states
 from .errors import DomainError
 from .scenario import Scenario
@@ -41,6 +45,8 @@ CONSTRAINT_SLACK = 1e-9
 
 # relative width at which the covert-power bisection stops
 _POWER_REL_TOL = 1e-6
+# width in ln p of the root bracket that the bisection is replayed against
+_LOG_BRACKET = 1e-8
 # rate grid points, refinement rounds, and rates evaluated per round
 _N_RATE = 128
 _REFINE_ROUNDS = 3
@@ -81,31 +87,96 @@ class ModeDecision:
 
 def _covert_power_limit(scn: Scenario, mode: str) -> tuple[float, str]:
     """Largest transmit power satisfying the covertness constraint, capped at
-    P_max; geometric bisection (expected DEP is nonincreasing in power).
+    P_max: ``_covert_power`` on the warden's state table.
 
-    Returns (power, binding constraint name).  The bracket starts at
-    P_max * 1e-12, or lower where that power is not covert: since
-    ln(1 + y) <= y and the fading has unit mean, the expected DEP at p is at
-    least 1 - p sum_i prob_i rho unit_i / (2 sigma^2 ln rho), so half the
-    power at which that bound reaches 1 - epsilon is covert.  An unknown
-    mode raises ``DomainError`` (from ``link_states``).
+    Returns (power, binding constraint name).  An unknown mode raises
+    ``DomainError`` (from ``link_states``).
     """
-    willie = link_states(scn, mode, "willie")
-    rho = scn.noise.rho
+    return _covert_power(link_states(scn, mode, "willie"), scn.noise.rho,
+                         scn.epsilon, scn.p_max)
 
-    def is_covert(p_a: float) -> bool:
-        dep = dep_over_states(willie, p_a, rho).value
-        return dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
 
-    if is_covert(scn.p_max):
-        return scn.p_max, "power"
+def _log_expm1(x: float) -> float:
+    """ln(e^x - 1) for x > 0, without overflow."""
+    return x + math.log(-math.expm1(-x))
+
+
+@lru_cache(maxsize=1024)
+def _covert_power(willie: LinkStates, rho: float, epsilon: float,
+                  p_max: float) -> tuple[float, str]:
+    """The largest covert power in [lo, P_max] as the geometric bisection
+    finds it (expected DEP is nonincreasing in power), in about 5 DEP
+    kernel calls instead of 26.
+
+    lo is P_max * 1e-12, or lower where that power is not covert: since
+    ln(1 + y) <= y and the fading has unit mean, 1 - DEP <= p sum_i prob_i
+    rho unit_i / (2 sigma^2 ln rho), and half the power at which that bound
+    reaches epsilon is covert.  A root search in u = ln p comes first, on
+    g(u) = ln(rho^(2 (1 - DEP)) - 1) - ln(rho^(2 (epsilon + slack)) - 1).
+    rho^(2 (1 - DEP)) - 1 is proportional to p at a fixed fading power, and
+    by Jensen's inequality the mixture stays below a p, a = rho sum_i
+    prob_i unit_i / sigma^2, with equality as p -> 0: g is close to linear.
+    The search starts where that line reaches the target and runs regula
+    falsi with Anderson-Bjorck weights, bisecting where a step would not be
+    shorter than half the one before the last, until an evaluated covert
+    power p_lo and a non-covert one p_hi lie within 1e-8 in u.  The
+    bisection then calls the kernel only at a midpoint between them.
+    Cached by the state table, which carries the noise power.
+    """
+    target = 1.0 - epsilon - CONSTRAINT_SLACK
+    dep = dep_over_states(willie, p_max, rho).value
+    if dep >= target:
+        return p_max, "power"
+    two_ln_rho = 2.0 * math.log(rho)
     mean_unit = float(np.dot(willie.probs, willie.received(1.0)))
-    lo = min(scn.p_max * 1e-12, scn.epsilon * math.log(rho)
+    log_a = math.log(rho * mean_unit / willie.sigma_n2)
+    g_ref = _log_expm1(two_ln_rho * (epsilon + CONSTRAINT_SLACK))
+
+    def g_at(dep: float, u: float) -> float:
+        # where 1 - DEP rounds to 0, the line the mixture stays below
+        return (_log_expm1(two_ln_rho * (1.0 - dep)) if dep < 1.0
+                else u + log_a) - g_ref
+
+    lo = min(p_max * 1e-12, epsilon * math.log(rho)
              * willie.sigma_n2 / (rho * mean_unit))
-    hi = scn.p_max
+    hi = p_max
+    # the bracket: lo (not evaluated, so it takes the line's g) and p_max
+    p_lo, p_hi = lo, hi
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    g_lo, g_hi = g_at(1.0, u_lo), g_at(dep, u_hi)
+    u, u_prev, last = g_ref - log_a, u_hi, None
+    step = step_before = math.inf
+    while u_hi - u_lo > _LOG_BRACKET:
+        u = min(max(u, u_lo + 0.5 * _LOG_BRACKET), u_hi - 0.5 * _LOG_BRACKET)
+        p = math.exp(u)
+        dep = dep_over_states(willie, p, rho).value
+        g, covert = g_at(dep, u), dep >= target
+        if covert == last:  # the other end stays again: weigh it down
+            end = g_lo if covert else g_hi
+            m = 1.0 - g / end if g * end > 0.0 else 0.0
+            m = m if m > 0.0 else 0.5
+            if covert:
+                g_hi *= m
+            else:
+                g_lo *= m
+        if covert:
+            p_lo, u_lo, g_lo = p, u, g
+        else:
+            p_hi, u_hi, g_hi = p, u, g
+        last, step, step_before, u_prev = covert, abs(u - u_prev), step, u
+        if g_hi <= 0.0 or g_lo >= 0.0:  # by rounding, an end reads as the root
+            u = u_hi if g_hi <= 0.0 else u_lo
+        else:
+            u = u_hi - g_hi * (u_hi - u_lo) / (g_hi - g_lo)
+        if abs(u - u_prev) >= 0.5 * step_before:  # too slow: bisect
+            u = 0.5 * (u_lo + u_hi)
+    # the bisection, with the sides of midpoints outside (p_lo, p_hi) known
     while (hi - lo) > _POWER_REL_TOL * hi:
         mid = math.sqrt(lo * hi)
-        if is_covert(mid):
+        if not lo < mid < hi:  # lo * hi underflowed: the loop would stall
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        if mid <= p_lo or (mid < p_hi and dep_over_states(
+                willie, mid, rho).value >= target):
             lo = mid
         else:
             hi = mid
@@ -152,7 +223,7 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
 
 
 def maximize_csc(scn: Scenario, mode: str) -> OptimizationResult:
-    """Largest covert power (capacity is monotone in power), by bisection."""
+    """Largest covert power (capacity is monotone in power)."""
     p_opt, binding = _covert_power_limit(scn, mode)
     objective = csc_over_states(link_states(scn, mode, "bob"), p_opt,
                                 scn.noise.rho)

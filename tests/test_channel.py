@@ -188,6 +188,19 @@ class TestNoiseAndPathLoss:
         with pytest.raises(DomainError):
             path_loss(0.0, pl)
 
+    @pytest.mark.parametrize("pl", [
+        PathLoss(beta=1e-7, alpha=2710.0),  # d^(-alpha) overflows
+        PathLoss(beta=1e20, alpha=1000.0),  # only beta * d^(-alpha) does
+    ])
+    def test_overflowing_path_loss_is_a_domain_error(self, pl):
+        with pytest.raises(DomainError, match=r"d = 0\.5 m, alpha = "):
+            path_loss(0.5, pl)
+
+    def test_largest_finite_path_loss_is_the_power_law(self):
+        for beta, alpha in ((1e-7, 1000.0), (1e-6, 1023.0), (1.0, 1.5)):
+            assert path_loss(0.5, PathLoss(beta, alpha)) == beta * 0.5 ** (
+                -alpha)
+
     @given(st.floats(1.0, 1e4), st.floats(0.5, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_path_loss_decreasing_in_distance(self, d, alpha):

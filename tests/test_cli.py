@@ -297,6 +297,20 @@ class TestOptimize:
         assert {row["mode"] for row in rows} == {"om", "dm"}
         assert all(float(row["objective"]) >= 0.0 for row in rows)
 
+    @pytest.mark.parametrize("config", [
+        "alice.h = 0.5\nom.alpha_nlos = 2710",
+        "alice.h = 0.5\nom.alpha_nlos = 1000\nom.beta_nlos = 1e20"])
+    def test_overflowing_path_loss_exits_2(self, config, tmp_path, capsys):
+        # 0.5 m from the warden, the NLoS gain beta * d^(-alpha) overflows
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text(config + "\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", "ecr", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: path loss") and "alpha = " in err
+        assert len(err.splitlines()) == 1
+
     def test_csc_has_no_rate(self, capsys):
         code, out, _ = run_cli(
             ["optimize", "--metric", "csc", "--mode", "om"], capsys)

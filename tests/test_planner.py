@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from a2gcovert.channel import link_states
-from a2gcovert.detection import expected_min_dep
+from a2gcovert import planner
+from a2gcovert.channel import NoiseModel, link_states
+from a2gcovert.detection import dep_over_states, expected_min_dep
 from a2gcovert.errors import DomainError
 from a2gcovert.planner import (
     CONSTRAINT_SLACK,
@@ -14,7 +15,7 @@ from a2gcovert.planner import (
     maximize_ecr,
     select_mode,
 )
-from a2gcovert.scenario import NodePosition, dbm_to_mw
+from a2gcovert.scenario import NodePosition, dbm_to_mw, scenario_from_flat
 from a2gcovert.throughput import csc, outage_over_states, snr_threshold
 from a2gcovert.validation import GRID_X_A
 
@@ -33,8 +34,8 @@ def _dep_at(scn, mode, p_a):
 class TestCovertPowerLimit:
     @pytest.mark.parametrize("p_max_dbm", [150.0, 200.0])
     def test_huge_power_cap_keeps_the_covert_limit(self, scn, p_max_dbm):
-        # p_max * 1e-12 is not covert here; the bisection then starts at a
-        # power that the first-order DEP bound shows to be covert
+        # p_max * 1e-12 is not covert here; the power search then starts
+        # at a power that the first-order DEP bound shows to be covert
         loud = replace(scn, p_max=dbm_to_mw(p_max_dbm))
         want = maximize_csc(scn, "om").p_a_opt
         for maximize in (maximize_ecr, maximize_csc):
@@ -45,6 +46,123 @@ class TestCovertPowerLimit:
             assert res.feasible and res.binding == "covertness"
             assert _dep_at(loud, "dm", res.p_a_opt) == pytest.approx(
                 1.0 - scn.epsilon, abs=1e-4)
+
+
+def _bisection(scn, mode):
+    """The covert-power search as a plain geometric bisection, one DEP
+    kernel call per step: the reference for the planner's search."""
+    willie = link_states(scn, mode, "willie")
+    rho = scn.noise.rho
+
+    def is_covert(p_a):
+        dep = dep_over_states(willie, p_a, rho).value
+        return dep >= 1.0 - scn.epsilon - CONSTRAINT_SLACK
+
+    if is_covert(scn.p_max):
+        return scn.p_max, "power"
+    mean_unit = float(np.dot(willie.probs, willie.received(1.0)))
+    lo = min(scn.p_max * 1e-12, scn.epsilon * math.log(rho)
+             * willie.sigma_n2 / (rho * mean_unit))
+    hi = scn.p_max
+    while (hi - lo) > 1e-6 * hi:
+        mid = math.sqrt(lo * hi)
+        if is_covert(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, "covertness"
+
+
+def _outcome(search, scn, mode):
+    try:
+        power, binding = search(scn, mode)
+    except Exception as exc:  # the two must fail alike, too
+        return type(exc).__name__
+    return power.hex(), binding
+
+
+@pytest.fixture
+def dep_calls(monkeypatch):
+    """The powers at which the planner calls the DEP kernel, from a cold
+    power-search cache."""
+    calls = []
+
+    def counting(states, p_a, rho):
+        calls.append(p_a)
+        return dep_over_states(states, p_a, rho)
+
+    monkeypatch.setattr(planner, "dep_over_states", counting)
+    planner._covert_power.cache_clear()
+    yield calls
+    planner._covert_power.cache_clear()
+
+
+class TestCovertPowerSearch:
+    def test_matches_the_bisection_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        bound = 0
+        for _ in range(300):
+            scn = scenario_from_flat({
+                "alice.x": rng.uniform(-1000.0, 4000.0),
+                "alice.h": rng.uniform(20.0, 500.0),
+                "epsilon": math.exp(rng.uniform(math.log(1e-6),
+                                                math.log(0.99))),
+                "p_max_dbm": rng.uniform(-30.0, 150.0),
+                "noise.rho_db": math.exp(rng.uniform(math.log(0.01),
+                                                     math.log(15.0)))})
+            for mode in ("om", "dm"):
+                planner._covert_power.cache_clear()
+                got = _outcome(planner._covert_power_limit, scn, mode)
+                assert got == _outcome(_bisection, scn, mode), (scn, mode)
+                bound += got[1] == "covertness"
+        planner._covert_power.cache_clear()
+        assert bound >= 300
+
+    def test_calls_per_solve_on_the_track(self, scn, dep_calls):
+        # the 20 positions of the mode-map track from -200 m to 2200 m
+        bound = 0
+        for x_a in np.linspace(-200.0, 2200.0, 20):
+            point = replace(scn, alice=NodePosition(float(x_a), scn.alice.y,
+                                                    scn.alice.h))
+            for mode in ("om", "dm"):
+                planner._covert_power.cache_clear()
+                before = len(dep_calls)
+                binding = maximize_ecr(point, mode).binding
+                calls = len(dep_calls) - before
+                if binding == "covertness":
+                    bound += 1
+                    assert calls <= 8, (x_a, mode, calls)
+                else:
+                    assert calls == 1
+        assert bound >= 10
+
+    def test_one_search_per_state_table(self, scn, dep_calls):
+        maximize_ecr(scn, "om")
+        assert len(dep_calls) > 1
+        before = len(dep_calls)
+        assert maximize_csc(scn, "om").binding == "covertness"
+        assert len(dep_calls) == before
+        noise = scn.noise
+        for other in (
+                replace(scn, noise=NoiseModel(2.0 * noise.sigma_n2,
+                                              noise.rho)),
+                replace(scn, noise=NoiseModel(noise.sigma_n2,
+                                              1.1 * noise.rho))):
+            before = len(dep_calls)
+            maximize_csc(other, "om")
+            assert len(dep_calls) > before + 1
+
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    def test_power_whose_square_underflows(self, mode):
+        # at sigma^2 = 1e-300 mW the covert limit is near 1e-290 mW, where
+        # the bisection's lo * hi underflows to 0; it used to loop forever
+        scn = scenario_from_flat({"noise.sigma_n2_dbm": -3000.0})
+        res = maximize_csc(scn, mode)
+        assert res.binding == "covertness"
+        assert 0.0 < res.p_a_opt < 1e-280
+        assert _dep_at(scn, mode, res.p_a_opt) >= (
+            1.0 - scn.epsilon - CONSTRAINT_SLACK)
 
 
 class TestMaximizeEcr:
@@ -77,7 +195,8 @@ class TestMaximizeEcr:
     def test_optimum_does_not_depend_on_a_slack_power_cap(self, scn):
         # once the cap lies above the covert limit the optimum stays put:
         # the rate grid tops out at the covert power, not at the cap; the
-        # powers agree to the bisection's 1e-6, the objectives to 1e-5
+        # powers agree to the power search's relative 1e-6, the objectives
+        # to 1e-5
         for mode in ("om", "dm"):
             covert = [res for res in (
                 maximize_ecr(replace(scn, p_max=dbm_to_mw(p)), mode)
