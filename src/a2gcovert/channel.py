@@ -147,6 +147,7 @@ class LinkStates:
     with integer shape params[i].  Its mean received power per mW of
     transmit power is tx_gain * rx_gains[i] * losses[i], against the
     receiver's nominal noise power sigma_n2 (mW) in the band bandwidth_hz.
+    A table is checked when it is built, so no kernel checks it again.
     """
 
     law: str
@@ -158,6 +159,22 @@ class LinkStates:
     losses: tuple[float, ...]
     sigma_n2: float
     bandwidth_hz: float
+
+    def __post_init__(self):
+        if self.law not in ("rician", "gamma"):
+            raise DomainError(f"unknown fading law {self.law!r}")
+        if len({len(col) for col in (self.labels, self.probs, self.params,
+                                     self.rx_gains, self.losses)}) != 1:
+            raise DomainError("state table columns differ in length")
+        if not all(0 <= p < math.inf if self.law == "rician" else
+                   p >= 1 and float(p).is_integer() for p in self.params):
+            raise DomainError("a Rice factor must be finite and >= 0, a "
+                              "shape an integer >= 1")
+        if not (all(v >= 0 for v in (*self.probs, self.tx_gain,
+                                     *self.rx_gains, *self.losses))
+                and self.sigma_n2 > 0 and self.bandwidth_hz > 0):
+            raise DomainError("probabilities, gains and losses must be >= 0, "
+                              "the noise power and the band > 0")
 
     def received(self, p_a: float) -> list[float]:
         """Mean received power of each state at transmit power p_a (mW)."""
@@ -198,6 +215,14 @@ def link_states(scn: Scenario, mode: str, receiver: str) -> LinkStates:
         (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2, sigma_n2, w)
 
 
+def _check_point(p_a: float, rho: float):
+    """The operating point of a state-table kernel: p_a >= 0, rho > 1."""
+    if not p_a >= 0:
+        raise DomainError("transmit power must be nonnegative")
+    if not rho > 1:
+        raise DomainError("noise uncertainty factor rho must exceed 1")
+
+
 # composite Gauss-Legendre rule: (panels, nodes per panel, nodes per panel
 # of the error-estimate rule on the same panels)
 _RULE = (4, 24, 16)
@@ -207,6 +232,9 @@ _GRADE = 4.0
 _RICIAN_HALF_WIDTH = 12.0
 # probability left out below and above the gamma window
 _GAMMA_TAIL = 1e-18
+# the least branch-point distance the grading aims at: 1 / (4 delta) is
+# finite from it on
+_TINY = 2.0 ** -1025
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +271,12 @@ def _gamma_law(s: int) -> tuple[float, float, float]:
 
 
 class _StateRule(NamedTuple):
-    """The fading rule of a list of states.  Row i of ``x`` holds state i's
+    """The fading rule of a state table.  Row i of ``x`` holds state i's
     fading power at the nodes and row i of ``dens`` its density there,
     times the window's width; ``w_val`` and ``w_est`` are the nodes' weights
     in the value and the estimate rule."""
 
-    law: str
-    params: tuple[float, ...] | list[float]
+    states: LinkStates
     lo: list[float]
     width: list[float]
     x: np.ndarray
@@ -263,29 +290,36 @@ class _StateRule(NamedTuple):
         and its error estimate.
 
         An estimate above atol + rtol |average| raises ``QuadratureError``
-        naming the metric ``what``, the state, ``info(i)`` and the window.
+        naming the metric ``what``, the state, ``info(i)`` and the window;
+        an average that is not finite, where the kernel overflowed,
+        ``DomainError``.
         """
         f = f * self.dens
         val = f @ self.w_val
         err = np.abs(val - f @ self.w_est).tolist()
         val = val.tolist()
-        over = [e - atol - rtol * abs(v) for v, e in zip(val, err)]
+        over = [e - atol - rtol * abs(v) if math.isfinite(v) else math.inf
+                for v, e in zip(val, err)]
         i = max(range(len(over)), key=over.__getitem__)
         if over[i] > 0.0:
-            name, var = ("k", "b") if self.law == "rician" else ("s", "x")
+            law = self.states.law
+            name, var = ("k", "b") if law == "rician" else ("s", "x")
+            state = (f"{law} state {self.states.labels[i]!r}, {name} = "
+                     f"{self.states.params[i]:g}, {info(i)}")
+            if over[i] == math.inf:
+                raise DomainError(f"{what} kernel overflows: {state}")
             raise QuadratureError(
-                f"{what} fading average did not converge: {self.law} state "
-                f"{name} = {self.params[i]:g}, {info(i)}, window {var} in "
-                f"[{self.lo[i]:.6g}, {self.lo[i] + self.width[i]:.6g}], error "
-                f"estimate {err[i]:.3g} > {atol + rtol * abs(val[i]):.3g}")
+                f"{what} fading average did not converge: {state}, window "
+                f"{var} in [{self.lo[i]:.6g}, {self.lo[i] + self.width[i]:.6g}"
+                f"], error estimate {err[i]:.3g} > "
+                f"{atol + rtol * abs(val[i]):.3g}")
         return val, err
 
 
-def _state_rule(rule: tuple[int, ...], law: str, params, branch,
-                ends=None) -> _StateRule:
-    """The composite Gauss rule ``rule`` on each state's fading window.
+def _state_rule(states: LinkStates, branch, ends=None) -> _StateRule:
+    """The composite Gauss rule ``_RULE`` on each state's fading window.
 
-    State i has the fading law ``law`` ("rician" with Rice factor
+    State i of the table has its fading law ("rician" with Rice factor
     params[i], or "gamma" with integer shape params[i]):
 
     - a Rician state is integrated in the amplitude b = sqrt(2 (k+1) x),
@@ -298,18 +332,18 @@ def _state_rule(rule: tuple[int, ...], law: str, params, branch,
     then the last panel edge.  The kernel is analytic but for a branch
     point at x = -branch[i]; its distance from the window start is at
     least branch[i] / e_i of the window's width in x, where e_i is the cut
-    ends[i] when given and else the window's end in x, and at least the
-    square root of that in b.  The first panel is split geometrically
-    toward the start until it is no wider than the smallest such distance.
+    ends[i] when given and finite and else the window's end in x, and at
+    least the square root of that in b.  The first panel is split
+    geometrically toward the start until it is no wider than the smallest
+    such distance, or than 2^-1025 where that is smaller (a branch point
+    at 0); an empty window (a cut at 0) is not split for.
     """
-    rician = law == "rician"
+    rician = states.law == "rician"
     lo, width, cols = [], [], []
     rel = math.inf
-    for i, p in enumerate(params):
+    for i, p in enumerate(states.params):
         cut = math.inf if ends is None else ends[i]
         if rician:
-            if p < 0:
-                raise DomainError("Rician factor must be nonnegative")
             a = math.sqrt(2.0 * p)
             k2 = 2.0 * (p + 1.0)
             start = max(a - _RICIAN_HALF_WIDTH, 0.0)
@@ -317,19 +351,18 @@ def _state_rule(rule: tuple[int, ...], law: str, params, branch,
             x_end = end * end / k2
             cols.append((a, k2))
         else:
-            if p < 1:
-                raise DomainError("Nakagami shape must be >= 1")
             const, start, end = _gamma_law(int(p))
             end = x_end = min(cut, end)
             cols.append((const, p))
-        if branch[i] < math.inf:
-            rel = min(rel, branch[i] / (x_end if ends is None else cut))
+        e = cut if cut < math.inf else x_end
+        if branch[i] < math.inf and e > 0.0:
+            rel = min(rel, branch[i] / e)
         lo.append(start)
         width.append(max(end - start, 0.0))
-    delta = math.sqrt(rel) if rician else rel
+    delta = max(math.sqrt(rel) if rician else rel, _TINY)
     graded = (0 if delta == math.inf
-              else math.ceil(math.log(1.0 / (rule[0] * delta), _GRADE)))
-    nodes, w_val, w_est = _layout(rule, max(0, graded))
+              else math.ceil(math.log(1.0 / (_RULE[0] * delta), _GRADE)))
+    nodes, w_val, w_est = _layout(_RULE, max(0, graded))
     w = np.array(width)[:, None]
     y = np.array(lo)[:, None] + w * nodes  # states x nodes
     if rician:
@@ -340,7 +373,7 @@ def _state_rule(rule: tuple[int, ...], law: str, params, branch,
         const, s = np.array(cols).T[..., None]
         dens = np.exp(const + (s - 1.0) * np.log(y) - s * y)
         x = y
-    return _StateRule(law, params, lo, width, x, dens * w, w_val, w_est)
+    return _StateRule(states, lo, width, x, dens * w, w_val, w_est)
 
 
 def sample_rician_power(k, rng: np.random.Generator, size=None, out=None):

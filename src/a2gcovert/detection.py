@@ -9,12 +9,12 @@ covertness metric the transmitter can actually evaluate.
 
 ``dep_over_states`` averages over the warden link's state table
 (``channel.link_states``), at the noise power it carries, for the
-scenario-level function, the planner and the validation grid alike, by
-``_state_averages``: the composite Gauss-Legendre fading rule of
-``channel._state_rule`` (the one the ergodic capacity uses too), applied
-to all states in one array operation.  The DEP cutoff is a panel edge, and
-panels are graded toward 0 when the noise uncertainty rho is large.  A
-16-node rule on the same panels gives each state an error estimate;
+scenario-level function, the planner and the validation grid alike, with
+the composite Gauss-Legendre fading rule of ``channel._state_rule`` (the
+one the ergodic capacity uses too), applied to all states in one array
+operation.  The DEP cutoff is a panel edge, and panels are graded toward 0
+when the noise uncertainty rho is large.  A 16-node rule on the same
+panels gives each state an error estimate;
 ``ExpectedDep.abs_err`` carries their weighted sum, and an estimate above
 1e-8 raises ``QuadratureError``.  The paper's closed-form DEP averages,
 built on surrogate fading laws, are in ``surrogate``.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _RULE, LinkStates, _state_rule, link_states
+from .channel import LinkStates, _check_point, _state_rule, link_states
 from .errors import DomainError
 from .scenario import Scenario
 
@@ -182,48 +182,41 @@ def min_dep(k_a: float, sigma_n2: float, rho: float) -> DepResult:
 _ABS_TOL = 1e-8
 
 
-def _state_averages(law: str, params, units, sigma_n2: float,
-                    rho: float) -> tuple[list[float], list[float]]:
-    """Fading averages of the minimum-DEP kernel over a list of states.
-
-    State i has the fading law ``law`` with parameter params[i] (see
-    ``channel._state_rule``) and the received unit power units[i].  With
-    g = rho unit / sigma^2 the kernel is 1 - ln(1 + g x) / (2 ln rho) below
-    the cutoff x = (rho^2 - 1) / g, where the window is cut, and zero
-    above it.
-    Returns the averages, clipped to [0, 1], and their error estimates; an
-    estimate above 1e-8 raises ``QuadratureError`` naming the state.
-    """
-    _check_noise(sigma_n2, rho)
-    if min(units) < 0:
-        raise DomainError("received unit power must be nonnegative")
-    gains = [rho * unit / sigma_n2 for unit in units]
-    rule = _state_rule(_RULE, law, params,
-                       [1.0 / g if g > 0.0 else math.inf for g in gains],
-                       [(rho * rho - 1.0) / g if g > 0.0 else math.inf
-                        for g in gains])
-    f = 1.0 - np.log1p(np.array(gains)[:, None] * rule.x) / (
-        2.0 * math.log(rho))
-    val, err = rule.average(f, "DEP", _ABS_TOL, 0.0,
-                            lambda i: f"unit power {units[i]:.6g}")
-    return [min(1.0, max(0.0, v)) for v in val], err
-
-
 def dep_over_states(states: LinkStates, p_a: float, rho: float) -> ExpectedDep:
     """Fading-averaged minimum DEP over the states of the warden's link.
 
-    Each state's exact fading density is integrated against the minimum-DEP
-    kernel at ``states.sigma_n2`` by ``_state_averages``; a silent
-    transmitter leaves the warden erring with certainty in every state.
+    With g = rho unit / sigma^2, at a state's received unit power and the
+    table's noise power, the kernel 1 - ln(1 + g x) / (2 ln rho) is averaged
+    over the state's exact fading density by ``channel._state_rule``, on a
+    window cut at x = (rho^2 - 1) / g, above which it is 0, and clipped to
+    [0, 1].  A silent transmitter leaves the warden erring with certainty in
+    every state; a state whose g overflows has its cutoff, and so its DEP,
+    at 0.  An error estimate above 1e-8 raises ``QuadratureError`` naming
+    the state.
     """
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
+    _check_point(p_a, rho)
     if p_a == 0.0:
         vals, errs = [1.0] * len(states.probs), [0.0] * len(states.probs)
     else:
-        vals, errs = _state_averages(states.law, states.params,
-                                     states.received(p_a), states.sigma_n2,
-                                     rho)
+        units = states.received(p_a)
+        gains = [rho * unit / states.sigma_n2 for unit in units]
+        cuts = [(rho * rho - 1.0) / g if g > 0.0 else math.inf
+                for g in gains]
+        for label, cut in zip(states.labels, cuts):
+            if not cut >= 0.0:
+                raise DomainError(f"DEP cutoff of state {label!r} is inf / "
+                                  "inf: rho^2 and its mean SNR overflow")
+        rule = _state_rule(states, [1.0 / g if g > 0.0 else math.inf
+                                    for g in gains], cuts)
+        # the kernel is not evaluated on an empty window (a cutoff at 0)
+        live = np.array([g if cut > 0.0 else 0.0
+                         for g, cut in zip(gains, cuts)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = 1.0 - np.log1p(live[:, None] * rule.x) / (
+                2.0 * math.log(rho))
+            val, errs = rule.average(f, "DEP", _ABS_TOL, 0.0,
+                                     lambda i: f"unit power {units[i]:.6g}")
+        vals = [min(1.0, max(0.0, v)) for v in val]
     terms = {label: p * v for label, p, v in zip(states.labels, states.probs,
                                                   vals)}
     return ExpectedDep(value=sum(terms.values()), terms=terms,

@@ -50,6 +50,7 @@ import numpy as np
 from .channel import (
     LinkStates,
     NoiseModel,
+    _check_point,
     link_states,
     sample_nakagami_power,
     sample_noise_exponent,
@@ -206,10 +207,7 @@ def mc_dep_points(states: LinkStates, points, n: int, seed: int,
     if not points:
         raise DomainError("need at least one operating point")
     for p_a, rho in points:
-        if p_a < 0:
-            raise DomainError("transmit power must be nonnegative")
-        if rho <= 1:
-            raise DomainError("noise uncertainty factor rho must exceed 1")
+        _check_point(p_a, rho)
     draw = _unit_power_sampler(states)
 
     def batch(rng, m):
@@ -236,8 +234,7 @@ def mc_receiver_points(states: LinkStates, points, n: int, seed: int,
     checked = []
     for p_a, rho, gammas in points:
         p_a, gammas = float(p_a), tuple(float(g) for g in gammas)
-        if p_a < 0:
-            raise DomainError("transmit power must be nonnegative")
+        _check_point(p_a, rho)
         if any(g < 0 for g in gammas):
             raise DomainError("gamma_th must be nonnegative")
         checked.append((p_a, NoiseModel(states.sigma_n2, float(rho)), gammas))

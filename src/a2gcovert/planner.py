@@ -111,7 +111,8 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
     lo is P_max * 1e-12, or lower where that power is not covert: since
     ln(1 + y) <= y and the fading has unit mean, 1 - DEP <= p sum_i prob_i
     rho unit_i / (2 sigma^2 ln rho), and half the power at which that bound
-    reaches epsilon is covert.  A root search in u = ln p comes first, on
+    reaches epsilon is covert (where that underflows to 0, the result is 0,
+    covert).  A root search in u = ln p comes first, on
     g(u) = ln(rho^(2 (1 - DEP)) - 1) - ln(rho^(2 (epsilon + slack)) - 1).
     rho^(2 (1 - DEP)) - 1 is proportional to p at a fixed fading power, and
     by Jensen's inequality the mixture stays below a p, a = rho sum_i
@@ -139,6 +140,8 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
 
     lo = min(p_max * 1e-12, epsilon * math.log(rho)
              * willie.sigma_n2 / (rho * mean_unit))
+    if lo == 0.0:  # the covert power underflows: 0 is the largest covert one
+        return 0.0, "covertness"
     hi = p_max
     # the bracket: lo (not evaluated, so it takes the line's g) and p_max
     p_lo, p_hi = lo, hi

@@ -229,6 +229,8 @@ def _parse_flat(text: str) -> dict[str, float | int]:
 
 def _antenna(values: dict, who: str) -> AntennaSpec:
     n = int(values[f"antenna.{who}.n"])
+    if n < 1:
+        raise ScenarioError(f"antenna.{who}.n = {n} must be >= 1")
     base = AntennaSpec.with_default_beamwidths(n)
     th = values[f"antenna.{who}.theta_h_rad"]
     te = values[f"antenna.{who}.theta_ed_rad"]

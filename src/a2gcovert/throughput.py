@@ -23,11 +23,12 @@ is in ``surrogate``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import special
 
-from .channel import _RULE, LinkStates, _state_rule, link_states
+from .channel import LinkStates, _check_point, _state_rule, link_states
 from .errors import DomainError
 from .scenario import Scenario
 from .specfun import gammainc_int, marcum_mu_nu
@@ -81,8 +82,12 @@ def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
     """
     c = marcum_mu_nu(math.sqrt(2.0 * k))
     width = c.nu * math.log(rho)
-    z = c.mu + 0.5 * c.nu * (
-        log_ratio + math.log(2.0 * (k + 1.0) * sigma_n2 / unit))
+    # ln(2 (k+1) sigma^2 / unit), a sum of logs where the quotient under-
+    # or overflows
+    q = 2.0 * (k + 1.0) * sigma_n2 / unit
+    log_q = (math.log(q) if sys.float_info.min <= q < math.inf else
+             math.log(2.0 * (k + 1.0)) + math.log(sigma_n2) - math.log(unit))
+    z = c.mu + 0.5 * c.nu * (log_ratio + log_q)
     if width < 4.0:
         zs = np.minimum(z[:, None] + 0.5 * width * _GL_NODES, _EI_Z_MAX)
         return 0.5 * (-np.expm1(-np.exp(zs)) @ _GL_WEIGHTS)
@@ -99,9 +104,23 @@ def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
     """Exact outage of a gamma state at log(gamma_th / p_a), averaged over
     the noise by the Gauss-Legendre rule."""
-    # s gamma_th / (p_a unit), capped where the CDF is 1 at every node
-    scale = np.exp(np.minimum(log_ratio + math.log(s / unit), 700.0))
-    x = scale[:, None] * (sigma_n2 * rho ** _GL_NODES)
+    q = s / unit
+    log_scale = log_ratio + (math.log(q) if q < math.inf
+                             else math.log(s) - math.log(unit))
+    # x = s gamma_th sigma^2 rho^u / (p_a unit), its first factor capped
+    # where the CDF is 1 at every node
+    top, log_noise = log_scale.max(), math.log(sigma_n2) + math.log(rho)
+    if max(top, log_noise, top + log_noise) <= 700.0:
+        return 0.5 * (gammainc_int(s, np.exp(log_scale)[:, None] * (
+            sigma_n2 * rho ** _GL_NODES)) @ _GL_WEIGHTS)
+    # where that cap holds a small noise power back or a product is not
+    # finite: in log space, capped alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(np.minimum(log_scale, 700.0))[:, None] * (
+            sigma_n2 * rho ** _GL_NODES)
+    redo = (log_scale > 700.0)[:, None] | ~(x < math.inf)
+    x[redo] = np.exp(np.minimum(log_scale[:, None] + (
+        math.log(sigma_n2) + math.log(rho) * _GL_NODES), 700.0))[redo]
     return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
 
 
@@ -111,10 +130,9 @@ def _mixture(states: LinkStates, p_a, gamma_th, rho: float, state_outage):
     mean received power 0 is in outage."""
     p_a, gamma_th = np.broadcast_arrays(np.asarray(p_a, dtype=float),
                                         np.asarray(gamma_th, dtype=float))
-    if (p_a < 0).any() or (gamma_th < 0).any():
-        raise DomainError("p_a and gamma_th must be nonnegative")
-    if rho <= 1:
-        raise DomainError("noise uncertainty factor rho must exceed 1")
+    _check_point(p_a.min(initial=0.0), rho)
+    if not gamma_th.min(initial=0.0) >= 0:
+        raise DomainError("gamma_th must be nonnegative")
     p, g = p_a.ravel(), gamma_th.ravel()
     # a silent transmitter is in outage in every state, a zero rate in none
     total = np.where(g > 0, sum(states.probs), 0.0)
@@ -173,22 +191,19 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     64-node Gauss-Legendre rule in u.  An error estimate above 1e-9 of a
     state's value raises ``QuadratureError`` naming the state.
     """
-    if p_a < 0:
-        raise DomainError("transmit power must be nonnegative")
+    _check_point(p_a, rho)
     if p_a == 0.0:
         return 0.0
-    if rho <= 1:
-        raise DomainError("noise uncertainty factor rho must exceed 1")
     gains = [unit / states.sigma_n2 for unit in states.received(p_a)]
-    rule = _state_rule(_RULE, states.law, states.params,
-                       [1.0 / (g * rho) if g > 0.0 else math.inf
-                        for g in gains])
+    rule = _state_rule(states, [1.0 / (g * rho) if g > 0.0 else math.inf
+                                for g in gains])
     noise = rho ** -_GL_NODES
-    # state by state: nodes x noise nodes, not states x both
-    f = np.array([np.log1p(np.outer(g * x, noise)) @ (0.5 * _GL_WEIGHTS)
-                  for g, x in zip(gains, rule.x)])
-    val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
-                          lambda i: f"mean SNR {gains[i]:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # state by state: nodes x noise nodes, not states x both
+        f = np.array([np.log1p(np.outer(g * x, noise)) @ (0.5 * _GL_WEIGHTS)
+                      for g, x in zip(gains, rule.x)])
+        val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
+                              lambda i: f"mean SNR {gains[i]:.6g}")
     return (states.bandwidth_hz / math.log(2.0)
             * float(np.dot(states.probs, val)))
 

@@ -1,0 +1,75 @@
+"""Any scenario the parser accepts gives in-range values or an A2GError.
+
+Scenarios are the defaults with one to four keys of ``scenario_to_flat()``
+moved far out: a dB or dBm value by up to +-3000 dB, any other value scaled
+by up to 10^+-30 and possibly negated, an integer key set anywhere from -2
+to 1000.  The parser rejects some of them; every other one goes through
+the scenario-level metrics and both solves in both modes, with warnings
+raised as errors.
+"""
+
+import math
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from a2gcovert.detection import expected_min_dep
+from a2gcovert.errors import A2GError
+from a2gcovert.planner import maximize_csc, maximize_ecr
+from a2gcovert.scenario import scenario_from_flat, scenario_to_flat
+from a2gcovert.throughput import csc, outage
+
+_DEFAULTS = scenario_to_flat()
+
+
+@st.composite
+def _far_scenarios(draw):
+    flat = dict(_DEFAULTS)
+    for key in draw(st.lists(st.sampled_from(sorted(flat)), min_size=1,
+                             max_size=4, unique=True)):
+        value = flat[key]
+        if isinstance(value, int):
+            flat[key] = draw(st.integers(-2, 1000))
+        elif key.endswith(("_db", "_dbm")):
+            flat[key] = value + draw(st.one_of(
+                st.sampled_from([-3000.0, -300.0, 300.0, 3000.0]),
+                st.floats(-3000.0, 3000.0)))
+        else:
+            power = draw(st.one_of(st.sampled_from([-30, -8, 8, 30]),
+                                   st.floats(-30.0, 30.0)))
+            sign = draw(st.sampled_from([1.0, 1.0, -1.0]))
+            flat[key] = sign * (value or 1.0) * 10.0 ** power
+    return flat
+
+
+@given(_far_scenarios())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_values_in_range_or_a2g_error(flat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scn = scenario_from_flat(flat)
+        except A2GError:
+            return
+        for mode in ("om", "dm"):
+            checks = (
+                (lambda: expected_min_dep(scn, mode),
+                 lambda r: 0.0 <= r.value <= 1.0
+                 and 0.0 <= r.abs_err < math.inf),
+                (lambda: outage(scn, mode), lambda r: 0.0 <= r <= 1.0),
+                (lambda: csc(scn, mode), lambda r: 0.0 <= r < math.inf),
+                (lambda: maximize_ecr(scn, mode),
+                 lambda r: 0.0 <= r.p_a_opt <= scn.p_max
+                 and 0.0 <= r.objective < math.inf),
+                (lambda: maximize_csc(scn, mode),
+                 lambda r: 0.0 <= r.p_a_opt <= scn.p_max
+                 and 0.0 <= r.objective < math.inf),
+            )
+            for run, in_range in checks:
+                try:
+                    res = run()
+                except A2GError:
+                    continue
+                assert in_range(res), (mode, res)

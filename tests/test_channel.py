@@ -21,6 +21,8 @@ from a2gcovert.channel import (
 from a2gcovert.errors import DomainError
 from a2gcovert.surrogate import nakagami_power_cdf, nakagami_xi
 
+from test_throughput import _one_state
+
 LAW = RicianLaw(k0=10 ** 0.5, k_half_pi=10 ** 1.5)  # 5 dB and 15 dB anchors
 
 
@@ -50,7 +52,7 @@ class TestRicianFactor:
 def _rule_density(law, param):
     """Nodes of the fading rule for one state, and the density it
     evaluates there (in b for Rician, in x for gamma)."""
-    rule = channel._state_rule(channel._RULE, law, [param], [math.inf])
+    rule = channel._state_rule(_one_state(law, param, 1.0), [math.inf])
     return rule.x[0], rule.dens[0] / rule.width[0]
 
 
@@ -65,7 +67,7 @@ class TestRicianPower:
 
     @pytest.mark.parametrize("k", [0.0, 1.0, 5.0, 31.6])
     def test_pdf_normalises_and_unit_mean(self, k):
-        rule = channel._state_rule(channel._RULE, "rician", [k], [math.inf])
+        rule = channel._state_rule(_one_state("rician", k, 1.0), [math.inf])
         total = rule.dens[0] @ rule.w_val
         mean = (rule.x[0] * rule.dens[0]) @ rule.w_val
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -75,7 +77,7 @@ class TestRicianPower:
     def test_cdf_consistent_with_pdf(self, k):
         # the rule's window cut at x integrates the density to the CDF there
         for x in (0.3, 1.0, 2.0):
-            rule = channel._state_rule(channel._RULE, "rician", [k],
+            rule = channel._state_rule(_one_state("rician", k, 1.0),
                                        [math.inf], ends=[x])
             ref = stats.ncx2.cdf(2.0 * (k + 1.0) * x, 2, 2.0 * k)
             assert rule.dens[0] @ rule.w_val == pytest.approx(ref, abs=1e-8)
@@ -119,9 +121,9 @@ class TestScalarPdfs:
 
     def test_parameters_checked_when_built(self):
         with pytest.raises(DomainError):
-            channel._state_rule(channel._RULE, "rician", [-0.1], [math.inf])
+            _one_state("rician", -0.1, 1.0)
         with pytest.raises(DomainError):
-            channel._state_rule(channel._RULE, "gamma", [0], [math.inf])
+            _one_state("gamma", 0, 1.0)
 
 
 class TestNakagamiPower:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 from dataclasses import replace
 
@@ -310,6 +311,33 @@ class TestOptimize:
         assert out == ""
         assert err.startswith("error: path loss") and "alpha = " in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config", [
+        "noise.sigma_n2_dbm = -3000\nom.beta_los = 1e20",
+        "noise.rho_db = 2398"])
+    def test_overflowing_mean_snr(self, config, tmp_path, capsys):
+        # a state's mean SNR, or rho^2, overflowing to inf divided by zero
+        # in the fading rule and ended in a bare traceback
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text(config + "\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", "csc", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert {row["mode"] for row in rows} == {"om", "dm"}
+        for row in rows:
+            assert 0.0 < float(row["p_a_opt_mw"]) < 1e-100
+            assert 0.0 < float(row["objective"]) < math.inf
+
+    @pytest.mark.parametrize("who", ["alice", "bob", "willie"])
+    def test_antenna_without_elements_exits_2(self, who, tmp_path, capsys):
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text(f"antenna.{who}.n = 0\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", "csc", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: antenna.{who}.n = 0 must be >= 1\n"
 
     def test_csc_has_no_rate(self, capsys):
         code, out, _ = run_cli(

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from a2gcovert import detection
-from a2gcovert.channel import link_states
+from a2gcovert import channel
+from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.detection import (
     dep_at_threshold,
     dep_over_states,
@@ -330,8 +330,10 @@ class TestDepKernel:
             rho = 10.0 ** (rho_db / 10.0)
             cut = float(10.0 ** rng.uniform(-3.0, 2.0))
             unit = (rho * rho - 1.0) * sigma_n2 / (rho * cut)
-            (val,), (est,) = detection._state_averages(
-                law, [param], [unit], sigma_n2, rho)
+            res = dep_over_states(LinkStates(
+                law, ("state",), (1.0,), (param,), 1.0, (1.0,), (unit,),
+                sigma_n2, 1.0), 1.0, rho)
+            val, est = res.value, res.abs_err
             assert est <= 1e-8
             states[law].append((val, param, rho_db, cut))
         worst = (0.0, None)
@@ -358,7 +360,7 @@ class TestDepKernel:
             "willie.x": 1000.0, "willie.y": 0.0})
         assert expected_min_dep(scn, "om").abs_err <= 1e-8
         # one panel of 4 nodes, estimated by 2
-        monkeypatch.setattr(detection, "_RULE", (1, 4, 2))
+        monkeypatch.setattr(channel, "_RULE", (1, 4, 2))
         with pytest.raises(QuadratureError) as info:
             expected_min_dep(scn, "om")
         msg = str(info.value)

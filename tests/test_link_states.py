@@ -1,16 +1,36 @@
 """The link-state table and the metrics evaluated over it."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
+from scipy import special
 
-from a2gcovert.channel import NoiseModel, link_states, path_loss, rician_factor
-from a2gcovert.detection import expected_min_dep
+from a2gcovert.channel import (
+    LinkStates,
+    NoiseModel,
+    link_states,
+    path_loss,
+    rician_factor,
+)
+from a2gcovert.detection import dep_over_states, expected_min_dep
 from a2gcovert.errors import DomainError
 from a2gcovert.geometry import alice_main_lobe_covers_willie, lobe_gains
-from a2gcovert.scenario import NodePosition, db_to_linear, dbm_to_mw
-from a2gcovert.throughput import csc, outage
+from a2gcovert.oracle import mc_dep_points, mc_receiver_points
+from a2gcovert.planner import maximize_csc, maximize_ecr
+from a2gcovert.scenario import (
+    NodePosition,
+    db_to_linear,
+    dbm_to_mw,
+    scenario_from_flat,
+)
+from a2gcovert.throughput import (
+    csc,
+    csc_over_states,
+    outage,
+    outage_over_states,
+)
 
 
 class TestTable:
@@ -82,6 +102,121 @@ class TestTable:
             link_states(scn, "fm", "bob")
         with pytest.raises(DomainError):
             link_states(scn, "om", "eve")
+
+
+# the five kernels over a state table, at an operating point (p_a, rho)
+_KERNELS = {
+    "dep": lambda t, p_a, rho: dep_over_states(t, p_a, rho),
+    "outage": lambda t, p_a, rho: outage_over_states(t, p_a, 1.0, rho),
+    "csc": lambda t, p_a, rho: csc_over_states(t, p_a, rho),
+    "mc_dep": lambda t, p_a, rho: mc_dep_points(t, [(p_a, rho)], 1000, 0),
+    "mc_receiver": lambda t, p_a, rho: mc_receiver_points(
+        t, [(p_a, rho, (1.0,))], 1000, 0, capacity=True),
+}
+
+
+class TestTableContract:
+    """A table is checked when it is built; each kernel checks only its
+    operating point."""
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    @pytest.mark.parametrize("bad", [
+        "negative loss", "zero noise power", "negative noise power",
+        "bad fading parameter", "fractional shape", "short column",
+        "unknown law", "zero band", "negative probability", "negative gain",
+        "nan loss"])
+    def test_every_kernel_rejects_an_invalid_table(self, scn, mode, bad):
+        table = link_states(scn, mode, "bob")
+        n = len(table.labels)
+        change = {
+            "negative loss": {"losses": (-1e-9,) + table.losses[1:]},
+            "zero noise power": {"sigma_n2": 0.0},
+            "negative noise power": {"sigma_n2": -1e-11},
+            "bad fading parameter": {"params": (
+                -0.1 if mode == "om" else 0,) + table.params[1:]},
+            "fractional shape": {"law": "gamma",
+                                 "params": (1.5,) + (2,) * (n - 1)},
+            "short column": {"probs": table.probs[:-1]},
+            "unknown law": {"law": "lognormal"},
+            "zero band": {"bandwidth_hz": 0.0},
+            "negative probability": {"probs": (-0.1,) + table.probs[1:]},
+            "negative gain": {"tx_gain": -1.0},
+            "nan loss": {"losses": (math.nan,) + table.losses[1:]},
+        }[bad]
+        for kernel in _KERNELS.values():
+            with pytest.raises(DomainError):
+                kernel(replace(table, **change), 1.0, 2.0)
+
+    @pytest.mark.parametrize("p_a, rho", [
+        (-1.0, 2.0), (math.nan, 2.0), (0.0, 1.0), (0.0, 0.5), (1.0, 1.0),
+        (1.0, math.nan)])
+    def test_every_kernel_rejects_an_invalid_point(self, scn, p_a, rho):
+        # a silent transmitter (p_a = 0) is no reason to skip the check on
+        # rho, and rho = 1 (a perfect detector) is out for every kernel
+        table = link_states(scn, "dm", "bob")
+        for kernel in _KERNELS.values():
+            with pytest.raises(DomainError):
+                kernel(table, p_a, rho)
+
+
+class TestOverflowingMeanSnr:
+    """A state's mean SNR g, or rho^2, overflowing to inf divided by zero
+    in the fading rule's grading."""
+
+    # g = rho unit / sigma^2 is inf in state "a" and finite in state "b"
+    TABLE = LinkStates("rician", ("a", "b"), (0.5, 0.5), (5.0, 0.0), 1.0,
+                       (1.0, 1.0), (1e300, 1e-20), 1e-300, 1.0)
+
+    def test_dep_of_the_state_is_zero(self):
+        # its cutoff (rho^2 - 1) / g is 0
+        res = dep_over_states(self.TABLE, 1.0, 2.0)
+        assert res.terms["a"] == 0.0
+        assert 0.0 < res.terms["b"] < 0.5
+        assert res.abs_err <= 1e-8
+
+    def test_capacity_names_the_state(self):
+        with pytest.raises(DomainError, match="capacity.*state 'a'"):
+            csc_over_states(self.TABLE, 1.0, 2.0)
+
+    def test_dep_cutoff_inf_over_inf_names_the_state(self):
+        with pytest.raises(DomainError, match="state 'a'.*inf / inf"):
+            dep_over_states(self.TABLE, 1.0, 1e200)
+
+    @pytest.mark.parametrize("mode", ["om", "dm"])
+    @pytest.mark.parametrize("flat", [
+        {"noise.sigma_n2_dbm": -3000.0, "om.beta_los": 1e20},
+        {"noise.rho_db": 2398.0}])
+    def test_scenario_metrics_in_range(self, flat, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scn = scenario_from_flat(flat)
+            assert 0.0 <= expected_min_dep(scn, mode).value <= 1.0
+            assert 0.0 <= outage(scn, mode) <= 1.0
+            try:
+                assert 0.0 <= csc(scn, mode) < math.inf
+            except DomainError as exc:  # names the state whose g is inf
+                assert any(f"state {label!r}" in str(exc) for label in
+                           link_states(scn, mode, "bob").labels)
+            for solve in (maximize_ecr, maximize_csc):
+                res = solve(scn, mode)
+                assert 0.0 <= res.p_a_opt <= scn.p_max
+                assert 0.0 <= res.objective < math.inf
+
+    def test_dep_where_rho_squared_overflows(self):
+        # rho = 10^239.8: the whole window lies below the cutoff, and
+        # g x >> 1 there, so a gamma state's DEP is
+        # 1 - (ln g + E[ln x]) / (2 ln rho), E[ln x] = digamma(s) - ln s
+        scn = scenario_from_flat({"noise.rho_db": 2398.0})
+        rho = scn.noise.rho
+        willie = link_states(scn, "dm", "willie")
+        res = expected_min_dep(scn, "dm")
+        for label, prob, s, unit in zip(willie.labels, willie.probs,
+                                        willie.params,
+                                        willie.received(scn.p_a)):
+            g = rho * unit / willie.sigma_n2
+            want = 1.0 - (math.log(g) + special.digamma(s) - math.log(s)) / (
+                2.0 * math.log(rho))
+            assert res.terms[label] == pytest.approx(prob * want, rel=1e-9)
 
 
 # Values of the former per-mode state loops at positions of the validation

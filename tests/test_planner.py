@@ -164,6 +164,18 @@ class TestCovertPowerSearch:
         assert _dep_at(scn, mode, res.p_a_opt) >= (
             1.0 - scn.epsilon - CONSTRAINT_SLACK)
 
+    def test_covert_power_that_underflows_is_zero(self):
+        # at sigma^2 = 1e-308 mW and a LoS gain 1e24 the covert limit is
+        # near 1e-327 mW; the search's lower end underflowed to 0 and
+        # math.log raised ValueError
+        scn = scenario_from_flat({"noise.sigma_n2_dbm": -3080.0,
+                                  "dm.beta_los": 7.76e23,
+                                  "dm.alpha_los": 2e-8})
+        for solve in (maximize_ecr, maximize_csc):
+            res = solve(scn, "dm")
+            assert (res.p_a_opt, res.binding) == (0.0, "covertness")
+            assert res.objective == 0.0
+
 
 class TestMaximizeEcr:
     def test_feasible_at_defaults(self, scn):

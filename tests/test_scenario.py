@@ -119,6 +119,15 @@ class TestParsing:
                            match=re.escape(key) + ".*must be an integer"):
             scenario_from_flat({key: value})
 
+    @pytest.mark.parametrize("who", ["alice", "bob", "willie"])
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_antenna_without_elements_rejected(self, who, n):
+        # the default beamwidth sqrt(3 / n) divided by zero first
+        key = f"antenna.{who}.n"
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{key} = {n} must be >= 1")):
+            scenario_from_flat({key: n})
+
     def test_integral_value_of_integer_key_accepted(self):
         s = scenario_from_flat({"seed": 2.0, "antenna.alice.n": 8.0})
         assert s.seed == 2 and s.ant_alice.n_elements == 8

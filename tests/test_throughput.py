@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from a2gcovert import throughput
+from a2gcovert import channel
 from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.planner import maximize_ecr
@@ -245,7 +245,7 @@ class TestCscKernel:
         states = _one_state("rician", 7200.0, 1.0)
         assert csc_over_states(states, 1.0, 2.0) > 0.0
         # one panel of 4 nodes, estimated by 2
-        monkeypatch.setattr(throughput, "_RULE", (1, 4, 2))
+        monkeypatch.setattr(channel, "_RULE", (1, 4, 2))
         with pytest.raises(QuadratureError) as info:
             csc_over_states(states, 1.0, 2.0)
         msg = str(info.value)
@@ -281,6 +281,48 @@ class TestSilentState:
         assert ecr(scn, mode) == scn.r_b * (1.0 - p_out)
         assert 0.0 < res.objective <= res.r_b_opt
         assert 0.0 <= closed <= 1.0
+
+
+class TestGammaOutage:
+    def test_noise_power_that_overflows(self):
+        # sigma^2 rho^u overflows at the upper noise nodes: it warned, and
+        # the gamma CDF at x = inf was nan; there the CDF is 1
+        scn = scenario_from_flat({"noise.sigma_n2_dbm": 1377.0,
+                                  "noise.rho_db": 2913.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outage(scn, "dm")
+        bob = link_states(scn, "dm", "bob")
+        gamma_th = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
+        u, w = np.polynomial.legendre.leggauss(64)
+        want = 0.0
+        for prob, s, unit in zip(bob.probs, bob.params, bob.received(
+                scn.p_a)):
+            # x = s gamma_th sigma^2 rho^u / (p_a unit), formed in log space
+            log_x = (min(math.log(s * gamma_th / unit), 700.0)
+                     + math.log(bob.sigma_n2) + u * math.log(scn.noise.rho))
+            x = np.exp(np.minimum(log_x, 700.0))
+            want += prob * 0.5 * (special.gammainc(s, x) @ w)
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("law, param", [("rician", 5.0), ("gamma", 2)])
+    def test_quotient_of_noise_and_unit_power_out_of_range(self, law, param):
+        # with a unit power of 1e-310 mW, s / unit (gamma) overflowed and
+        # gave outage 1; with a noise power of 1e-308 mW, 2 (k+1) sigma^2 /
+        # unit (Rician) underflowed and math.log raised; the SNR is that of
+        # a plain table at p_a unit = 1e-10 mW or sigma^2 = 1e-11 mW
+        plain = replace(_one_state(law, param, 1.0), sigma_n2=1e-11)
+        small_unit = replace(plain, losses=(1e-310,))
+        small_noise = replace(plain, sigma_n2=1e-308, losses=(1e-297,))
+        gammas = np.array([1.0, 10.0, 100.0])
+        want = outage_over_states(plain, 1e-10, gammas, 2.0)
+        assert 0.01 < want[1] < 0.99
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for table, p_a in ((small_unit, 1e300), (small_noise, 1e-10)):
+                got = outage_over_states(table, p_a, gammas, 2.0)
+                np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 class TestRicianOutage:
