@@ -10,7 +10,10 @@ power and the band; every primary metric is evaluated over it.
 ``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
 rule on a fixed window per state, which forms each state's Rician or
 gamma power density at its nodes and which the warden's DEP and the
-ergodic capacity both average their kernels with.
+ergodic capacity both average their kernels with.  It needs numpy and
+``specfun`` only: the Rician density's Bessel factor is ``specfun.i0e``
+and the gamma window's ends are ``specfun.gamma_quantiles``, where scipy's
+``i0e``, ``gammaincinv`` and ``gammainccinv`` served before.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
+from .specfun import GAMMA_SHAPE_MAX, gamma_quantiles, i0e
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -58,7 +61,8 @@ class RicianLaw:
 
 @dataclass(frozen=True)
 class NakagamiLaw:
-    """Integer Nakagami shape per channel state (LoS / NLoS)."""
+    """Integer Nakagami shape per channel state (LoS / NLoS), at most
+    ``specfun.GAMMA_SHAPE_MAX``."""
 
     s_los: int
     s_nlos: int
@@ -66,8 +70,10 @@ class NakagamiLaw:
     def __post_init__(self):
         for name in ("s_los", "s_nlos"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+            if not (isinstance(v, (int, np.integer))
+                    and 1 <= v <= GAMMA_SHAPE_MAX):
+                raise DomainError(f"{name} must be an integer in [1, "
+                                  f"{GAMMA_SHAPE_MAX}], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,10 @@ class LinkStates:
                                      self.rx_gains, self.losses)}) != 1:
             raise DomainError("state table columns differ in length")
         if not all(0 <= p < math.inf if self.law == "rician" else
-                   p >= 1 and float(p).is_integer() for p in self.params):
+                   1 <= p <= GAMMA_SHAPE_MAX and float(p).is_integer()
+                   for p in self.params):
             raise DomainError("a Rice factor must be finite and >= 0, a "
-                              "shape an integer >= 1")
+                              f"shape an integer in [1, {GAMMA_SHAPE_MAX}]")
         if not (all(v >= 0 for v in (*self.probs, self.tx_gain,
                                      *self.rx_gains, *self.losses))
                 and self.sigma_n2 > 0 and self.bandwidth_hz > 0):
@@ -265,9 +272,8 @@ def _layout(rule: tuple[int, ...], graded: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def _gamma_law(s: int) -> tuple[float, float, float]:
     """Log-density constant and the window's quantiles for shape s."""
-    return (s * math.log(s) - math.lgamma(s),
-            float(special.gammaincinv(s, _GAMMA_TAIL)) / s,
-            float(special.gammainccinv(s, _GAMMA_TAIL)) / s)
+    lo, hi = gamma_quantiles(s, _GAMMA_TAIL)
+    return s * math.log(s) - math.lgamma(s), lo / s, hi / s
 
 
 class _StateRule(NamedTuple):
@@ -367,7 +373,7 @@ def _state_rule(states: LinkStates, branch, ends=None) -> _StateRule:
     y = np.array(lo)[:, None] + w * nodes  # states x nodes
     if rician:
         a, k2 = np.array(cols).T[..., None]
-        dens = y * np.exp(-0.5 * (y - a) ** 2) * special.i0e(a * y)
+        dens = y * np.exp(-0.5 * (y - a) ** 2) * i0e(a * y)
         x = y * y / k2
     else:
         const, s = np.array(cols).T[..., None]

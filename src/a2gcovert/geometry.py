@@ -84,8 +84,17 @@ class SCurveParams:
 
 
 def distance(p: NodePosition, q: NodePosition) -> float:
-    """Euclidean 3D distance in metres."""
-    return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.h - q.h) ** 2)
+    """Euclidean 3D distance in metres.
+
+    Where a squared difference overflows (a difference above about
+    1.3e154 m), ``math.hypot``, which scales instead of squaring; every
+    other distance keeps the sum-of-squares bits.
+    """
+    dx, dy, dh = p.x - q.x, p.y - q.y, p.h - q.h
+    try:
+        return math.sqrt(dx ** 2 + dy ** 2 + dh ** 2)
+    except OverflowError:
+        return math.hypot(dx, dy, dh)
 
 
 def elevation_angle_deg(uav: NodePosition, ground: NodePosition) -> float:
@@ -143,7 +152,10 @@ def lobe_gains(a: AntennaSpec) -> LobeGainTable:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if norm == math.inf:  # a squared component overflowed, as in distance
+        norm = math.hypot(*vec)
     if norm == 0:
         raise DomainError("coincident nodes have no direction")
     return vec / norm

@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; here, with the package
 
 from .channel import (
     LinkStates,

@@ -1,21 +1,51 @@
-"""Special-function kernel for the analytic covert-performance expressions.
+"""Special-function kernels, on numpy alone, for the analytic expressions.
 
-Everything here is pure and reentrant.  The module holds the integer-shape
-regularised incomplete gamma ``gammainc_int`` (a finite Poisson sum), the
-exact first-order Marcum-Q and the coefficients of its exponential-type
-approximation.  The Marcum-Q is the complement of the noncentral
-chi-square CDF with two degrees of freedom,
-Q1(a, b) = 1 - F(b^2; 2, a^2), evaluated by ``scipy.special.chndtr`` on a
-whole grid of b at once.  ``marcum_mu_nu`` gives the coefficients of the
-exponential-type Marcum-Q approximation exp(-e^mu(a) * b^nu(a)), which
-``surrogate.marcum_q1_approx`` evaluates and the microwave outage still
-uses: the published degree-6 polynomials for mu/nu on [10, 120] plus a
-locally fitted extension on (0, 10), where the polynomials are undefined
-but the operating Rice factors of this system actually live.
+Everything here is pure and reentrant.  No primary module imports scipy:
+``surrogate`` and the tests are the only users left, the tests as the
+reference these kernels are checked against.  Each value is a sum of
+positive terms or a fixed polynomial, and terms that could underflow start
+in log space.  Each kernel replaced one ``scipy.special`` call:
+
+- **Poisson tails** (``gammainc``, above shape 64).  The regularised
+  incomplete gamma function of integer shape is a Poisson tail:
+  P(s, x) = Pr(N >= s) and Q(s, x) = Pr(N < s) for N ~ Poisson(x).  Up to
+  shape 32 ``gammainc_int`` sums all s terms of Q from k = 0; above, it
+  sums the upper tail from k = s up where x < s - sqrt(s), and the lower
+  tail from k = s - 1 down elsewhere, forming P as 1 minus it, each until a
+  term no longer changes the sum (within about 10 sqrt(s) terms).  A first
+  term is Loader's saddle-point form of the Poisson probability
+  (``_pmf``), accurate to a few ulps where lgamma would lose digits.
+  Shapes above ``GAMMA_SHAPE_MAX`` are rejected.
+- **Gamma quantiles** (``gammaincinv``, ``gammainccinv``).
+  ``gamma_quantiles`` solves P = tail and Q = tail by Newton's method on
+  ln P in ln x and on ln Q in x, both concave, from a start on the side
+  that makes the iteration monotone.
+- **Bessel I0** (``i0e``).  ``i0e`` interpolates Cephes' Chebyshev series
+  of exp(-z) I0(z) (the coefficients numpy's ``i0`` uses) by quintics on
+  512 equal steps of z / (z + 8), tabulated on first use, so a call is
+  about fifteen array operations.
+- **Exponential integral** (``expi``).  ``expint_e1`` is E1(x) = -Ei(-x)
+  by the same tabulation: of its power series below 1, and of a 200-term
+  continued fraction above.
+- **Marcum Q** (``chndtr``, ``chndtrix``).  Q1(a, b) = Pr(N <= M) for
+  N ~ Poisson(b^2 / 2) and M ~ Poisson(a^2 / 2), the complement of the
+  noncentral chi-square CDF with two degrees of freedom.
+  ``marcum_q1_exact`` sums it over the window of M's values that carries
+  all but 2^-60 of its mass, by Horner's rule with coefficients that
+  depend on a alone, so an array of b costs two array operations per
+  window point; ``_marcum_window_ends`` finds the fit's window by Newton's
+  method on the same sums.
+
+``marcum_mu_nu`` gives the coefficients of the exponential-type Marcum-Q
+approximation exp(-e^mu(a) * b^nu(a)), which ``surrogate.marcum_q1_approx``
+evaluates and the microwave outage still uses: the published degree-6
+polynomials for mu/nu on [10, 120] plus a locally fitted extension on
+(0, 10), where the polynomials are undefined but the operating Rice factors
+of this system actually live.
 
 The fit (``_fitted_mu_nu``) needs no root finder and no least squares: the
-ends of its window, where Q1(a, b) is 0.9999 and 1e-4, are noncentral
-chi-square quantiles (``scipy.special.chndtrix``), and a 2-D Nelder-Mead
+ends of its window, where Q1(a, b) is 0.9999 and 1e-4, come from Newton's
+method on Q1 (``_marcum_window_ends``), and a 2-D Nelder-Mead
 (``_nelder_mead``) started from the ``polyfit`` linearisation minimises the
 truncated-mean objective.  The objective is a maximum over a grid, so it
 is not smooth, and a simplex on such a function can stall short of the
@@ -25,8 +55,7 @@ than wherever a looser simplex stopped, whatever the start.  The simplex
 keeps its three vertices as Python floats, not numpy arrays, with scipy's
 coefficients and order of operations, so every vertex is the IEEE value
 scipy's ``minimize(method="Nelder-Mead")`` computes; vertices are ordered
-by value with NaN last, as ``np.argsort`` orders them.  The module uses
-numpy and ``scipy.special`` only.
+by value with NaN last, as ``np.argsort`` orders them.
 
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
@@ -41,16 +70,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 __all__ = [
+    "GAMMA_SHAPE_MAX",
     "MARCUM_ARG_MAX",
     "MarcumApproxCoeffs",
+    "expint_e1",
+    "gamma_quantiles",
     "gammainc_int",
+    "i0e",
     "marcum_q1_exact",
     "marcum_mu_nu",
 ]
@@ -80,6 +113,10 @@ MARCUM_ARG_MAX = 120.0
 _MU_AT_ZERO = -math.log(2.0)
 _NU_AT_ZERO = 2.0
 
+# The largest integer gamma shape: a tail sum takes up to about 10 sqrt(s)
+# terms, 1000 at this shape.
+GAMMA_SHAPE_MAX = 10_000
+
 
 @dataclass(frozen=True)
 class MarcumApproxCoeffs:
@@ -89,46 +126,438 @@ class MarcumApproxCoeffs:
     nu: float
 
 
-# the largest shape whose Poisson sum is cheaper than special.gammainc
-_POISSON_SHAPE_MAX = 64
+# A positive term below this fraction of a sum leaves the sum unchanged
+# (it is under half an ulp), and so does every smaller term after it.
+_NEGLIGIBLE = 2.0 ** -54
+# Mass a window may leave out of a Poisson law.
+_WINDOW_TAIL = 2.0 ** -60
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+# ln k! - (k + 1/2) ln k + k - ln sqrt(2 pi) for k = 1..15, computed with
+# mpmath to 50 digits (lgamma itself carries errors up to 4e-15 here)
+_STIRLERR = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
+def _stirlerr(k: int) -> float:
+    """ln k! - (k + 1/2) ln k + k - ln sqrt(2 pi), for k >= 1: tabulated
+    below 16, else five terms of the Stirling series (error < 2e-16)."""
+    if k < 16:
+        return _STIRLERR[k - 1]
+    inv2 = 1.0 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2)
+                      * inv2) * inv2) / k
+
+
+# odd powers of Loader's series kept: (1/3)^37 / 37 < 2^-60 of its first
+_ODD = np.arange(3.0, 39.0, 2.0)
+
+
+def _bd0(k: int, x) -> np.ndarray:
+    """k ln(k / x) + x - k >= 0 for a count k >= 1 and means x >= 0.
+
+    Where |v| < 1/3, v = (k - x) / (k + x), it is Loader's series
+    (k - x) v + 2k sum_j v^(2j+1) / (2j + 1); elsewhere, where x / k is
+    below 1/2 or above 2, k (x / k - 1 - ln(x / k)), which then cancels by
+    a factor of 5 at most.
+    """
+    x = np.asarray(x, dtype=float)
+    ratio = x / k
+    with np.errstate(divide="ignore"):
+        out = np.asarray(k * (ratio - 1.0 - np.log(ratio)))
+    near = np.abs(k - x) < (k + x) / 3.0
+    if near.any():
+        diff = k - x[near]
+        v = diff / (k + x[near])
+        out[near] = diff * v + 2.0 * k * (v[:, None] ** _ODD @ (1.0 / _ODD))
+    return out
+
+
+def _pmf(k: int, x):
+    """Poisson probability e^-x x^k / k! at means x >= 0, as Loader's
+    exp(-stirlerr(k) - bd0(k, x)) / sqrt(2 pi k) (Loader 2000)."""
+    if k == 0:
+        return np.exp(-np.asarray(x, dtype=float))
+    return np.exp(-_stirlerr(k) - _LN_SQRT_2PI - 0.5 * math.log(k)
+                  - _bd0(k, x))
+
+
+def _upper_tail(s: int, x):
+    """P(s, x) = sum_{k >= s} e^-x x^k / k! and its first term, summed
+    from k = s upward until a term no longer changes the sum; for x < s
+    the terms fall from the first."""
+    t = _pmf(s, x)
+    first, acc = t.copy(), t.copy()
+    k = s
+    while True:
+        for _ in range(8):
+            k += 1
+            t *= x
+            t /= k
+            acc += t
+        if not np.any(t > acc * _NEGLIGIBLE):
+            return acc, first
+
+
+def _lower_tail(s: int, x):
+    """Q(s, x) = sum_{k < s} e^-x x^k / k! and its first term, summed from
+    k = s - 1 downward until a term no longer changes the sum past the
+    mode, or to k = 0; x > 0 and not so far below s that the first term
+    underflows."""
+    t = _pmf(s - 1, x)
+    first, acc = t.copy(), t.copy()
+    k = s - 1
+    while k > 0:
+        for _ in range(min(8, k)):
+            t *= k
+            t /= x
+            acc += t
+            k -= 1
+        if not np.any(t > acc * _NEGLIGIBLE):
+            break
+    return acc, first
+
+
+# shapes whose lower tail is summed in full, from k = 0
+_FULL_SUM_SHAPE = 32
 
 
 def gammainc_int(s: int, x):
     """Regularised lower incomplete gamma P(s, x), integer s >= 1, x >= 0.
 
-    Up to shape 64 this is the finite Poisson sum
+    Up to shape 32 this is the finite Poisson sum
     P(s, x) = -expm1(-x) - sum_{k=1}^{s-1} t_k with t_k = e^(-x) x^k / k!,
-    built by t_k = t_(k-1) x / k from t_0 = e^(-x).  Each t_k is a Poisson
-    probability, so nothing overflows, and where e^(-x) underflows
-    (x > 708) the terms left out sum to less than 1e-200 for these shapes.
-    Larger shapes go to ``scipy.special.gammainc``, which is then cheaper.
+    built by t_k = t_(k-1) x / k from t_0 = e^(-x); where e^(-x) underflows
+    (x > 708) the terms left out sum to less than 1e-170.  Above it, P is
+    the upper Poisson tail (``_upper_tail``) where x < s - sqrt(s), and so
+    P < 0.2, and 1 minus the lower one (``_lower_tail``) elsewhere: each
+    converges within about 10 sqrt(s) terms.
     """
     x = np.asarray(x, dtype=float)
-    if s > _POISSON_SHAPE_MAX:
-        return special.gammainc(s, x)
-    neg = -x
-    t = np.exp(neg)
-    acc = np.expm1(neg)
-    for k in range(1, s):
-        t *= x
-        t /= k
-        acc += t
-    return -acc
+    if s <= _FULL_SUM_SHAPE:
+        neg = -x
+        t = np.exp(neg)
+        acc = np.expm1(neg)
+        for k in range(1, s):
+            t *= x
+            t /= k
+            acc += t
+        return -acc
+    up = x < s - math.sqrt(s)
+    out = np.empty_like(x)
+    if up.any():
+        out[up] = _upper_tail(s, x[up])[0]
+    if not up.all():
+        down = ~up
+        out[down] = np.maximum(1.0 - _lower_tail(s, x[down])[0], 0.0)
+    return out
+
+
+def gamma_quantiles(s: int, tail: float) -> tuple[float, float]:
+    """The points x_lo < x_hi with P(s, x_lo) = tail = Q(s, x_hi), for an
+    integer shape s >= 1 and 0 < tail < 1/2.
+
+    ln P(s, e^y) is concave in y and P(s, x) <= x^s / s!, so Newton's
+    method on it rises monotonically from (tail s!)^(1/s), or from halfway
+    to ln s in y while P underflows there; ln Q(s, x) is concave in x, and
+    Newton's method on it falls monotonically from a point where a bound
+    on Q reaches tail: n + L + sqrt(L^2 + 2 L n) for Bernstein's
+    exp(-(x - n)^2 / (2x)), n = s - 1 and L = -ln tail, moved by four
+    steps x <- n + L + n ln(x / n) toward the root of Chernoff's
+    e^-x (e x / n)^n, each still above it.  Each stops after a step that
+    moves x by under 1e-10 of itself, which leaves it at the root to
+    rounding (Newton's error squares with each step).
+    """
+    log_tail = math.log(tail)
+    y = (log_tail + math.lgamma(s + 1.0)) / s
+    for _ in range(100):
+        p, t = _upper_tail(s, math.exp(y))
+        if p == 0.0:  # underflow, far left of the root: halve the way to s
+            y = 0.5 * (y + math.log(s))
+            continue
+        step = float((log_tail - np.log(p)) * p / (s * t))
+        y += step
+        if abs(step) <= 1e-10:
+            break
+    n, big = s - 1, -log_tail
+    x = n + big + math.sqrt(big * big + 2.0 * big * n)
+    for _ in range(4 if n else 0):  # toward the root of Chernoff's bound
+        x = n + big + n * math.log(x / n)
+    for _ in range(100):
+        q, t = _lower_tail(s, x)
+        step = float((np.log(q) - log_tail) * q / t)
+        x += step
+        if abs(step) <= 1e-10 * x:
+            break
+    return math.exp(y), x
+
+
+def _piecewise(fn, steps: int, degree: int) -> np.ndarray:
+    """Coefficients (degree + 1, steps + 1), lowest power first, of the
+    polynomials in the offset u in [0, 1) of t = (k + u) / steps within step
+    k that interpolate fn(t) at the Chebyshev points of each step; the last
+    step's polynomial is repeated, for t = 1."""
+    j = np.arange(degree + 1)
+    u = 0.5 - 0.5 * np.cos(np.pi * (j + 0.5) / (degree + 1))
+    values = fn((np.arange(steps)[:, None] + u) / steps)
+    coef = np.linalg.solve(u[:, None] ** j, values.T)
+    return np.concatenate((coef, coef[:, -1:]), axis=1)
+
+
+def _piecewise_eval(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials of ``_piecewise`` at steps * t, t in [0, 1] (an
+    array, overwritten)."""
+    k = t.astype(np.intp)
+    t -= k
+    c = coef.take(k, axis=1)
+    out = c[-1] * t
+    out += c[-2]
+    for row in c[-3::-1]:
+        out *= t
+        out += row
+    return out
+
+
+# Cephes' Chebyshev coefficients (highest order first), the ones numpy's i0
+# uses: exp(-z) I0(z) in z / 2 - 2 for z in [0, 8], and sqrt(z) exp(-z)
+# I0(z) in 32 / z - 2 for z > 8.
+_I0E_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+
+
+def _chbevl(x, coef) -> np.ndarray:
+    """Cephes' Chebyshev sum of coef (highest order first) at x / 2."""
+    b0, b1, b2 = np.full_like(x, coef[0]), np.zeros_like(x), 0.0
+    for c in coef[1:]:
+        b0, b1, b2 = x * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
+
+
+# steps of t in [0, 1] and degree of the i0e and E1 tables
+_TABLE_STEPS, _TABLE_DEGREE = 512, 5
+
+
+@lru_cache(maxsize=None)
+def _i0e_table() -> np.ndarray:
+    """``_piecewise`` table of sqrt(z + 8) exp(-z) I0(z) in t = z / (z + 8),
+    from Cephes' series."""
+    def scaled(t):  # z <= 8 in the first half of the steps, z > 8 after
+        z = 8.0 * t / (1.0 - t)
+        low, high = np.split(z, 2)
+        i0e = np.concatenate((_chbevl(0.5 * low - 2.0, _I0E_A),
+                              _chbevl(32.0 / high - 2.0, _I0E_B)
+                              / np.sqrt(high)))
+        return i0e * np.sqrt(z + 8.0)
+    return _piecewise(scaled, _TABLE_STEPS, _TABLE_DEGREE)
+
+
+def i0e(z) -> np.ndarray:
+    """Exponentially scaled Bessel function exp(-z) I0(z), for z >= 0;
+    within 2e-15 of Cephes' series, relatively."""
+    z = np.asarray(z, dtype=float)
+    w = np.atleast_1d(z + 8.0)
+    t = z / w
+    t *= _TABLE_STEPS
+    out = _piecewise_eval(_i0e_table(), t)
+    out /= np.sqrt(w, out=w)
+    return out.reshape(z.shape)
+
+
+# terms of the power series of E1 kept below 1, and of its continued
+# fraction above
+_E1_SERIES_TERMS = 20
+_E1_FRACTION_TERMS = 200
+
+
+@lru_cache(maxsize=None)
+def _e1_table() -> np.ndarray:
+    """``_piecewise`` table, in t = x / 2 on [0, 1/2), of
+    Ein(x) = E1(x) + ln x + Euler's gamma for x < 1, and in t = 1 - 1 / (2x)
+    on [1/2, 1], of x e^x E1(x) for x >= 1; from Ein's power series and from
+    the continued fraction E1(x) = e^-x / (x + 1 - 1 / (x + 3 - 4 /
+    (x + 5 - ...))), within 1e-17 at 200 terms from x = 1 on."""
+    def scaled(t):
+        small = t < 0.5
+        x = np.where(small, 2.0 * t, 1.0)
+        ein = np.zeros_like(x)
+        for k in range(_E1_SERIES_TERMS, 0, -1):
+            ein = x * (ein + (-1.0) ** (k + 1) / (k * math.factorial(k)))
+        x = np.where(small, 1.0, 0.5 / (1.0 - t))
+        frac = x + (2 * _E1_FRACTION_TERMS + 1)
+        for k in range(_E1_FRACTION_TERMS, 0, -1):
+            frac = x + (2 * k - 1) - k * k / frac
+        return np.where(small, ein, x / frac)
+    return _piecewise(scaled, _TABLE_STEPS, _TABLE_DEGREE)
+
+
+def expint_e1(x) -> np.ndarray:
+    """Exponential integral E1(x) = -Ei(-x) for x > 0."""
+    x = np.asarray(x, dtype=float)
+    small = x < 1.0
+    inv = 1.0 / np.maximum(x, 1.0)
+    t = np.atleast_1d(np.where(small, 0.5 * x, 1.0 - 0.5 * inv))
+    t *= _TABLE_STEPS
+    f = _piecewise_eval(_e1_table(), t).reshape(x.shape)
+    with np.errstate(divide="ignore"):
+        ein = f - np.euler_gamma - np.log(x)
+    return np.where(small, ein, f * np.exp(-x) * inv)
+
+
+class _MarcumWindow(NamedTuple):
+    """The window of M ~ Poisson(m), m = a^2 / 2, that Q1(a, .) is summed
+    over: counts n_lo..n_hi, with Pr(M < n_lo) and Pr(M > n_hi) each below
+    2^-60.  ``tail`` and ``point`` are the Horner coefficients (top first)
+    of sum_n S_n p_n / p_lo r^(n - n_lo) and sum_n p_n^2 / p_lo
+    r^(n - n_lo), with p_n = Pr(M = n), S_n = Pr(M >= n), p_lo = p_(n_lo)
+    and r = y / scale; scale is m, or 1 where M = 0 surely.  Above r_max a
+    sum could overflow, and Q1 is below 1e-100."""
+
+    n_lo: int
+    tail: tuple[float, ...]
+    point: tuple[float, ...]
+    scale: float
+    r_max: float
+
+
+@lru_cache(maxsize=256)
+def _marcum_window(a: float) -> _MarcumWindow:
+    """The ``_MarcumWindow`` of Q1(a, .).  The probabilities come from the
+    mode m0 = floor(m) by p_(n+1) = p_n m / (n + 1)."""
+    m = 0.5 * a * a
+    if m == 0.0:
+        return _MarcumWindow(0, (1.0,), (1.0,), 1.0, math.inf)
+    m0 = math.floor(m)
+    # Bernstein's bounds on the Poisson tails: below 2^-60 beyond these
+    lo = max(0, m0 - math.ceil(math.sqrt(84.0 * m)) - 1)
+    hi = m0 + math.ceil(14.0 + math.sqrt(196.0 + 84.0 * m)) + 1
+    up = np.cumprod(m / np.arange(m0 + 1, hi + 1))
+    down = np.cumprod(np.arange(m0, lo, -1) / m)[::-1]
+    p = float(_pmf(m0, m)) * np.concatenate((down, [1.0], up))
+    upper = np.cumsum(p[::-1])[::-1]  # Pr(M >= n) within the window
+    # from 0 if it reaches 0: Pr(N = 0) = e^-y is exact to an ulp
+    first = int(np.searchsorted(np.cumsum(p), _WINDOW_TAIL)) if lo else 0
+    last = int(np.count_nonzero(upper >= _WINDOW_TAIL))
+    p, upper = p[first:last], upper[first:last]
+    ratio = p / p[0]
+    return _MarcumWindow(lo + first, tuple((upper * ratio)[::-1].tolist()),
+                         tuple((p * ratio)[::-1].tolist()), m,
+                         math.exp(700.0 / max(len(p) - 1, 1)))
+
+
+def _horner(coef, r):
+    """sum_j coef[j] r^(J - j) by Horner's rule: in Python floats for a
+    float r, in place for an array, with the same roundings."""
+    if isinstance(r, float):
+        h = 0.0
+        for c in coef:
+            h = h * r + c
+        return h
+    h = np.zeros_like(r)
+    for c in coef:
+        h *= r
+        h += c
+    return h
+
+
+def _marcum_sum(window: _MarcumWindow, coef, y):
+    """Pr(N = n_lo) times the window polynomial ``coef`` at r = y / scale,
+    for N ~ Poisson(y); y a float or an array."""
+    r = y / window.scale
+    kept = r <= window.r_max
+    r = np.minimum(r, window.r_max)
+    h = _horner(coef, float(r) if np.ndim(y) == 0 else r)
+    return _pmf(window.n_lo, y) * h * kept
+
+
+def _marcum_q1(window: _MarcumWindow, y):
+    """Q1 = Pr(N < n_lo) + sum_n Pr(N = n) S_n, N ~ Poisson(y)."""
+    q = _marcum_sum(window, window.tail, y)
+    if window.n_lo > 0:
+        q += 1.0 - gammainc_int(window.n_lo, y)
+    return q
 
 
 def marcum_q1_exact(a: float, b):
     """First-order Marcum Q1(a, b) = 1 - F(b^2; 2, a^2), vectorised in b.
 
     F is the noncentral chi-square CDF with two degrees of freedom and
-    noncentrality a^2.  A scalar b gives a float, an array of b an array;
-    values are clipped to [0, 1] and Q1(a, 0) = 1 exactly.
+    noncentrality a^2.  With y = b^2 / 2 it is summed over the window of
+    ``_marcum_window``: Q1 = Pr(N < n_lo) + sum_n Pr(N = n) Pr(M >= n), the
+    sum by Horner's rule in r = y / m.  The window leaves out 2^-60;
+    rounding puts the value within 5e-15 of 1 - ``scipy.special.chndtr``
+    for a < 10 and within 2e-14 of ``scipy.stats.ncx2.sf`` for a <= 120.
+    A scalar b gives a float, an array of b an array, each element computed
+    alike; values are clipped to [0, 1] and Q1(a, 0) = 1 exactly.
     """
     b = np.asarray(b, dtype=float)
     if a < 0 or np.any(b < 0):
         raise DomainError("marcum_q1_exact requires a >= 0 and b >= 0")
-    q = np.where(b == 0.0, 1.0,
-                 np.clip(1.0 - special.chndtr(b * b, 2.0, a * a), 0.0, 1.0))
+    y = 0.5 * b * b
+    q = _marcum_q1(_marcum_window(float(a)), float(y) if b.ndim == 0 else y)
+    q = np.where(b == 0.0, 1.0, np.clip(q, 0.0, 1.0))
     return float(q) if b.ndim == 0 else q
+
+
+def _marcum_window_ends(a: float) -> tuple[float, float]:
+    """The b where Q1(a, b) = 0.9999 and where it is 1e-4, for 0 < a < 10.
+
+    Newton's method on ln(1 - Q1) and on ln Q1 (both concave in b: Q1 is
+    the survival function of the log-concave Rician amplitude) rises from
+    the left of the low root and falls from a + sqrt(-2 ln 1e-4), right of
+    the high one, so that it is monotone, and stops after a step under
+    1e-10 of b.  As I0 <= exp, 1 - Q1 <= b^2 / 2 exp(a b - a^2 / 2), and
+    Newton's method on the log of that bound (concave in b) gives the low
+    start.  dQ1/db = -b sum_n Pr(N = n) Pr(M = n).
+    """
+    window = _marcum_window(float(a))
+    level = math.log(2.0 * (1.0 - 0.9999)) + 0.5 * a * a
+    low = math.exp(0.5 * level)  # the root at a = 0
+    if level > 0.0:
+        low = min(low, level / a)
+    for _ in range(6):  # 2 ln b + a b = level, from either side to the left
+        low += (level - 2.0 * math.log(low) - a * low) / (2.0 / low + a)
+    ends = []
+    for b, is_low in ((low, True),
+                      (a + math.sqrt(-2.0 * math.log(1e-4)), False)):
+        target = math.log(1.0 - 0.9999 if is_low else 1e-4)
+        for _ in range(50):
+            y = 0.5 * b * b
+            q = float(_marcum_q1(window, y))
+            slope = b * float(_marcum_sum(window, window.point, y))
+            tail, slope = (1.0 - q, slope) if is_low else (q, -slope)
+            step = (target - math.log(tail)) * tail / slope
+            b += step
+            if abs(step) <= 1e-10 * b:
+                break
+        ends.append(b)
+    return ends[0], ends[1]
 
 
 def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
@@ -240,23 +669,22 @@ def _nelder_mead(f, start, xatol: float, fatol: float, maxiter: int):
 def _fit_problem(a: float):
     """The objective of the Marcum fit at a and its start point (mu, nu).
 
-    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4, whose b are the
-    noncentral chi-square quantiles sqrt(chndtrix(1 - level, 2, a^2)).
-    The start is the linearisation ln(-ln Q1) = mu + nu ln b over that
-    window; the objective is the worst running CDF-area mismatch in the
-    power variable x = b^2 / (2(k+1)), k = a^2/2 (``_trunc_mean_objective``).
+    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4
+    (``_marcum_window_ends``).  The start is the linearisation
+    ln(-ln Q1) = mu + nu ln b over that window; the objective is the worst
+    running CDF-area mismatch in the power variable x = b^2 / (2(k+1)),
+    k = a^2/2 (``_trunc_mean_objective``).  Q1 is evaluated on both grids
+    in one call.
     """
-    b_lo, b_hi = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
-                                          a * a))
+    b_lo, b_hi = _marcum_window_ends(a)
     bs = np.linspace(b_lo, b_hi, 48)
-    qs = marcum_q1_exact(a, bs)
-    mask = (qs > 1e-4) & (qs < 0.9999)
-    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
-
     k1 = a * a / 2.0 + 1.0  # k + 1
     xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
     bs_x = np.sqrt(2.0 * k1 * xs)
-    objective = _trunc_mean_objective(xs, bs_x, marcum_q1_exact(a, bs_x))
+    qs, qs_x = np.split(marcum_q1_exact(a, np.concatenate((bs, bs_x))), [48])
+    mask = (qs > 1e-4) & (qs < 0.9999)
+    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
+    objective = _trunc_mean_objective(xs, bs_x, qs_x)
     return objective, (float(mu0), float(nu0))
 
 

@@ -199,10 +199,12 @@ def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
     """Outage of a gamma state under Alzer's bound of its CDF, averaged
     over the noise by the Gauss-Legendre rule."""
-    # gamma_th / (p_a unit), capped where the CDF is 1 at every node
-    scale = np.exp(np.minimum(log_ratio - math.log(unit), 700.0))
-    x = scale[:, None] * (sigma_n2 * rho ** _GL_NODES)
-    return 0.5 * (nakagami_power_cdf(x, s) @ _GL_WEIGHTS)
+    # x = gamma_th sigma^2 rho^u / (p_a unit) in log space, capped where the
+    # CDF is 1, so that no product overflows
+    log_x = (log_ratio - math.log(unit))[:, None] + (
+        math.log(sigma_n2) + math.log(rho) * _GL_NODES)
+    return 0.5 * (nakagami_power_cdf(np.exp(np.minimum(log_x, 700.0)), s)
+                  @ _GL_WEIGHTS)
 
 
 def outage_dm_closed_form(scn: Scenario) -> float:

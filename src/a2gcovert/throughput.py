@@ -8,16 +8,20 @@ validation grid build each table once and call the kernels directly.
 
 In a Rician ("om") state the outage is a closed form built on the
 exponential-type Marcum-Q surrogate plus the log-uniform noise average; its
-exponent is formed in log space, so no power of it overflows.  In a gamma
-("dm") state the exact regularized gamma CDF is averaged over the noise
-with a fixed 64-node Gauss-Legendre rule; for integer shapes up to 64 the
-CDF is a finite Poisson sum (``specfun.gammainc_int``).  The ergodic
-(Shannon) capacity averages ln(1 + SNR) over the fading with the composite
-Gauss rule that the warden's DEP uses (``channel._state_rule``) and over the
-noise with the same 64-node Gauss-Legendre rule; the integrand is positive
-and nothing cancels, so low SNR keeps full relative accuracy.  The
-paper's closed-form mmWave outage, built on Alzer's bound of the gamma CDF,
-is in ``surrogate``.
+exponent is formed in log space, so no power of it overflows, and where
+the noise spans a wide range it is a difference of exponential integrals
+Ei(-x) = -E1(x) (``specfun.expint_e1``, where ``scipy.special.expi``
+served before).  In a gamma ("dm") state the exact regularized gamma CDF
+is averaged over the noise with a fixed 64-node Gauss-Legendre rule; the
+CDF of integer shape is a Poisson tail sum (``specfun.gammainc_int``, where
+``scipy.special.gammainc`` served above shape 64).  The module needs numpy
+and ``specfun`` only; scipy is imported by ``surrogate`` and the tests
+alone.  The ergodic (Shannon) capacity averages ln(1 + SNR) over the
+fading with the composite Gauss rule that the warden's DEP uses
+(``channel._state_rule``) and over the noise with the same 64-node
+Gauss-Legendre rule; the integrand is positive and nothing cancels, so low
+SNR keeps full relative accuracy.  The paper's closed-form mmWave outage,
+built on Alzer's bound of the gamma CDF, is in ``surrogate``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ import math
 import sys
 
 import numpy as np
-from scipy import special
 
 from .channel import LinkStates, _check_point, _state_rule, link_states
 from .errors import DomainError
 from .scenario import Scenario
-from .specfun import gammainc_int, marcum_mu_nu
+from .specfun import expint_e1, gammainc_int, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
@@ -92,9 +95,8 @@ def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
         zs = np.minimum(z[:, None] + 0.5 * width * _GL_NODES, _EI_Z_MAX)
         return 0.5 * (-np.expm1(-np.exp(zs)) @ _GL_WEIGHTS)
     zs = z[:, None] + [0.5 * width, -0.5 * width]
-    # the clipped argument is never 0, where Ei is singular
-    ei = special.expi(-np.exp(np.minimum(np.maximum(zs, _EI_Z_MIN),
-                                         _EI_Z_MAX)))
+    # Ei(-x) = -E1(x); the clipped argument is never 0, where it is singular
+    ei = -expint_e1(np.exp(np.minimum(np.maximum(zs, _EI_Z_MIN), _EI_Z_MAX)))
     ei += np.minimum(zs - _EI_Z_MIN, 0.0)
     out = 1.0 - (ei[:, 0] - ei[:, 1]) / width
     return np.minimum(np.maximum(out, 0.0), 1.0)

@@ -73,3 +73,35 @@ def test_values_in_range_or_a2g_error(flat):
                 except A2GError:
                     continue
                 assert in_range(res), (mode, res)
+
+
+def test_alice_far_beyond_the_squaring_range():
+    # (alice.x)^2 overflowed in geometry.distance and ended every metric
+    # in a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e160, -1e160, 1e300):
+            scn = scenario_from_flat({"alice.x": x})
+            for mode in ("om", "dm"):
+                try:
+                    dep = expected_min_dep(scn, mode)
+                    p_out, cap = outage(scn, mode), csc(scn, mode)
+                    ecr_opt = maximize_ecr(scn, mode).objective
+                    csc_opt = maximize_csc(scn, mode).objective
+                except A2GError:
+                    continue
+                assert 0.0 <= dep.value <= 1.0 and 0.0 <= p_out <= 1.0
+                for val in (cap, ecr_opt, csc_opt):
+                    assert 0.0 <= val < math.inf
+
+
+def test_nakagami_shapes_up_to_the_ceiling():
+    # the parser accepts shapes up to specfun.GAMMA_SHAPE_MAX = 10^4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in (1000, 10_000):
+            scn = scenario_from_flat({"dm.s_los": shape, "dm.s_nlos": shape})
+            dep = expected_min_dep(scn, "dm")
+            assert 0.0 <= dep.value <= 1.0 and 0.0 <= dep.abs_err < math.inf
+            assert 0.0 < outage(scn, "dm") < 1.0
+            assert 0.0 < csc(scn, "dm") < math.inf

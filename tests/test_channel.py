@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from a2gcovert.channel import (
     NoiseModel,
     PathLoss,
     RicianLaw,
+    link_states,
     path_loss,
     rician_factor,
     sample_nakagami_power,
@@ -19,6 +21,8 @@ from a2gcovert.channel import (
     sample_rician_power,
 )
 from a2gcovert.errors import DomainError
+from a2gcovert.scenario import default_scenario
+from a2gcovert.specfun import GAMMA_SHAPE_MAX
 from a2gcovert.surrogate import nakagami_power_cdf, nakagami_xi
 
 from test_throughput import _one_state
@@ -156,6 +160,14 @@ class TestNakagamiPower:
             nakagami_power_cdf(1.0, 0)
         with pytest.raises(DomainError):
             NakagamiLaw(s_los=2.5, s_nlos=2)
+
+    def test_shape_ceiling(self):
+        NakagamiLaw(s_los=GAMMA_SHAPE_MAX, s_nlos=1)
+        with pytest.raises(DomainError):
+            NakagamiLaw(s_los=GAMMA_SHAPE_MAX + 1, s_nlos=2)
+        table = link_states(default_scenario(), "dm", "bob")
+        with pytest.raises(DomainError):
+            replace(table, params=(GAMMA_SHAPE_MAX + 1,) * 4)
 
     def test_sampler_moments(self):
         rng = np.random.default_rng(13)

@@ -329,6 +329,30 @@ class TestOptimize:
             assert 0.0 < float(row["p_a_opt_mw"]) < 1e-100
             assert 0.0 < float(row["objective"]) < math.inf
 
+    @pytest.mark.parametrize("metric", ["ecr", "csc"])
+    def test_position_beyond_the_squaring_range(self, metric, tmp_path,
+                                                 capsys):
+        # (alice.x)^2 overflowed in geometry.distance: a traceback
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text("alice.x = 1e160\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", metric, "--config", str(cfg)], capsys)
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert {row["mode"] for row in rows} == {"om", "dm"}
+        assert all(0.0 <= float(row["objective"]) < math.inf for row in rows)
+
+    def test_far_sweep_is_a_clean_error(self, capsys):
+        # the safety check measures d_aw; it now reports the violation in
+        # one line where the distance overflowed before
+        code, out, err = run_cli(
+            ["sweep", "--axis", "x_a", "--start", "1e159", "--stop", "1e160",
+             "--points", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: d_aw = ") and "violates" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("who", ["alice", "bob", "willie"])
     def test_antenna_without_elements_exits_2(self, who, tmp_path, capsys):
         cfg = tmp_path / "scn.txt"

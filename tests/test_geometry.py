@@ -153,3 +153,25 @@ class TestMainLobeCoverage:
         assert [states.tx_gain * g for g in states.rx_gains] == (
             pytest.approx([ta.g_main * tw.g_main] * 2
                           + [ta.g_main * tw.g_side] * 2))
+
+
+class TestDistanceOverflow:
+    def test_far_difference_falls_back_to_hypot(self):
+        # (1e160)^2 overflows a float; hypot scales instead of squaring
+        p, q = NodePosition(1e160, -3e159, 100.0), NodePosition(0.0, 0.0, 0.0)
+        assert distance(p, q) == math.hypot(1e160, -3e159, 100.0)
+        assert distance(q, p) == distance(p, q)
+
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_finite_distance_keeps_its_bits(self, c):
+        p = NodePosition(c[0], c[1], abs(c[2]))
+        q = NodePosition(c[3], c[4], abs(c[5]))
+        assert distance(p, q) == math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2
+                                           + (p.h - q.h) ** 2)
+
+    def test_far_direction_is_a_unit_vector(self):
+        alice = NodePosition(1e160, 0.0, 100.0)
+        bob = NodePosition(0.0, 0.0, 0.0)
+        willie = NodePosition(0.0, 1.0, 0.0)
+        assert 0.0 <= boresight_separation(alice, bob, willie) < 1e-100

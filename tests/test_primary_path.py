@@ -1,49 +1,75 @@
-"""The primary path imports numpy and scipy.special only.
+"""The primary path imports numpy only: no command loads scipy.
 
 Each check runs in a fresh interpreter, since this test session has
-imported scipy.optimize and scipy.integrate itself.
+imported scipy itself.  The commands are the benchmark's three workloads
+and a microwave outage sweep whose noise uncertainty reaches the
+exponential-integral branch of the outage.
 """
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import a2gcovert
 
 SRC = pathlib.Path(a2gcovert.__file__).resolve().parent.parent
 BENCH = SRC.parent / "bench"
 
+_WORKLOADS = json.loads((BENCH / "workloads.json").read_text())["workloads"]
+COMMANDS = [w["argv"] + ["--seed", "0"] for w in _WORKLOADS.values()] + [
+    ["sweep", "--axis", "rho", "--start", "2", "--stop", "10",
+     "--metrics", "outage,ecr_opt", "--modes", "om"]]
+
 _RUN = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+if {block_scipy!r}:
+    sys.modules["scipy"] = None  # any import of scipy now fails
 import a2gcovert.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+report = {{"after_import": scipy_modules(), "outputs": []}}
 for argv in {commands!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = a2gcovert.cli.main(argv)
     assert code == 0, (argv, code)
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate")
-             if m in sys.modules))
+    report["outputs"].append(out.getvalue())
+report["after_commands"] = scipy_modules()
+print(json.dumps(report))
 """
 
 
 def _fresh_python(code: str) -> str:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-                         timeout=300)
+                         timeout=600)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_import_and_commands_load_neither_optimize_nor_integrate():
-    commands = [
-        ["mode-map", "--metric", "ecr", "--points", "2", "--allow-unsafe"],
-        ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
-         "--points", "2", "--metrics", "ecr_opt,csc_opt"],
-        # 10^4 is the smallest sample count validate accepts
-        ["validate", "--samples", "10000", "--workers", "1"],
-    ]
-    assert _fresh_python(_RUN.format(commands=[])) == "[]"
-    assert _fresh_python(_RUN.format(commands=commands)) == "[]"
+@pytest.fixture(scope="module")
+def runs():
+    return {block: json.loads(_fresh_python(_RUN.format(
+        block_scipy=block, commands=COMMANDS))) for block in (False, True)}
+
+
+def test_import_and_commands_load_no_scipy(runs):
+    assert runs[False]["after_import"] == []
+    assert runs[False]["after_commands"] == []
+
+
+def test_commands_run_without_scipy_and_write_the_same_csv(runs):
+    normal, blocked = runs[False]["outputs"], runs[True]["outputs"]
+    assert len(normal) == len(COMMANDS)
+    assert all(out.count("\n") > 2 for out in normal)
+    assert blocked == normal
 
 
 def test_tracer_still_wraps_integrate_and_counts_fits():

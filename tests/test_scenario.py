@@ -148,6 +148,15 @@ class TestParsing:
         s = loads_scenario("om.k_half_pi_db = 38.5")
         assert s.om.rician.k_half_pi < 7200.0
 
+    def test_nakagami_shape_ceiling(self):
+        # the gamma tail sums take up to about 10 sqrt(s) terms; shapes above
+        # specfun.GAMMA_SHAPE_MAX = 10^4 are rejected when loaded
+        with pytest.raises(ScenarioError,
+                           match=r"s_los must be an integer in \[1, 10000\]"):
+            loads_scenario("dm.s_los = 10001")
+        s = loads_scenario("dm.s_los = 10000\ndm.s_nlos = 10000")
+        assert s.dm.nakagami.s_los == s.dm.nakagami.s_nlos == 10000
+
     def test_rice_ceiling_printed_with_enough_digits(self):
         # 38.58 dB lies above the 38.5733 dB ceiling; printed to one
         # decimal the ceiling read 38.6, below the rejected value

@@ -8,15 +8,22 @@ from scipy import optimize, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
+    GAMMA_SHAPE_MAX,
+    expint_e1,
+    gamma_quantiles,
     gammainc_int,
+    i0e,
     marcum_mu_nu,
     marcum_q1_exact,
 )
 from a2gcovert.specfun import (
     _fit_problem,
     _fitted_mu_nu,
+    _lower_tail,
+    _marcum_window_ends,
     _nelder_mead,
     _trunc_mean_objective,
+    _upper_tail,
 )
 from a2gcovert.surrogate import marcum_q1_approx
 
@@ -260,3 +267,115 @@ class TestIntegerShapeGammaCdf:
         # the Poisson sum would give 1 here: e^-900 is 0 in floating point
         assert float(gammainc_int(1000, 900.0)) == pytest.approx(
             5.5e-4, rel=0.05)
+
+
+def _condition(ref):
+    """A value e^-L formed from its argument carries about L rounding
+    errors: 1 + |ln v|, the relative condition a tolerance scales by."""
+    return 1.0 + np.abs(np.log(ref))
+
+
+class TestPoissonTails:
+    """The tails of ``gammainc_int``, each a sum of positive terms, against
+    scipy.special.gammainc / gammaincc down to values of 1e-300.
+
+    Up to shape 100 they agree within 1e-14 relative per unit of the
+    value's condition 1 + |ln v|.  Above, scipy's own error grows (against
+    50-digit mpmath values it is off by 2.5e-13 at shape 300, where these
+    sums are within 1e-14), so the bound there is 5e-14 per unit.
+    """
+
+    @pytest.mark.parametrize("s, per_unit", [
+        (1, 1e-14), (2, 1e-14), (3, 1e-14), (7, 1e-14), (16, 1e-14),
+        (30, 1e-14), (32, 1e-14), (33, 1e-14), (64, 1e-14), (100, 1e-14),
+        (300, 5e-14), (1000, 5e-14), (5000, 5e-14)])
+    def test_match_scipy_relative(self, s, per_unit):
+        lo = special.gammaincinv(s, 1e-300)
+        hi = special.gammainccinv(s, 1e-300)
+        x = np.concatenate((np.geomspace(lo, s, 2000),
+                            np.linspace(lo, hi, 4000), np.geomspace(s, hi, 2000)))
+        # the sums as gammainc_int uses them, the upper one where the
+        # terms fall fast and the lower one from the mode of N up
+        cut = s - math.sqrt(s) if s > 32 else 0.5 * s
+        up, down = x[x < cut], x[x >= max(cut, 0.5 * s)]
+        for got, ref in ((_upper_tail(s, up)[0], special.gammainc(s, up)),
+                         (_lower_tail(s, down)[0],
+                          special.gammaincc(s, down))):
+            assert np.all(np.abs(got / ref - 1.0)
+                          <= per_unit * _condition(ref))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 30, 32, 33, 64, 300, 1000,
+                                   5000])
+    def test_gammainc_int_absolute(self, s):
+        # the value formed against 1 (1 minus the lower tail) is within a
+        # few ulps of 1; the finite sum up to shape 32 and the tail sums
+        # above it agree with scipy within 4e-15 (measured 2.8e-15)
+        lo = special.gammaincinv(s, 1e-18)
+        hi = special.gammainccinv(s, 1e-18)
+        x = np.concatenate((np.geomspace(lo * 1e-6, lo, 200),
+                            np.linspace(lo, hi, 4000),
+                            np.geomspace(hi, hi * 50.0, 200)))
+        assert np.max(np.abs(gammainc_int(s, x)
+                             - special.gammainc(s, x))) <= 4e-15
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 30, 33, 64, 300, 1000, 5000,
+                                   GAMMA_SHAPE_MAX])
+    def test_quantiles_match_scipy(self, s):
+        lo, hi = gamma_quantiles(s, 1e-18)
+        assert lo == pytest.approx(special.gammaincinv(s, 1e-18), rel=1e-14)
+        assert hi == pytest.approx(special.gammainccinv(s, 1e-18), rel=1e-14)
+
+    def test_scalar_and_zero(self):
+        assert gammainc_int(40, 0.0) == 0.0
+        assert float(gammainc_int(40, 1e-300)) == 0.0
+        assert float(gammainc_int(40, 40.0)) == pytest.approx(
+            special.gammainc(40, 40.0), abs=1e-15)
+
+
+class TestBesselI0e:
+    def test_matches_scipy_relative(self):
+        z = np.concatenate((np.geomspace(1e-300, 1e-3, 300),
+                            np.linspace(0.0, 20.0, 200001),
+                            np.geomspace(20.0, 1e12, 100001)))
+        np.testing.assert_allclose(i0e(z), special.i0e(z), rtol=1e-14,
+                                   atol=0)
+
+    def test_shapes(self):
+        z = np.linspace(0.0, 50.0, 320).reshape(2, 160)
+        assert i0e(z).shape == (2, 160)
+        assert float(i0e(0.0)) == pytest.approx(1.0, rel=1e-15)
+        assert i0e(3.0) == pytest.approx(special.i0e(3.0), rel=1e-14)
+
+
+class TestExpintE1:
+    def test_matches_scipy_relative(self):
+        x = np.concatenate((np.geomspace(1e-300, 1.0, 20001),
+                            np.linspace(0.5, 5.0, 20001),
+                            np.geomspace(1.0, 745.0, 20001)))
+        np.testing.assert_allclose(expint_e1(x), special.exp1(x),
+                                   rtol=1e-14, atol=0)
+
+    def test_is_minus_ei_of_the_negated_argument(self):
+        # the outage's Ei branch reads Ei(-e^z) for z in [-40, 6.7]
+        x = np.exp(np.linspace(-40.0, 6.7, 4001))
+        np.testing.assert_allclose(-expint_e1(x), special.expi(-x),
+                                   rtol=1e-14, atol=0)
+
+
+class TestMarcumKernel:
+    def test_matches_chndtr_on_the_fit_range(self):
+        # absolute: Q1 is a sum over the window of M's values, whose
+        # truncation leaves out at most 2^-60
+        for a in np.linspace(0.05, 9.95, 67):
+            b = np.linspace(0.0, a + 10.0, 400)
+            want = 1.0 - special.chndtr(b * b, 2.0, a * a)
+            assert np.max(np.abs(marcum_q1_exact(a, b) - want)) <= 5e-15
+
+    @pytest.mark.parametrize("a", [1e-300, 0.05, 0.7, 2.9, 5.35, 9.95])
+    def test_window_ends_match_chndtrix(self, a):
+        b_lo, b_hi = _marcum_window_ends(a)
+        ref = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
+                                      a * a))
+        # the low end solves 1 - Q1 = 1e-4, formed against 1
+        assert b_lo == pytest.approx(ref[0], rel=1e-11)
+        assert b_hi == pytest.approx(ref[1], rel=1e-12)

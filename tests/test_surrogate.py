@@ -99,3 +99,14 @@ def test_primary_path_does_not_load_the_surrogates():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_alzer_outage_where_the_noise_power_overflows():
+    # sigma^2 rho^u was formed as a product and warned eight times about
+    # overflow; formed in log space it warns nothing and keeps the value
+    scn = scenario_from_flat({"noise.sigma_n2_dbm": 1377.0,
+                              "noise.rho_db": 2913.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outage_dm_closed_form(scn)
+    assert got == pytest.approx(0.7553, abs=5e-5)

@@ -306,6 +306,21 @@ class TestGammaOutage:
         assert 0.0 < got < 1.0
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [33, 1000, 10000])
+    def test_large_shapes_match_scipy(self, shape):
+        # above shape 32 the CDF is a Poisson tail sum; at the parser's
+        # ceiling of 10^4 as well
+        scn = scenario_from_flat({"dm.s_los": shape, "dm.s_nlos": shape})
+        bob = link_states(scn, "dm", "bob")
+        gamma_th = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
+        u, w = np.polynomial.legendre.leggauss(64)
+        want = 0.0
+        for prob, s, unit in zip(bob.probs, bob.params, bob.received(
+                scn.p_a)):
+            x = s * gamma_th * bob.sigma_n2 * scn.noise.rho ** u / unit
+            want += prob * 0.5 * (special.gammainc(s, x) @ w)
+        assert outage(scn, "dm") == pytest.approx(want, rel=0, abs=1e-14)
+
     @pytest.mark.parametrize("law, param", [("rician", 5.0), ("gamma", 2)])
     def test_quotient_of_noise_and_unit_power_out_of_range(self, law, param):
         # with a unit power of 1e-310 mW, s / unit (gamma) overflowed and
