@@ -84,17 +84,9 @@ class SCurveParams:
 
 
 def distance(p: NodePosition, q: NodePosition) -> float:
-    """Euclidean 3D distance in metres.
-
-    Where a squared difference overflows (a difference above about
-    1.3e154 m), ``math.hypot``, which scales instead of squaring; every
-    other distance keeps the sum-of-squares bits.
-    """
-    dx, dy, dh = p.x - q.x, p.y - q.y, p.h - q.h
-    try:
-        return math.sqrt(dx ** 2 + dy ** 2 + dh ** 2)
-    except OverflowError:
-        return math.hypot(dx, dy, dh)
+    """Euclidean 3D distance in metres, by ``math.hypot``, which scales
+    instead of squaring, so no square overflows."""
+    return math.hypot(p.x - q.x, p.y - q.y, p.h - q.h)
 
 
 def elevation_angle_deg(uav: NodePosition, ground: NodePosition) -> float:
@@ -152,10 +144,7 @@ def lobe_gains(a: AntennaSpec) -> LobeGainTable:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if norm == math.inf:  # a squared component overflowed, as in distance
-        norm = math.hypot(*vec)
+    norm = math.hypot(*vec)
     if norm == 0:
         raise DomainError("coincident nodes have no direction")
     return vec / norm

@@ -2,13 +2,13 @@
 
 Both problems are monotone in transmit power (throughput rises, expected DEP
 falls), so the optimal power is the covertness limit capped at the power
-budget: the result of a geometric bisection, found in about 5 DEP kernel
-calls by a bracketed root search that the bisection is then replayed
-against, and cached per warden state table, so the ECR and CSC solves at
-one point share it.  The ECR problem additionally searches
-the target rate, since the rate objective need not be concave: on a
-deterministic grid, then by a vectorised bracket refinement that evaluates
-33 rates between the best point's neighbours in one outage call per round.
+budget: the covert end of a bracketed root search in ln p, within 1e-8 of
+the root, found in about 5 DEP kernel calls and cached per warden state
+table, so the ECR and CSC solves at one point share it.  The ECR problem
+additionally searches the target rate, since the rate objective need not be
+concave: on a deterministic grid, then by a vectorised bracket refinement
+that evaluates 33 rates between the best point's neighbours in one outage
+call per round.
 
 A solve builds the state tables of the warden's and the receiver's link
 (``channel.link_states``) once; the power search, the rate grid and the
@@ -43,9 +43,7 @@ __all__ = [
 # on the boundary
 CONSTRAINT_SLACK = 1e-9
 
-# relative width at which the covert-power bisection stops
-_POWER_REL_TOL = 1e-6
-# width in ln p of the root bracket that the bisection is replayed against
+# width in ln p of the covert-power search's final bracket
 _LOG_BRACKET = 1e-8
 # rate grid points, refinement rounds, and rates evaluated per round
 _N_RATE = 128
@@ -104,15 +102,15 @@ def _log_expm1(x: float) -> float:
 @lru_cache(maxsize=1024)
 def _covert_power(willie: LinkStates, rho: float, epsilon: float,
                   p_max: float) -> tuple[float, str]:
-    """The largest covert power in [lo, P_max] as the geometric bisection
-    finds it (expected DEP is nonincreasing in power), in about 5 DEP
-    kernel calls instead of 26.
+    """The largest covert power in [lo, P_max] (expected DEP is
+    nonincreasing in power), within 1e-8 in ln p, in about 5 DEP kernel
+    calls.
 
     lo is P_max * 1e-12, or lower where that power is not covert: since
     ln(1 + y) <= y and the fading has unit mean, 1 - DEP <= p sum_i prob_i
     rho unit_i / (2 sigma^2 ln rho), and half the power at which that bound
     reaches epsilon is covert (where that underflows to 0, the result is 0,
-    covert).  A root search in u = ln p comes first, on
+    covert).  The search is a root search in u = ln p on
     g(u) = ln(rho^(2 (1 - DEP)) - 1) - ln(rho^(2 (epsilon + slack)) - 1).
     rho^(2 (1 - DEP)) - 1 is proportional to p at a fixed fading power, and
     by Jensen's inequality the mixture stays below a p, a = rho sum_i
@@ -120,9 +118,8 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
     The search starts where that line reaches the target and runs regula
     falsi with Anderson-Bjorck weights, bisecting where a step would not be
     shorter than half the one before the last, until an evaluated covert
-    power p_lo and a non-covert one p_hi lie within 1e-8 in u.  The
-    bisection then calls the kernel only at a midpoint between them.
-    Cached by the state table, which carries the noise power.
+    power and a non-covert one lie within 1e-8 in u; the covert one is
+    the result.  Cached by the state table, which carries the noise power.
     """
     target = 1.0 - epsilon - CONSTRAINT_SLACK
     dep = dep_over_states(willie, p_max, rho).value
@@ -142,10 +139,8 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
              * willie.sigma_n2 / (rho * mean_unit))
     if lo == 0.0:  # the covert power underflows: 0 is the largest covert one
         return 0.0, "covertness"
-    hi = p_max
     # the bracket: lo (not evaluated, so it takes the line's g) and p_max
-    p_lo, p_hi = lo, hi
-    u_lo, u_hi = math.log(lo), math.log(hi)
+    p_lo, u_lo, u_hi = lo, math.log(lo), math.log(p_max)
     g_lo, g_hi = g_at(1.0, u_lo), g_at(dep, u_hi)
     u, u_prev, last = g_ref - log_a, u_hi, None
     step = step_before = math.inf
@@ -165,7 +160,7 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
         if covert:
             p_lo, u_lo, g_lo = p, u, g
         else:
-            p_hi, u_hi, g_hi = p, u, g
+            u_hi, g_hi = u, g
         last, step, step_before, u_prev = covert, abs(u - u_prev), step, u
         if g_hi <= 0.0 or g_lo >= 0.0:  # by rounding, an end reads as the root
             u = u_hi if g_hi <= 0.0 else u_lo
@@ -173,17 +168,7 @@ def _covert_power(willie: LinkStates, rho: float, epsilon: float,
             u = u_hi - g_hi * (u_hi - u_lo) / (g_hi - g_lo)
         if abs(u - u_prev) >= 0.5 * step_before:  # too slow: bisect
             u = 0.5 * (u_lo + u_hi)
-    # the bisection, with the sides of midpoints outside (p_lo, p_hi) known
-    while (hi - lo) > _POWER_REL_TOL * hi:
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:  # lo * hi underflowed: the loop would stall
-            mid = math.sqrt(lo) * math.sqrt(hi)
-        if mid <= p_lo or (mid < p_hi and dep_over_states(
-                willie, mid, rho).value >= target):
-            lo = mid
-        else:
-            hi = mid
-    return lo, "covertness"
+    return p_lo, "covertness"
 
 
 def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
@@ -192,17 +177,20 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
 
     The outage probability is strictly decreasing in transmit power, so the
     objective is maximized at the covert power limit; what remains is a 1-D
-    search over the rate, on a 128-point grid up to the capacity of the
-    most favourable state (LoS, main lobes) at unit fading gain and that
-    power, then refined: each round evaluates 33 evenly spaced rates
-    between the best point's neighbours in one outage call, and three
-    rounds narrow the bracket by 16^3.
+    search over the rate, on a 128-point grid up to the capacity
+    W log2(1 + rho SNR) of the most favourable state (LoS, main lobes) at
+    unit fading gain, that power and the best noise power sigma^2 / rho,
+    then refined: each round evaluates 33 evenly spaced rates between the
+    best point's neighbours in one outage call, and three rounds narrow the
+    bracket by 16^3.
     """
     p_opt, binding = _covert_power_limit(scn, mode)
     bob = link_states(scn, mode, "bob")
     w = bob.bandwidth_hz
-    # state 0 is the LoS state (in the main lobe in mode "dm")
-    r_hi = w * math.log2(1.0 + bob.received(p_opt)[0] / bob.sigma_n2)
+    # state 0 is the LoS state (in the main lobe in mode "dm"); log1p keeps
+    # an SNR below the float epsilon
+    r_hi = w * math.log1p(scn.noise.rho * (bob.received(p_opt)[0]
+                                           / bob.sigma_n2)) / math.log(2.0)
 
     def ecr(rates: np.ndarray) -> np.ndarray:
         return rates * (1.0 - outage_over_states(

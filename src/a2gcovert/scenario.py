@@ -145,7 +145,7 @@ class Scenario:
         d = distance(uav, self.willie)
         if not (self.d_aw_min <= d <= self.d_aw_max) and not allow_unsafe:
             raise ScenarioError(
-                f"d_aw = {d:.1f} m violates [{self.d_aw_min}, {self.d_aw_max}]; "
+                f"d_aw = {d:.6g} m violates [{self.d_aw_min}, {self.d_aw_max}]; "
                 "pass --allow-unsafe to sweep across the bound"
             )
 

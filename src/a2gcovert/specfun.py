@@ -436,8 +436,8 @@ class _MarcumWindow(NamedTuple):
     2^-60.  ``tail`` and ``point`` are the Horner coefficients (top first)
     of sum_n S_n p_n / p_lo r^(n - n_lo) and sum_n p_n^2 / p_lo
     r^(n - n_lo), with p_n = Pr(M = n), S_n = Pr(M >= n), p_lo = p_(n_lo)
-    and r = y / scale; scale is m, or 1 where M = 0 surely.  Above r_max a
-    sum could overflow, and Q1 is below 1e-100."""
+    and r = y / scale; scale is m, or 1 where the window is one count.
+    Above r_max a sum could overflow, and Q1 is below 1e-100."""
 
     n_lo: int
     tail: tuple[float, ...]
@@ -466,8 +466,10 @@ def _marcum_window(a: float) -> _MarcumWindow:
     last = int(np.count_nonzero(upper >= _WINDOW_TAIL))
     p, upper = p[first:last], upper[first:last]
     ratio = p / p[0]
+    # one count: the sums are constants, and y / m could overflow
     return _MarcumWindow(lo + first, tuple((upper * ratio)[::-1].tolist()),
-                         tuple((p * ratio)[::-1].tolist()), m,
+                         tuple((p * ratio)[::-1].tolist()),
+                         m if len(p) > 1 else 1.0,
                          math.exp(700.0 / max(len(p) - 1, 1)))
 
 

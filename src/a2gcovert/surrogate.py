@@ -31,7 +31,7 @@ from .detection import ExpectedDep, _check_noise
 from .errors import DomainError
 from .scenario import Scenario
 from .specfun import marcum_mu_nu
-from .throughput import _GL_NODES, _GL_WEIGHTS, _mixture, snr_threshold
+from .throughput import _GL_WEIGHTS, _mixture, _noise_nodes, snr_threshold
 
 __all__ = [
     "varrho",
@@ -198,13 +198,10 @@ def expected_min_dep_dm_closed_form(scn: Scenario) -> ExpectedDep:
 def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
     """Outage of a gamma state under Alzer's bound of its CDF, averaged
-    over the noise by the Gauss-Legendre rule."""
-    # x = gamma_th sigma^2 rho^u / (p_a unit) in log space, capped where the
-    # CDF is 1, so that no product overflows
-    log_x = (log_ratio - math.log(unit))[:, None] + (
-        math.log(sigma_n2) + math.log(rho) * _GL_NODES)
-    return 0.5 * (nakagami_power_cdf(np.exp(np.minimum(log_x, 700.0)), s)
-                  @ _GL_WEIGHTS)
+    over the noise by the Gauss-Legendre rule: the CDF at x = gamma_th
+    sigma^2 rho^u / (p_a unit)."""
+    x = _noise_nodes(log_ratio - math.log(unit), sigma_n2, rho)
+    return 0.5 * (nakagami_power_cdf(x, s) @ _GL_WEIGHTS)
 
 
 def outage_dm_closed_form(scn: Scenario) -> float:

@@ -12,22 +12,23 @@ exponent is formed in log space, so no power of it overflows, and where
 the noise spans a wide range it is a difference of exponential integrals
 Ei(-x) = -E1(x) (``specfun.expint_e1``, where ``scipy.special.expi``
 served before).  In a gamma ("dm") state the exact regularized gamma CDF
-is averaged over the noise with a fixed 64-node Gauss-Legendre rule; the
-CDF of integer shape is a Poisson tail sum (``specfun.gammainc_int``, where
-``scipy.special.gammainc`` served above shape 64).  The module needs numpy
-and ``specfun`` only; scipy is imported by ``surrogate`` and the tests
-alone.  The ergodic (Shannon) capacity averages ln(1 + SNR) over the
-fading with the composite Gauss rule that the warden's DEP uses
-(``channel._state_rule``) and over the noise with the same 64-node
-Gauss-Legendre rule; the integrand is positive and nothing cancels, so low
-SNR keeps full relative accuracy.  The paper's closed-form mmWave outage,
-built on Alzer's bound of the gamma CDF, is in ``surrogate``.
+is averaged over the noise with a fixed 64-node Gauss-Legendre rule, at
+arguments formed in log space (``_noise_nodes``, which the surrogate's
+Alzer outage uses too); the CDF of integer shape is a Poisson tail sum
+(``specfun.gammainc_int``, where ``scipy.special.gammainc`` served above
+shape 64).  The module needs numpy and ``specfun`` only; scipy is
+imported by ``surrogate`` and the tests alone.  The ergodic (Shannon)
+capacity averages ln(1 + SNR) over the fading with the composite Gauss
+rule that the warden's DEP uses (``channel._state_rule``) and over the
+noise with the same 64-node Gauss-Legendre rule; the integrand is
+positive and nothing cancels, so low SNR keeps full relative accuracy.
+The paper's closed-form mmWave outage, built on Alzer's bound of the gamma
+CDF, is in ``surrogate``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -85,11 +86,9 @@ def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
     """
     c = marcum_mu_nu(math.sqrt(2.0 * k))
     width = c.nu * math.log(rho)
-    # ln(2 (k+1) sigma^2 / unit), a sum of logs where the quotient under-
-    # or overflows
-    q = 2.0 * (k + 1.0) * sigma_n2 / unit
-    log_q = (math.log(q) if sys.float_info.min <= q < math.inf else
-             math.log(2.0 * (k + 1.0)) + math.log(sigma_n2) - math.log(unit))
+    # ln(2 (k+1) sigma^2 / unit) as a sum of logs, so that no quotient
+    # under- or overflows
+    log_q = math.log(2.0 * (k + 1.0)) + math.log(sigma_n2) - math.log(unit)
     z = c.mu + 0.5 * c.nu * (log_ratio + log_q)
     if width < 4.0:
         zs = np.minimum(z[:, None] + 0.5 * width * _GL_NODES, _EI_Z_MAX)
@@ -102,27 +101,21 @@ def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
+def _noise_nodes(log_scale, sigma_n2: float, rho: float):
+    """x = e^log_scale sigma^2 rho^u at the Gauss-Legendre noise nodes u, one
+    row per entry of ``log_scale``, formed in log space with ln x capped at
+    700, where a CDF of x is 1, so that no product overflows."""
+    return np.exp(np.minimum(log_scale[:, None] + (
+        math.log(sigma_n2) + math.log(rho) * _GL_NODES), 700.0))
+
+
 def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
     """Exact outage of a gamma state at log(gamma_th / p_a), averaged over
-    the noise by the Gauss-Legendre rule."""
-    q = s / unit
-    log_scale = log_ratio + (math.log(q) if q < math.inf
-                             else math.log(s) - math.log(unit))
-    # x = s gamma_th sigma^2 rho^u / (p_a unit), its first factor capped
-    # where the CDF is 1 at every node
-    top, log_noise = log_scale.max(), math.log(sigma_n2) + math.log(rho)
-    if max(top, log_noise, top + log_noise) <= 700.0:
-        return 0.5 * (gammainc_int(s, np.exp(log_scale)[:, None] * (
-            sigma_n2 * rho ** _GL_NODES)) @ _GL_WEIGHTS)
-    # where that cap holds a small noise power back or a product is not
-    # finite: in log space, capped alike
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(np.minimum(log_scale, 700.0))[:, None] * (
-            sigma_n2 * rho ** _GL_NODES)
-    redo = (log_scale > 700.0)[:, None] | ~(x < math.inf)
-    x[redo] = np.exp(np.minimum(log_scale[:, None] + (
-        math.log(sigma_n2) + math.log(rho) * _GL_NODES), 700.0))[redo]
+    the noise by the Gauss-Legendre rule: the CDF at x = s gamma_th sigma^2
+    rho^u / (p_a unit)."""
+    x = _noise_nodes(log_ratio + (math.log(s) - math.log(unit)), sigma_n2,
+                     rho)
     return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
 
 

@@ -1,16 +1,17 @@
 """Any scenario the parser accepts gives in-range values or an A2GError.
 
 Scenarios are the defaults with one to four keys of ``scenario_to_flat()``
-moved far out: a dB or dBm value by up to +-3000 dB, any other value scaled
-by up to 10^+-30 and possibly negated, an integer key set anywhere from -2
-to 1000.  The parser rejects some of them; every other one goes through
-the scenario-level metrics and both solves in both modes, with warnings
-raised as errors.
+moved far out: a dB or dBm value by up to +-3000 dB, a node coordinate
+scaled by up to 10^+-300 and any other value by up to 10^+-30, each
+possibly negated, an integer key set anywhere from -2 to 1000.  The parser
+rejects some of them; every other one goes through the scenario-level
+metrics and both solves in both modes, with warnings raised as errors.
 """
 
 import math
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,10 @@ def _far_scenarios(draw):
                 st.sampled_from([-3000.0, -300.0, 300.0, 3000.0]),
                 st.floats(-3000.0, 3000.0)))
         else:
-            power = draw(st.one_of(st.sampled_from([-30, -8, 8, 30]),
-                                   st.floats(-30.0, 30.0)))
+            # positions out to where a squared coordinate overflows
+            top = 300 if key.startswith(("alice.", "bob.", "willie.")) else 30
+            power = draw(st.one_of(st.sampled_from([-top, -8, 8, top]),
+                                   st.floats(-top, top)))
             sign = draw(st.sampled_from([1.0, 1.0, -1.0]))
             flat[key] = sign * (value or 1.0) * 10.0 ** power
     return flat
@@ -80,7 +83,7 @@ def test_alice_far_beyond_the_squaring_range():
     # in a bare OverflowError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (1e160, -1e160, 1e300):
+        for x in (1e160, -1e160, 1e300, np.float64(1e200)):
             scn = scenario_from_flat({"alice.x": x})
             for mode in ("om", "dm"):
                 try:

@@ -329,6 +329,19 @@ class TestOptimize:
             assert 0.0 < float(row["p_a_opt_mw"]) < 1e-100
             assert 0.0 < float(row["objective"]) < math.inf
 
+    def test_ecr_where_the_nominal_snr_rounds_away(self, tmp_path, capsys):
+        # at a covert power near 1e-142 mW, 1 + SNR rounds to 1: the rate
+        # grid was all zeros and both modes read 0 b/s
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text("noise.rho_db = 2398\n")
+        code, out, err = run_cli(
+            ["optimize", "--metric", "ecr", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert {row["mode"] for row in rows} == {"om", "dm"}
+        for row in rows:
+            assert 0.0 < float(row["objective"]) < math.inf
+
     @pytest.mark.parametrize("metric", ["ecr", "csc"])
     def test_position_beyond_the_squaring_range(self, metric, tmp_path,
                                                  capsys):
@@ -351,7 +364,7 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert err.startswith("error: d_aw = ") and "violates" in err
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and len(err) < 200
 
     @pytest.mark.parametrize("who", ["alice", "bob", "willie"])
     def test_antenna_without_elements_exits_2(self, who, tmp_path, capsys):

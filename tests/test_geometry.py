@@ -1,5 +1,8 @@
+import decimal
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,13 +165,28 @@ class TestDistanceOverflow:
         assert distance(p, q) == math.hypot(1e160, -3e159, 100.0)
         assert distance(q, p) == distance(p, q)
 
-    @given(st.lists(st.floats(-1e150, 1e150), min_size=6, max_size=6))
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
-    def test_every_finite_distance_keeps_its_bits(self, c):
+    def test_within_an_ulp_of_the_exact_distance(self, c):
         p = NodePosition(c[0], c[1], abs(c[2]))
         q = NodePosition(c[3], c[4], abs(c[5]))
-        assert distance(p, q) == math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2
-                                           + (p.h - q.h) ** 2)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = sum((decimal.Decimal(a) - decimal.Decimal(b)) ** 2
+                        for a, b in ((p.x, q.x), (p.y, q.y),
+                                     (p.h, q.h))).sqrt()
+            err = abs(decimal.Decimal(distance(p, q)) - exact)
+        assert err <= decimal.Decimal(math.ulp(float(exact)))
+
+    def test_numpy_coordinates(self):
+        # numpy scalars overflowed where Python floats fell back to hypot:
+        # a distance of inf, with a RuntimeWarning
+        c = (1e200, -3e199, 100.0, 0.0, 0.0, 0.0)
+        p, q = NodePosition(*c[:3]), NodePosition(*c[3:])
+        p64, q64 = (NodePosition(*map(np.float64, c[:3])),
+                    NodePosition(*map(np.float64, c[3:])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance(p64, q64) == distance(p, q)
 
     def test_far_direction_is_a_unit_vector(self):
         alice = NodePosition(1e160, 0.0, 100.0)

@@ -39,6 +39,16 @@ class TestMarcumExact:
             assert marcum_q1_exact(0.0, b) == pytest.approx(
                 math.exp(-b * b / 2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("a", [1e-160, 4.125437610654656e-155, 2e-154])
+    def test_tiny_a_reduces_to_rayleigh_tail(self, a):
+        # a^2 / 2 near or below the smallest normal float: y / (a^2 / 2)
+        # overflowed, Q1 read 0, and the fit divided by zero
+        b = np.linspace(0.0, 40.0, 201)
+        assert np.max(np.abs(marcum_q1_exact(a, b) - np.exp(-0.5 * b * b))
+                      ) <= 1e-16
+        c, c0 = marcum_mu_nu(a), marcum_mu_nu(0.0)
+        assert (c.mu, c.nu) == pytest.approx((c0.mu, c0.nu), rel=1e-12)
+
     def test_matches_noncentral_chi2_survival(self):
         # Q1(a, b) equals the survival function of a noncentral chi-square
         # with 2 degrees of freedom and noncentrality a^2, evaluated at b^2.
