@@ -45,17 +45,28 @@ of this system actually live.
 
 The fit (``_fitted_mu_nu``) needs no root finder and no least squares: the
 ends of its window, where Q1(a, b) is 0.9999 and 1e-4, come from Newton's
-method on Q1 (``_marcum_window_ends``), and a 2-D Nelder-Mead
-(``_nelder_mead``) started from the ``polyfit`` linearisation minimises the
-truncated-mean objective.  The objective is a maximum over a grid, so it
-is not smooth, and a simplex on such a function can stall short of the
-minimiser (McKinnon 1998); the stopping rule is therefore tight (xatol
-1e-10, fatol 1e-13), which makes the result the minimiser itself rather
-than wherever a looser simplex stopped, whatever the start.  The simplex
-keeps its three vertices as Python floats, not numpy arrays, with scipy's
-coefficients and order of operations, so every vertex is the IEEE value
-scipy's ``minimize(method="Nelder-Mead")`` computes; vertices are ordered
-by value with NaN last, as ``np.argsort`` orders them.
+method on Q1 (``_marcum_window_ends``), and ``_minimax`` minimises the
+truncated-mean objective, the largest |e| over an 801-point grid, from the
+``polyfit`` linearisation.  The errors e are linear in the CDF mismatch, so
+their first derivatives in (mu, nu) come in the same pass and the second in
+one more (``_trunc_mean_errors``), and the solve is a discrete minimax one
+(Madsen 1975; Hald and Madsen 1981): trust-region LP steps over the peaks
+of the error curve.  Where three grid points of alternating sign are active
+at the minimum, as for most a and every a the benchmark's workloads fit
+(2.87 to 5.35), the LP step at that vertex is Newton's step on their
+equal-error equations, and a fit takes 6-11 evaluations.  For a near
+1.95-2.25 two extrema of one sign are active instead, a ridge; the grid
+turns the ridge into a bowl with a sawtooth, each kink (where the lead
+passes between neighbouring grid points of one extremum) a local
+minimiser, and the second-order models pick the best kink
+(``_ridge_step``), in 9-30 evaluations.  Below about a = 1e-3 the curve is
+at rounding level and changes sign hundreds of times; the LP looks at the
+largest eight runs of one sign only, and the solve stops once the
+predicted decrease is within 2 ulps of 1, the rounding level of errors
+formed from probabilities.  Not a simplex: Nelder-Mead on this objective
+takes about 208 evaluations, and on a maximum over a grid it can stall
+short of the minimiser (McKinnon 1998); from the same start it stops up to
+7e-4 away, with an objective up to 4e-5 higher, at some a in 1.9-2.3.
 
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
@@ -562,121 +573,66 @@ def _marcum_window_ends(a: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _trunc_mean_objective(xs: np.ndarray, bs_x: np.ndarray,
-                          qs_x: np.ndarray):
-    """Objective (mu, nu) -> error of the Marcum fit in truncated means.
+def _trunc_mean_errors(xs: np.ndarray, bs_x: np.ndarray, qs_x: np.ndarray):
+    """((mu, nu), order) -> the errors of the Marcum fit in truncated means,
+    with their derivatives up to that order (1 or 2).
 
     ``xs`` is a uniform grid of the power variable x = b^2 / (2(k+1))
     starting at 0, ``bs_x`` the b of each x and ``qs_x`` exact Q1 there.
     With d(x) the CDF mismatch of exp(-e^mu b^nu), the error induced in a
-    truncated mean with upper limit x is x d(x) - integral_0^x d, by
-    integration by parts (trapezoid rule here); the objective is its
-    maximum over the grid.  ln b is taken once, and every evaluation works
-    in two buffers of its own, through ufuncs and slices bound once: the
-    fit calls it about 200 times.
+    truncated mean with upper limit x is e(x) = x d(x) - integral_0^x d, by
+    integration by parts (trapezoid rule here); the fit's objective is the
+    largest |e| over the grid.  e is linear in d, and with z = mu + nu ln b,
+    d = Q1 - exp(-e^z) has dd/dz = g = exp(z - e^z) and d2d/dz2 =
+    g (1 - e^z), so each derivative of e is the same operator applied to g,
+    g ln b, g (1 - e^z), g (1 - e^z) ln b or g (1 - e^z) ln^2 b.  An
+    evaluation returns a new array with rows e, de/dmu and de/dnu, and for
+    order 2 also d2e/dmu2, d2e/dmu dnu and d2e/dnu2, formed together
+    through ufuncs with ln b taken once.
     """
     log_b = np.log(np.maximum(bs_x, 1e-300))
+    log_b2 = log_b * log_b
     half_dx = 0.5 * (xs[1] - xs[0])
-    d = np.empty_like(xs)
-    d_hi, d_lo = d[1:], d[:-1]
-    run = np.zeros_like(xs)
-    tail = run[1:]
-    add, subtract, multiply, exp, negative, absolute = (
-        np.add, np.subtract, np.multiply, np.exp, np.negative, np.absolute)
-    accumulate, max_of = np.add.accumulate, np.maximum.reduce
+    z, exp_z = np.empty_like(xs), np.empty_like(xs)
 
-    def trunc_mean_err(p):
+    def errors(p, order: int = 1) -> np.ndarray:
         mu, nu = p
-        multiply(nu, log_b, out=d)
-        add(mu, d, out=d)
-        exp(d, out=d)
-        negative(d, out=d)
-        exp(d, out=d)
-        subtract(qs_x, d, out=d)  # = F_exact - F_fit
-        add(d_hi, d_lo, out=tail)
-        multiply(tail, half_dx, out=tail)
-        accumulate(tail, out=tail)
-        multiply(xs, d, out=d)
-        subtract(d, run, out=d)
-        return float(max_of(absolute(d, out=d)))
+        out = np.empty((3 * order, len(xs)))
+        d, g, g_nu = out[:3]
+        np.multiply(nu, log_b, out=z)
+        np.add(mu, z, out=z)
+        np.exp(z, out=exp_z)
+        np.negative(exp_z, out=d)
+        np.exp(d, out=d)
+        np.subtract(qs_x, d, out=d)  # = F_exact - F_fit
+        np.subtract(z, exp_z, out=g)
+        np.exp(g, out=g)
+        np.multiply(g, log_b, out=g_nu)
+        if order == 2:
+            w, w_nu, w_nunu = out[3:]
+            np.subtract(1.0, exp_z, out=w)
+            w *= g
+            np.multiply(w, log_b, out=w_nu)
+            np.multiply(w, log_b2, out=w_nunu)
+        run = out[:, 1:] + out[:, :-1]
+        run *= half_dx
+        np.add.accumulate(run, axis=1, out=run)
+        out *= xs
+        out[:, 1:] -= run
+        return out
 
-    return trunc_mean_err
-
-
-def _nan_last(vertex):
-    """Sort key of a (value, point) vertex: ``np.argsort``'s order.
-
-    NaN goes after every number; Python's own ordering leaves it wherever
-    the comparisons happen to put it.
-    """
-    fv = vertex[0]
-    return fv != fv, fv
-
-
-def _nelder_mead(f, start, xatol: float, fatol: float, maxiter: int):
-    """Minimise f over the plane by Nelder-Mead; returns (x, f(x)).
-
-    The coefficients (reflection 1, expansion 2, contraction 1/2, shrink
-    1/2), the start simplex (each nonzero coordinate of start scaled by 1.05,
-    a zero one set to 0.00025) and the stopping test (every vertex within
-    xatol of the best and every value within fatol of its value) are those
-    of scipy's ``minimize(method="Nelder-Mead")``, and so is the
-    arithmetic: from the same start the two return the same point.  The
-    three vertices are (value, (x, y)) tuples of Python floats, which
-    round every operation as scipy's float64 arrays do.  After each step
-    they are sorted stably by value with NaN last, the order
-    ``np.argsort`` gives three values, so f may return NaN where it is
-    undefined; the value returned is NaN if any vertex's is, as
-    ``np.min`` gives.
-    """
-    x, y = float(start[0]), float(start[1])
-    first = ((x, y), (1.05 * x if x != 0 else 0.00025, y),
-             (x, 1.05 * y if y != 0 else 0.00025))
-    sim = sorted(((f(v), v) for v in first), key=_nan_last)
-    for _ in range(1, maxiter):  # scipy counts the start as iteration 1
-        (f0, (x0, y0)), (f1, (x1, y1)), (f2, (x2, y2)) = sim
-        if (abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol
-                and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol
-                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
-            break
-        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
-        xr = (2 * xb - x2, 2 * yb - y2)
-        fxr = f(xr)
-        if fxr < f0:
-            xe = (3 * xb - 2 * x2, 3 * yb - 2 * y2)
-            fxe = f(xe)
-            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
-        elif fxr < f1:
-            sim[2] = (fxr, xr)
-        else:
-            if fxr < f2:  # outside contraction
-                xc = (1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2)
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = (0.5 * xb + 0.5 * x2, 0.5 * yb + 0.5 * y2)
-                fxc = f(xc)
-                accept = fxc < f2
-            if accept:
-                sim[2] = (fxc, xc)
-            else:  # shrink toward the best vertex
-                for j, (xj, yj) in ((1, (x1, y1)), (2, (x2, y2))):
-                    v = (x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
-                    sim[j] = (f(v), v)
-        sim.sort(key=_nan_last)
-    f_best, x_best = sim[0]
-    return x_best, f_best if sim[2][0] == sim[2][0] else math.nan
+    return errors
 
 
 def _fit_problem(a: float):
-    """The objective of the Marcum fit at a and its start point (mu, nu).
+    """The errors of the Marcum fit at a and its start point (mu, nu).
 
     The fit window runs from Q1 = 0.9999 to Q1 = 1e-4
     (``_marcum_window_ends``).  The start is the linearisation
-    ln(-ln Q1) = mu + nu ln b over that window; the objective is the worst
-    running CDF-area mismatch in the power variable x = b^2 / (2(k+1)),
-    k = a^2/2 (``_trunc_mean_objective``).  Q1 is evaluated on both grids
-    in one call.
+    ln(-ln Q1) = mu + nu ln b over that window; the errors are the running
+    CDF-area mismatches in the power variable x = b^2 / (2(k+1)),
+    k = a^2/2 (``_trunc_mean_errors``), and the objective is the largest
+    of them in size.  Q1 is evaluated on both grids in one call.
     """
     b_lo, b_hi = _marcum_window_ends(a)
     bs = np.linspace(b_lo, b_hi, 48)
@@ -686,8 +642,221 @@ def _fit_problem(a: float):
     qs, qs_x = np.split(marcum_q1_exact(a, np.concatenate((bs, bs_x))), [48])
     mask = (qs > 1e-4) & (qs < 0.9999)
     nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
-    objective = _trunc_mean_objective(xs, bs_x, qs_x)
-    return objective, (float(mu0), float(nu0))
+    return _trunc_mean_errors(xs, bs_x, qs_x), (float(mu0), float(nu0))
+
+
+# The minimax solve: how many runs of one sign of the error curve a step
+# looks at (the largest), how many grid points each side of a peak the
+# ridge step looks for kinks in, and its budget of steps.
+_FIT_RUNS = 8
+_KINK_WINDOW = 12
+_FIT_MAX_STEPS = 100
+
+
+def _box_minimum(c: list, gx: list, gy: list, radius: float):
+    """((x, y), t): t is the least value over |x|, |y| <= radius of
+    max_j c_j + gx_j x + gy_j y, and (x, y) a point where it is reached.
+
+    The function is convex and piecewise linear, so it is least at a vertex
+    of its pieces and the box: a corner, a point of an edge where two pieces
+    are equal, or a point where three are; all are tried.  The lists are
+    short, so this is in Python floats.
+    """
+    m = len(c)
+    points = [(radius, radius), (radius, -radius), (-radius, radius),
+              (-radius, -radius)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            a, b, d = gx[i] - gx[j], gy[i] - gy[j], c[j] - c[i]
+            if a:
+                for y in (radius, -radius):
+                    x = (d - b * y) / a
+                    if -radius <= x <= radius:
+                        points.append((x, y))
+            if b:
+                for x in (radius, -radius):
+                    y = (d - a * x) / b
+                    if -radius <= y <= radius:
+                        points.append((x, y))
+            for k in range(j + 1, m):
+                a2, b2, d2 = gx[i] - gx[k], gy[i] - gy[k], c[k] - c[i]
+                det = a * b2 - b * a2
+                if det:
+                    x, y = (d * b2 - d2 * b) / det, (a * d2 - a2 * d) / det
+                    if -radius <= x <= radius and -radius <= y <= radius:
+                        points.append((x, y))
+    pieces = list(zip(c, gx, gy))
+    best, at = math.inf, points[0]
+    for x, y in points:
+        value = max([cj + xj * x + yj * y for cj, xj, yj in pieces])
+        if value < best:
+            best, at = value, (x, y)
+    return at, best
+
+
+def _lp_step(c: list, gx: list, gy: list, radius: float):
+    """``_box_minimum`` of all the pieces, by cutting planes: solved for the
+    three largest pieces first, then again with each piece that rises above
+    that minimum, until none does."""
+    work = sorted(range(len(c)), key=c.__getitem__, reverse=True)[:3]
+    while True:
+        (x, y), t = _box_minimum([c[j] for j in work], [gx[j] for j in work],
+                                 [gy[j] for j in work], radius)
+        values = [cj + xj * x + yj * y for cj, xj, yj in zip(c, gx, gy)]
+        top = max(range(len(c)), key=values.__getitem__)
+        if top in work:
+            return (x, y), t, values
+        work.append(top)
+
+
+def _models(coef, x, y):
+    """Values and gradients at (x, y) of the second-order Taylor models
+    whose coefficients are coef = (value, d/dmu, d/dnu, d2/dmu2,
+    d2/dmu dnu, d2/dnu2), rows as ``errors`` gives them."""
+    v, gx, gy, hxx, hxy, hyy = coef
+    qx = gx + hxx * x + hxy * y
+    qy = gy + hxy * x + hyy * y
+    return v + 0.5 * (x * (gx + qx) + y * (gy + qy)), qx, qy
+
+
+def _model_vertices(rows: np.ndarray, idx: np.ndarray,
+                    sign: np.ndarray) -> np.ndarray:
+    """Steps (k, 2) to where the second-order models of the three pieces in
+    each column of idx, sign (3, k) are equal, by four Newton iterations on
+    the models from h = 0 (NaN or far off where they fail)."""
+    coef = sign * rows[:, idx]
+    gaps = coef[:, 1:] - coef[:, :1]  # pieces 1 and 2 less piece 0
+    x, y = np.zeros(idx.shape[1]), np.zeros(idx.shape[1])
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            r, rx, ry = _models(gaps, x, y)
+            det = rx[0] * ry[1] - rx[1] * ry[0]
+            x = x - (ry[1] * r[0] - ry[0] * r[1]) / det
+            y = y - (rx[0] * r[1] - rx[1] * r[0]) / det
+    return np.column_stack((x, y))
+
+
+def _ridge_step(rows: np.ndarray, extrema, idx: np.ndarray,
+                sign: np.ndarray):
+    """(h, model value) of the best kink on a ridge, or None.
+
+    A ridge is a step whose active pieces lie on two extrema of the error
+    curve, given as their runs of one sign, (lo, hi, sign) for e[lo:hi].
+    The grid resolves an extremum as a family of pieces, one per grid
+    point, that take the lead in turn as the extremum moves, so along a
+    ridge the objective is a bowl with a sawtooth: each kink, where the
+    lead passes from one grid point to the next, is a local minimiser.  The
+    best kink is found on the second-order models: the vertex where one
+    peak equals the pieces on either side of a kink of the other, for each
+    kink within ``_KINK_WINDOW`` points of either peak, scored by the
+    largest model among those points and the step's own pieces.
+    """
+    peaks = [(lo + int((s * rows[0, lo:hi]).argmax()), lo, hi, s)
+             for lo, hi, s in extrema]
+    vertices, signs, near, near_sign = [], [], [idx], [sign]
+    for (top, lo, hi, s), (other, _, _, so) in zip(peaks, peaks[::-1]):
+        lo, hi = max(top - _KINK_WINDOW, lo), min(top + _KINK_WINDOW + 1, hi)
+        kinks = np.arange(lo, hi - 1)
+        vertices.append(np.stack((np.full(len(kinks), other), kinks,
+                                  kinks + 1)))
+        signs.append(np.repeat([[so], [s], [s]], len(kinks), axis=1))
+        near.append(np.arange(lo, hi))
+        near_sign.append(np.full(hi - lo, s))
+    h = _model_vertices(rows, np.concatenate(vertices, axis=1),
+                        np.concatenate(signs, axis=1))
+    h = h[np.isfinite(h).all(axis=1)]
+    if not len(h):
+        return None
+    coef = np.concatenate(near_sign) * rows[:, np.concatenate(near)]
+    values = _models(coef, h[:, :1], h[:, 1:])[0].max(axis=1)
+    best = int(values.argmin())
+    return h[best], float(values[best])
+
+
+def _run_peaks(e: np.ndarray):
+    """The runs of one sign of e, as arrays of their starts and ends, and
+    {grid point: sign} of the peak of each of the ``_FIT_RUNS`` largest."""
+    size = np.abs(e)
+    neg = e < 0.0
+    starts = np.concatenate(([0], (neg[1:] != neg[:-1]).nonzero()[0] + 1))
+    ends = np.concatenate((starts[1:], [len(e)]))
+    tops = np.maximum.reduceat(size, starts).tolist()
+    peaks = {}
+    for r in sorted(range(len(tops)), key=tops.__getitem__,
+                    reverse=True)[:_FIT_RUNS]:
+        lo, hi = int(starts[r]), int(ends[r])
+        i = lo + int(size[lo:hi].argmax())
+        peaks[i] = -1.0 if neg[i] else 1.0
+    return starts, ends, peaks
+
+
+def _minimax(errors, start) -> tuple[float, float]:
+    """The (mu, nu) that minimises max |e| over the grid, from ``start``;
+    ``errors`` is ``_trunc_mean_errors``'s function.
+
+    A trust-region LP step (Hald and Madsen 1981) minimises the largest
+    linearised error over the pieces +-e at the peak of each of the
+    ``_FIT_RUNS`` largest runs of one sign of the curve, and at every point
+    that was the largest at an earlier trial; at a vertex of three pieces
+    it is Newton's step on their equal-error equations, so convergence is
+    quadratic.  Where the step's active pieces lie on two extrema at two
+    iterates in a row, a ridge, the second derivatives are formed (one more
+    evaluation) and the best kink of their models (``_ridge_step``) is
+    tried instead if it predicts more.  A trial is kept if it achieves a
+    hundredth of the predicted decrease; the radius grows to twice a step
+    that achieves three quarters and falls to a quarter of a failed one,
+    and a failed ridge step is not tried again from the same point.  The solve stops when the predicted decrease is
+    within 2 ulps of 1, the rounding level of errors formed from
+    probabilities, or when the step no longer moves the point.
+    """
+    p = np.array(start, dtype=float)
+    rows = errors(p)
+    f = float(np.abs(rows[0]).max())
+    radius = 0.1 * max(1.0, float(np.abs(p).max()))
+    carried: dict[int, float] = {}  # the largest point of each trial
+    ridge_ok, on_ridge = True, False
+    for _ in range(_FIT_MAX_STEPS):
+        e = rows[0]
+        starts, ends, pieces = _run_peaks(e)
+        for i, s in carried.items():
+            pieces.setdefault(i, s)
+        idx = list(pieces) * 2
+        sign = list(pieces.values())
+        sign += [-s for s in sign]
+        c, gx, gy = (rows[:3, idx] * sign).tolist()
+        h, t, values = _lp_step(c, gx, gy, radius)
+        pred, is_ridge, was_on_ridge = f - t, False, on_ridge
+        active = [k for k, v in enumerate(values) if v >= t - 1e-9 * f]
+        on_ridge = (len(active) <= 3
+                    and all(sign[k] * e[idx[k]] > 0.0 for k in active))
+        if on_ridge:
+            run = starts.searchsorted([idx[k] for k in active], "right") - 1
+            extrema = {(starts[r], ends[r], sign[k])
+                       for r, k in zip(run.tolist(), active)}
+            on_ridge = len(extrema) == 2
+        if on_ridge and was_on_ridge and ridge_ok:
+            if len(rows) < 6:
+                rows = errors(p, 2)
+            step = _ridge_step(rows, extrema, np.array(idx), np.array(sign))
+            if step is not None and f - step[1] > pred:
+                h, pred, is_ridge = step[0], f - step[1], True
+        trial = p + h
+        if pred <= 2.0 * math.ulp(1.0) or (trial == p).all():
+            break
+        trial_rows = errors(trial)
+        size = np.abs(trial_rows[0])
+        top = int(size.argmax())
+        carried[top] = -1.0 if trial_rows[0, top] < 0.0 else 1.0
+        f_trial = float(size[top])
+        if f - f_trial >= 0.01 * pred:
+            if f - f_trial >= 0.75 * pred:
+                radius = max(radius, 2.0 * float(np.abs(h).max()))
+            p, rows, f, ridge_ok = trial, trial_rows, f_trial, True
+        elif is_ridge:
+            ridge_ok = False
+        else:
+            radius = 0.25 * float(np.abs(h).max())
+    return float(p[0]), float(p[1])
 
 
 @lru_cache(maxsize=4096)
@@ -700,18 +869,20 @@ def _fitted_mu_nu(a: float) -> tuple[float, float]:
     endpoints is far too crude (it misplaces the CDF transition by whole
     units of b), so we refit the same two-parameter form per argument.
 
-    Nelder-Mead starts from the linearisation ln(-ln Q1) = mu + nu ln b and
-    minimises the worst running CDF-area mismatch in the power variable
-    (``_fit_problem``).  That running area is exactly the error the
-    coefficients induce in truncated fading-power means, the only quantity
-    this regime of the approximation feeds downstream.  The tolerances
-    (xatol 1e-10, fatol 1e-13) put the result at the minimiser,
-    independent of the start (see the module docstring).
+    The fit minimises the worst running CDF-area mismatch in the power
+    variable (``_fit_problem``) from the linearisation ln(-ln Q1) =
+    mu + nu ln b, by ``_minimax``.  That running area is exactly the error
+    the coefficients induce in truncated fading-power means, the only
+    quantity this regime of the approximation feeds downstream.  At the
+    minimum three grid points of alternating sign are active for most a,
+    a vertex the LP steps reach with Newton's convergence; near
+    a = 1.95-2.25 two extrema of one sign are, a ridge whose best kink the
+    second-order models find.  The result is the minimiser: a simplex
+    restarted from it stays there, while Nelder-Mead from the
+    linearisation can stall on this maximum over a grid (see the module
+    docstring).
     """
-    objective, start = _fit_problem(a)
-    (mu, nu), _ = _nelder_mead(objective, start, xatol=1e-10, fatol=1e-13,
-                               maxiter=2000)
-    return mu, nu
+    return _minimax(*_fit_problem(a))
 
 
 def marcum_mu_nu(x: float) -> MarcumApproxCoeffs:
