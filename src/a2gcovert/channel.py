@@ -8,12 +8,12 @@ take an explicit numpy Generator (the paper's surrogate CDFs are in
 (LoS, and in mode "dm" the receive lobe) once, with the receiver's noise
 power and the band; every primary metric is evaluated over it.
 ``_state_rule`` is the one fading quadrature: a composite Gauss-Legendre
-rule on a fixed window per state, which forms each state's Rician or
-gamma power density at its nodes and which the warden's DEP and the
-ergodic capacity both average their kernels with.  It needs numpy and
-``specfun`` only: the Rician density's Bessel factor is ``specfun.i0e``
-and the gamma window's ends are ``specfun.gamma_quantiles``, where scipy's
-``i0e``, ``gammaincinv`` and ``gammainccinv`` served before.
+rule on one fixed window in the amplitude per state, the same for both
+laws, at whose nodes it forms the state's Rician or gamma amplitude
+density, and which the warden's DEP and the ergodic capacity both average
+their kernels with.  It needs numpy and ``specfun`` only: the Rician
+density's Bessel factor is ``specfun.i0e`` and the gamma density's
+Stirling correction ``specfun._stirlerr``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .geometry import alice_main_lobe_covers_willie, lobe_gains
-from .specfun import GAMMA_SHAPE_MAX, gamma_quantiles, i0e
+from .specfun import GAMMA_SHAPE_MAX, _stirlerr, i0e
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -235,10 +235,8 @@ def _check_point(p_a: float, rho: float):
 _RULE = (4, 24, 16)
 # ratio of consecutive panels graded toward the window start
 _GRADE = 4.0
-# half-width of the Rician window in the amplitude b, around sqrt(2k)
-_RICIAN_HALF_WIDTH = 12.0
-# probability left out below and above the gamma window
-_GAMMA_TAIL = 1e-18
+# half-width of every state's window in the amplitude b, around its centre
+_HALF_WIDTH = 12.0
 # the least branch-point distance the grading aims at: 1 / (4 delta) is
 # finite from it on
 _TINY = 2.0 ** -1025
@@ -270,17 +268,21 @@ def _layout(rule: tuple[int, ...], graded: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gamma_law(s: int) -> tuple[float, float, float]:
-    """Log-density constant and the window's quantiles for shape s."""
-    lo, hi = gamma_quantiles(s, _GAMMA_TAIL)
-    return s * math.log(s) - math.lgamma(s), lo / s, hi / s
+def _gamma_law(s: int) -> tuple[float, float]:
+    """Mode m = sqrt(2 (2s - 1)) of the amplitude density of shape s and
+    the log-density there, 1/2 - stirlerr(s) - ln sqrt(2 pi)
+    + (s - 1/2) ln(1 - 1/(2s)) by ``specfun._stirlerr``: no s ln s term
+    cancels against ln (s-1)!."""
+    log_peak = (0.5 - _stirlerr(s) - 0.5 * math.log(2.0 * math.pi)
+                + (s - 0.5) * math.log1p(-0.5 / s))
+    return math.sqrt(2.0 * (2 * s - 1)), log_peak
 
 
 class _StateRule(NamedTuple):
     """The fading rule of a state table.  Row i of ``x`` holds state i's
-    fading power at the nodes and row i of ``dens`` its density there,
-    times the window's width; ``w_val`` and ``w_est`` are the nodes' weights
-    in the value and the estimate rule."""
+    fading power at the nodes and row i of ``dens`` its amplitude density
+    there, times the window's width; ``w_val`` and ``w_est`` are the nodes'
+    weights in the value and the estimate rule."""
 
     states: LinkStates
     lo: list[float]
@@ -309,14 +311,14 @@ class _StateRule(NamedTuple):
         i = max(range(len(over)), key=over.__getitem__)
         if over[i] > 0.0:
             law = self.states.law
-            name, var = ("k", "b") if law == "rician" else ("s", "x")
-            state = (f"{law} state {self.states.labels[i]!r}, {name} = "
+            state = (f"{law} state {self.states.labels[i]!r}, "
+                     f"{'k' if law == 'rician' else 's'} = "
                      f"{self.states.params[i]:g}, {info(i)}")
             if over[i] == math.inf:
                 raise DomainError(f"{what} kernel overflows: {state}")
             raise QuadratureError(
                 f"{what} fading average did not converge: {state}, window "
-                f"{var} in [{self.lo[i]:.6g}, {self.lo[i] + self.width[i]:.6g}"
+                f"b in [{self.lo[i]:.6g}, {self.lo[i] + self.width[i]:.6g}"
                 f"], error estimate {err[i]:.3g} > "
                 f"{atol + rtol * abs(val[i]):.3g}")
         return val, err
@@ -325,21 +327,26 @@ class _StateRule(NamedTuple):
 def _state_rule(states: LinkStates, branch, ends=None) -> _StateRule:
     """The composite Gauss rule ``_RULE`` on each state's fading window.
 
-    State i of the table has its fading law ("rician" with Rice factor
-    params[i], or "gamma" with integer shape params[i]):
+    State i of the table, of fading law "rician" with Rice factor
+    k = params[i] or "gamma" with integer shape s = params[i], is
+    integrated in its amplitude b = sqrt(k2 x) on
+    [max(0, a - 12), a + 12], 24 wide whatever the parameter:
 
-    - a Rician state is integrated in the amplitude b = sqrt(2 (k+1) x),
-      where the density is b exp(-(b - a)^2 / 2) i0e(a b) with
-      a = sqrt(2k), on [max(0, a - 12), a + 12]: 24 wide for every k, with
-      the mass outside below 1e-30;
-    - a gamma state is integrated in x between the law's 1e-18 quantiles.
+    - a Rician state has k2 = 2 (k+1), centre a = sqrt(2k) and density
+      b exp(-(b - a)^2 / 2) i0e(a b), with the mass outside below 1e-30;
+    - a gamma state has k2 = 4s, centre a = 2 sqrt(s) near the mode
+      m = sqrt(2 (2s - 1)) and density f_x(b^2 / 4s) b / 2s, formed as
+      the density at m (``_gamma_law``) times
+      exp((m^2 / 2) (ln(1 + d) - d) - (b - m)^2 / 4), d = (b - m) / m,
+      with ln(1 + d) as ln(b / m) below b = m / 2; the mass outside is at
+      most e^-49 = 5.2e-22, at s = 1.
 
     ``ends[i]``, when given, cuts state i's window at x = ends[i], which is
     then the last panel edge.  The kernel is analytic but for a branch
     point at x = -branch[i]; its distance from the window start is at
     least branch[i] / e_i of the window's width in x, where e_i is the cut
-    ends[i] when given and finite and else the window's end in x, and at
-    least the square root of that in b.  The first panel is split
+    ends[i] when given and finite and else the window's end in x, and so
+    at least the square root of that in b.  The first panel is split
     geometrically toward the start until it is no wider than the smallest
     such distance, or than 2^-1025 where that is smaller (a branch point
     at 0); an empty window (a cut at 0) is not split for.
@@ -349,37 +356,34 @@ def _state_rule(states: LinkStates, branch, ends=None) -> _StateRule:
     rel = math.inf
     for i, p in enumerate(states.params):
         cut = math.inf if ends is None else ends[i]
-        if rician:
-            a = math.sqrt(2.0 * p)
-            k2 = 2.0 * (p + 1.0)
-            start = max(a - _RICIAN_HALF_WIDTH, 0.0)
-            end = min(a + _RICIAN_HALF_WIDTH, math.sqrt(k2 * cut))
-            x_end = end * end / k2
-            cols.append((a, k2))
-        else:
-            const, start, end = _gamma_law(int(p))
-            end = x_end = min(cut, end)
-            cols.append((const, p))
-        e = cut if cut < math.inf else x_end
+        a, k2 = ((math.sqrt(2.0 * p), 2.0 * (p + 1.0)) if rician
+                 else (2.0 * math.sqrt(p), 4.0 * p))
+        start = max(a - _HALF_WIDTH, 0.0)
+        end = min(a + _HALF_WIDTH, math.sqrt(k2 * cut))
+        e = cut if cut < math.inf else end * end / k2
         if branch[i] < math.inf and e > 0.0:
             rel = min(rel, branch[i] / e)
         lo.append(start)
         width.append(max(end - start, 0.0))
-    delta = max(math.sqrt(rel) if rician else rel, _TINY)
+        cols.append((a, k2) if rician else (a, k2, *_gamma_law(int(p))))
+    delta = max(math.sqrt(rel), _TINY)
     graded = (0 if delta == math.inf
               else math.ceil(math.log(1.0 / (_RULE[0] * delta), _GRADE)))
     nodes, w_val, w_est = _layout(_RULE, max(0, graded))
     w = np.array(width)[:, None]
-    y = np.array(lo)[:, None] + w * nodes  # states x nodes
+    b = np.array(lo)[:, None] + w * nodes  # states x nodes
+    a, k2, *law = np.array(cols).T[..., None]
     if rician:
-        a, k2 = np.array(cols).T[..., None]
-        dens = y * np.exp(-0.5 * (y - a) ** 2) * i0e(a * y)
-        x = y * y / k2
+        dens = b * np.exp(-0.5 * (b - a) ** 2) * i0e(a * b)
     else:
-        const, s = np.array(cols).T[..., None]
-        dens = np.exp(const + (s - 1.0) * np.log(y) - s * y)
-        x = y
-    return _StateRule(states, lo, width, x, dens * w, w_val, w_est)
+        m, log_peak = law
+        d = (b - m) / m
+        with np.errstate(divide="ignore"):  # b = 0 on an empty window
+            log_r = np.log1p(d)
+            np.log(b / m, out=log_r, where=d < -0.5)
+        half_m2 = 0.5 * k2 - 1.0  # m^2 / 2 = 2s - 1
+        dens = np.exp(log_peak + half_m2 * (log_r - d) - 0.25 * (b - m) ** 2)
+    return _StateRule(states, lo, width, b * b / k2, dens * w, w_val, w_est)
 
 
 def sample_rician_power(k, rng: np.random.Generator, size=None, out=None):

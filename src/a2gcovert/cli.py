@@ -207,6 +207,9 @@ def _cmd_sweep(args) -> int:
     for m in modes:
         if m not in ("om", "dm", "hybrid"):
             raise A2GError(f"unknown mode {m!r}")
+    for what, names in (("metric", metrics), ("mode", modes)):
+        if not names:
+            raise A2GError(f"a sweep needs at least one {what}")
     if args.points < 2:
         raise A2GError("a sweep needs at least two points")
     _check_bounds(args, args.axis)

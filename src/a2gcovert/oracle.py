@@ -101,7 +101,10 @@ class ReceiverEstimates:
 
 
 def derived_seed(*entropy: int) -> int:
-    """An oracle seed derived from integers, e.g. (seed, group, link)."""
+    """An oracle seed derived from nonnegative integers, e.g. (seed,
+    group, link)."""
+    if min(entropy, default=0) < 0:
+        raise DomainError(f"oracle seed entropy {entropy} must be >= 0")
     return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
 
 
@@ -151,6 +154,8 @@ def _run_batches(sample_batch, n: int, seed: int,
     """
     if n < 1000:
         raise DomainError("oracle estimates need n >= 1000")
+    if seed < 0:
+        raise DomainError(f"oracle seed {seed} must be >= 0")
     sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
     if n % BATCH_SIZE:
         sizes.append(n % BATCH_SIZE)

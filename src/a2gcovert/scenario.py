@@ -124,6 +124,8 @@ class Scenario:
             raise ScenarioError(
                 "noise.rho_db too small: rho = 1 makes the detector perfect"
             )
+        if self.seed < 0:
+            raise ScenarioError(f"seed = {self.seed} must be >= 0")
 
     def band(self, mode: str) -> BandModel:
         if mode == "om":

@@ -16,10 +16,6 @@ in log space.  Each kernel replaced one ``scipy.special`` call:
   term is Loader's saddle-point form of the Poisson probability
   (``_pmf``), accurate to a few ulps where lgamma would lose digits.
   Shapes above ``GAMMA_SHAPE_MAX`` are rejected.
-- **Gamma quantiles** (``gammaincinv``, ``gammainccinv``).
-  ``gamma_quantiles`` solves P = tail and Q = tail by Newton's method on
-  ln P in ln x and on ln Q in x, both concave, from a start on the side
-  that makes the iteration monotone.
 - **Bessel I0** (``i0e``).  ``i0e`` interpolates Cephes' Chebyshev series
   of exp(-z) I0(z) (the coefficients numpy's ``i0`` uses) by quintics on
   512 equal steps of z / (z + 8), tabulated on first use, so a call is
@@ -92,7 +88,6 @@ __all__ = [
     "MARCUM_ARG_MAX",
     "MarcumApproxCoeffs",
     "expint_e1",
-    "gamma_quantiles",
     "gammainc_int",
     "i0e",
     "marcum_q1_exact",
@@ -200,11 +195,11 @@ def _pmf(k: int, x):
 
 
 def _upper_tail(s: int, x):
-    """P(s, x) = sum_{k >= s} e^-x x^k / k! and its first term, summed
-    from k = s upward until a term no longer changes the sum; for x < s
-    the terms fall from the first."""
+    """P(s, x) = sum_{k >= s} e^-x x^k / k!, summed from k = s upward
+    until a term no longer changes the sum; for x < s the terms fall from
+    the first."""
     t = _pmf(s, x)
-    first, acc = t.copy(), t.copy()
+    acc = t.copy()
     k = s
     while True:
         for _ in range(8):
@@ -213,16 +208,15 @@ def _upper_tail(s: int, x):
             t /= k
             acc += t
         if not np.any(t > acc * _NEGLIGIBLE):
-            return acc, first
+            return acc
 
 
 def _lower_tail(s: int, x):
-    """Q(s, x) = sum_{k < s} e^-x x^k / k! and its first term, summed from
-    k = s - 1 downward until a term no longer changes the sum past the
-    mode, or to k = 0; x > 0 and not so far below s that the first term
-    underflows."""
+    """Q(s, x) = sum_{k < s} e^-x x^k / k!, summed from k = s - 1
+    downward until a term no longer changes the sum past the mode, or to
+    k = 0; x > 0 and not so far below s that the first term underflows."""
     t = _pmf(s - 1, x)
-    first, acc = t.copy(), t.copy()
+    acc = t.copy()
     k = s - 1
     while k > 0:
         for _ in range(min(8, k)):
@@ -232,7 +226,7 @@ def _lower_tail(s: int, x):
             k -= 1
         if not np.any(t > acc * _NEGLIGIBLE):
             break
-    return acc, first
+    return acc
 
 
 # shapes whose lower tail is summed in full, from k = 0
@@ -263,50 +257,11 @@ def gammainc_int(s: int, x):
     up = x < s - math.sqrt(s)
     out = np.empty_like(x)
     if up.any():
-        out[up] = _upper_tail(s, x[up])[0]
+        out[up] = _upper_tail(s, x[up])
     if not up.all():
         down = ~up
-        out[down] = np.maximum(1.0 - _lower_tail(s, x[down])[0], 0.0)
+        out[down] = np.maximum(1.0 - _lower_tail(s, x[down]), 0.0)
     return out
-
-
-def gamma_quantiles(s: int, tail: float) -> tuple[float, float]:
-    """The points x_lo < x_hi with P(s, x_lo) = tail = Q(s, x_hi), for an
-    integer shape s >= 1 and 0 < tail < 1/2.
-
-    ln P(s, e^y) is concave in y and P(s, x) <= x^s / s!, so Newton's
-    method on it rises monotonically from (tail s!)^(1/s), or from halfway
-    to ln s in y while P underflows there; ln Q(s, x) is concave in x, and
-    Newton's method on it falls monotonically from a point where a bound
-    on Q reaches tail: n + L + sqrt(L^2 + 2 L n) for Bernstein's
-    exp(-(x - n)^2 / (2x)), n = s - 1 and L = -ln tail, moved by four
-    steps x <- n + L + n ln(x / n) toward the root of Chernoff's
-    e^-x (e x / n)^n, each still above it.  Each stops after a step that
-    moves x by under 1e-10 of itself, which leaves it at the root to
-    rounding (Newton's error squares with each step).
-    """
-    log_tail = math.log(tail)
-    y = (log_tail + math.lgamma(s + 1.0)) / s
-    for _ in range(100):
-        p, t = _upper_tail(s, math.exp(y))
-        if p == 0.0:  # underflow, far left of the root: halve the way to s
-            y = 0.5 * (y + math.log(s))
-            continue
-        step = float((log_tail - np.log(p)) * p / (s * t))
-        y += step
-        if abs(step) <= 1e-10:
-            break
-    n, big = s - 1, -log_tail
-    x = n + big + math.sqrt(big * big + 2.0 * big * n)
-    for _ in range(4 if n else 0):  # toward the root of Chernoff's bound
-        x = n + big + n * math.log(x / n)
-    for _ in range(100):
-        q, t = _lower_tail(s, x)
-        step = float((np.log(q) - log_tail) * q / t)
-        x += step
-        if abs(step) <= 1e-10 * x:
-            break
-    return math.exp(y), x
 
 
 def _piecewise(fn, steps: int, degree: int) -> np.ndarray:

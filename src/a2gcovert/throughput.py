@@ -181,7 +181,7 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     A state with mean SNR g at the nominal noise ``states.sigma_n2``
     contributes W / ln 2 E[ln(1 + g x rho^-u)], over its fading power x
     and the noise exponent u ~ U[-1, 1]: the fading rule of
-    ``channel._state_rule`` in x, graded toward the window start by the
+    ``channel._state_rule``, graded toward the window start by the
     branch point x = -1 / (g rho) of the logarithm at u = -1, and the
     64-node Gauss-Legendre rule in u.  An error estimate above 1e-9 of a
     state's value raises ``QuadratureError`` naming the state.

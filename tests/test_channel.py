@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,12 @@ from a2gcovert.channel import (
     sample_noise_exponent,
     sample_rician_power,
 )
+from a2gcovert.detection import dep_over_states
 from a2gcovert.errors import DomainError
 from a2gcovert.scenario import default_scenario
 from a2gcovert.specfun import GAMMA_SHAPE_MAX
 from a2gcovert.surrogate import nakagami_power_cdf, nakagami_xi
+from a2gcovert.throughput import csc_over_states
 
 from test_throughput import _one_state
 
@@ -55,7 +58,7 @@ class TestRicianFactor:
 
 def _rule_density(law, param):
     """Nodes of the fading rule for one state, and the density it
-    evaluates there (in b for Rician, in x for gamma)."""
+    evaluates there, in the amplitude b."""
     rule = channel._state_rule(_one_state(law, param, 1.0), [math.inf])
     return rule.x[0], rule.dens[0] / rule.width[0]
 
@@ -120,8 +123,11 @@ class TestScalarPdfs:
     @pytest.mark.parametrize("s", [1, 2, 3, 5])
     def test_nakagami_matches_array_pdf(self, s):
         x, got = _rule_density("gamma", s)
-        np.testing.assert_allclose(got, stats.gamma.pdf(x, s, scale=1.0 / s),
-                                   rtol=1e-13, atol=1e-300)
+        # the density of b = sqrt(4 s x) is f(x) dx/db = f(x) b / (2s)
+        b = np.sqrt(4.0 * s * x)
+        np.testing.assert_allclose(
+            got, stats.gamma.pdf(x, s, scale=1.0 / s) * b / (2.0 * s),
+            rtol=1e-13, atol=1e-300)
 
     def test_parameters_checked_when_built(self):
         with pytest.raises(DomainError):
@@ -135,7 +141,9 @@ class TestNakagamiPower:
     def test_pdf_is_gamma(self, s):
         x, got = _rule_density("gamma", s)
         ref = x ** (s - 1) * s ** s * np.exp(-s * x) / math.gamma(s)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
+        b = np.sqrt(4.0 * s * x)
+        np.testing.assert_allclose(got, ref * b / (2.0 * s), rtol=1e-12,
+                                   atol=1e-300)
 
     def test_xi_values(self):
         assert nakagami_xi(1) == pytest.approx(1.0)
@@ -174,6 +182,57 @@ class TestNakagamiPower:
         draws = sample_nakagami_power(3, rng, size=200_000)
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
         assert draws.var() == pytest.approx(1.0 / 3.0, rel=0.03)
+
+
+def _gamma_reference(s, kernel, end):
+    """30-digit mpmath integral of kernel(x) against the unit-mean gamma
+    density of shape s on [0, end], split every four standard deviations
+    around the mean."""
+    with mpmath.workdps(30):
+        sd = 1 / mpmath.sqrt(s)
+        pts = sorted({min(max(mpmath.mpf(0), 1 + k * sd), end)
+                      for k in range(-16, 17, 4)} | {mpmath.mpf(0), end})
+        const = s * mpmath.log(s) - mpmath.loggamma(s)
+        return mpmath.quad(lambda x: kernel(x) * mpmath.exp(
+            const + (s - 1) * mpmath.log(x) - s * x), pts)
+
+
+class TestGammaStates:
+    """Gamma states integrated in the amplitude b = sqrt(4 s x)."""
+
+    def test_every_shape_keeps_its_mass_and_mean(self):
+        bad = []
+        for s in range(1, GAMMA_SHAPE_MAX + 1):
+            rule = channel._state_rule(_one_state("gamma", s, 1.0),
+                                       [math.inf])
+            mass = rule.dens[0] @ rule.w_val
+            mean = (rule.x[0] * rule.dens[0]) @ rule.w_val
+            if not max(abs(mass - 1.0), abs(mean - 1.0)) <= 2e-12:
+                bad.append((s, mass, mean))
+        assert not bad, f"{len(bad)} shapes, first {bad[:3]}"
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 10, 100, 1000, 6850,
+                                   GAMMA_SHAPE_MAX])
+    def test_dep_and_capacity_match_mpmath(self, s):
+        states = _one_state("gamma", s, math.log(2.0))
+        # DEP with the window cut one standard deviation above the mean,
+        # at rho = 3 dB and at 30 dB, where the first panel is graded
+        cut = 1.0 + 1.0 / math.sqrt(s)
+        for rho in (2.0, 1000.0):
+            g = (rho * rho - 1.0) / cut
+            want = _gamma_reference(s, lambda x: 1 - mpmath.log1p(g * x) / (
+                2 * mpmath.log(rho)), mpmath.mpf(cut))
+            got = dep_over_states(states, g / rho, rho).value
+            assert abs(got - float(want)) <= 1e-12, (rho, got, want)
+        # capacity at a mean SNR of 10^6, where the first panel is graded,
+        # and rho = 20 dB, the noise exponent integrated exactly
+        snr, rho = 1e6, 100.0
+        want = float(_gamma_reference(s, lambda x: (
+            mpmath.polylog(2, -snr * x / rho)
+            - mpmath.polylog(2, -snr * x * rho)) / (2 * mpmath.log(rho)),
+            mpmath.inf))
+        got = csc_over_states(states, snr, rho)
+        assert abs(got / want - 1.0) <= 1e-12, (got, want)
 
 
 class TestNoiseAndPathLoss:

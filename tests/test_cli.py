@@ -219,6 +219,22 @@ class TestSweep:
              "--points", "3", "--metrics", "dep", "--allow-unsafe"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("option, what", [("--metrics", "metric"),
+                                              ("--modes", "mode")])
+    def test_empty_list_exits_2(self, option, what, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
+             option, ","], capsys)
+        assert code == 2 and out == ""
+        assert f"a sweep needs at least one {what}" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
+             "--mc", "--samples", "1000", "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert "seed = -1" in err
+
     def test_too_few_points_exits_2(self, capsys):
         code, _, _ = run_cli(
             ["sweep", "--axis", "rho", "--start", "2", "--stop", "4",
@@ -400,6 +416,28 @@ class TestModeMap:
                 max(float(row["objective_om"]), float(row["objective_dm"])))
 
 
+class TestLargeShape:
+    # a shape in 6815-6877, inside the parser's range, where a gamma window
+    # between the law's 1e-18 quantiles read a lower quantile of 0
+    def test_optimize_and_mode_map(self, tmp_path, capsys):
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text("dm.s_los = 6850\n")
+        code, out, err = run_cli(["optimize", "--metric", "ecr", "--mode",
+                                  "dm", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        (row,) = parse_csv(out)[2]
+        assert 0.0 < float(row["objective"]) <= float(row["r_b_opt"])
+        code, out, err = run_cli(["mode-map", "--metric", "csc", "--points",
+                                  "5", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        rows = parse_csv(out)[2]
+        assert len(rows) == 5
+        for row in rows:
+            om, dm = float(row["objective_om"]), float(row["objective_dm"])
+            assert om > 0.0 and math.isfinite(dm) and dm > 0.0
+            assert float(row["objective_hybrid"]) == max(om, dm)
+
+
 class TestValidate:
     def test_small_grid_passes(self, capsys, tmp_path):
         cfg = tmp_path / "scn.txt"
@@ -422,6 +460,14 @@ class TestValidate:
             assert gap == float(f"{gap:.4g}")
             diff = abs(float(row["analytic"]) - float(row["mc_mean"]))
             assert gap == pytest.approx(diff, rel=1e-3, abs=1e-9)
+
+    def test_negative_seed_in_the_scenario_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "scn.txt"
+        cfg.write_text("seed = -5\n")
+        code, out, err = run_cli(
+            ["validate", "--samples", "10000", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert "seed = -5" in err
 
     def test_sample_floor(self, capsys):
         code, _, err = run_cli(["validate", "--samples", "100"], capsys)

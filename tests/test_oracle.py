@@ -14,6 +14,7 @@ from a2gcovert.detection import min_dep_values
 from a2gcovert.errors import A2GError, DomainError
 from a2gcovert.oracle import (
     BATCH_SIZE,
+    derived_seed,
     mc_dep_points,
     mc_ergodic_capacity,
     mc_expected_min_dep,
@@ -87,6 +88,13 @@ class TestEstimates:
         with pytest.raises(DomainError):
             mc_dep_points(link_states(scn, "om", "willie"),
                           [(-1.0, scn.noise.rho)], N_SMOKE, SEED)
+
+    def test_negative_seed_rejected(self, scn):
+        with pytest.raises(DomainError, match="entropy"):
+            derived_seed(3, -1, 2)
+        with pytest.raises(DomainError, match="seed -5"):
+            mc_outage(scn, mode="om", n=N_SMOKE, seed=-5)
+        assert derived_seed(0, 0) >= 0
 
 
 class TestVarianceMerge:

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,13 @@ class TestParsing:
         with pytest.raises(ScenarioError,
                            match=re.escape(f"{key} = {n} must be >= 1")):
             scenario_from_flat({key: n})
+
+    def test_negative_seed_rejected(self, scn):
+        for build in (lambda: loads_scenario("seed = -5"),
+                      lambda: replace(scn, seed=-1)):
+            with pytest.raises(ScenarioError, match=r"seed = -\d must be >= 0"):
+                build()
+        assert loads_scenario("seed = 0").seed == 0
 
     def test_integral_value_of_integer_key_accepted(self):
         s = scenario_from_flat({"seed": 2.0, "antenna.alice.n": 8.0})

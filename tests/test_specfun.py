@@ -8,9 +8,7 @@ from scipy import optimize, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
-    GAMMA_SHAPE_MAX,
     expint_e1,
-    gamma_quantiles,
     gammainc_int,
     i0e,
     marcum_mu_nu,
@@ -368,8 +366,8 @@ class TestPoissonTails:
         # terms fall fast and the lower one from the mode of N up
         cut = s - math.sqrt(s) if s > 32 else 0.5 * s
         up, down = x[x < cut], x[x >= max(cut, 0.5 * s)]
-        for got, ref in ((_upper_tail(s, up)[0], special.gammainc(s, up)),
-                         (_lower_tail(s, down)[0],
+        for got, ref in ((_upper_tail(s, up), special.gammainc(s, up)),
+                         (_lower_tail(s, down),
                           special.gammaincc(s, down))):
             assert np.all(np.abs(got / ref - 1.0)
                           <= per_unit * _condition(ref))
@@ -387,13 +385,6 @@ class TestPoissonTails:
                             np.geomspace(hi, hi * 50.0, 200)))
         assert np.max(np.abs(gammainc_int(s, x)
                              - special.gammainc(s, x))) <= 4e-15
-
-    @pytest.mark.parametrize("s", [1, 2, 3, 7, 30, 33, 64, 300, 1000, 5000,
-                                   GAMMA_SHAPE_MAX])
-    def test_quantiles_match_scipy(self, s):
-        lo, hi = gamma_quantiles(s, 1e-18)
-        assert lo == pytest.approx(special.gammaincinv(s, 1e-18), rel=1e-14)
-        assert hi == pytest.approx(special.gammainccinv(s, 1e-18), rel=1e-14)
 
     def test_scalar_and_zero(self):
         assert gammainc_int(40, 0.0) == 0.0
