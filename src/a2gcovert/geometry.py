@@ -83,10 +83,40 @@ class SCurveParams:
             raise DomainError("S-curve parameters must be positive")
 
 
+def _square(x: float) -> tuple[float, float]:
+    """x * x as hi + lo exactly, by Dekker's split (no fused multiply-add);
+    |x| <= 1, so the split does not overflow."""
+    c = 134217729.0 * x  # 2^27 + 1
+    xh = c - (c - x)
+    xl = x - xh
+    hi = x * x
+    return hi, ((xh * xh - hi) + 2 * xh * xl) + xl * xl
+
+
 def distance(p: NodePosition, q: NodePosition) -> float:
-    """Euclidean 3D distance in metres, by ``math.hypot``, which scales
-    instead of squaring, so no square overflows."""
-    return math.hypot(p.x - q.x, p.y - q.y, p.h - q.h)
+    """Euclidean 3D distance in metres, within an ulp of the exact one.
+
+    ``math.hypot`` of the rounded differences scales instead of squaring,
+    so no square overflows. Where a difference rounds, one Newton step
+    h + (S - h^2) / 2h puts its error back, with the exact sum of squares S
+    less h^2 summed exactly after scaling h to [0.5, 1).
+    """
+    pairs = ((p.x, q.x), (p.y, q.y), (p.h, q.h))
+    d = [a - b for a, b in pairs]
+    h = math.hypot(*d)
+    if not 0 < h < math.inf:
+        return h
+    # Knuth's two-sum: a - b == s + e exactly
+    e = [(a - (s - (s - a))) - (b + (s - a)) for (a, b), s in zip(pairs, d)]
+    if not any(e):
+        return h
+    k = math.frexp(h)[1]
+    hs = math.ldexp(h, -k)
+    terms = [-t for t in _square(hs)]
+    for s, err in zip(d, e):
+        s, err = math.ldexp(s, -k), math.ldexp(err, -k)
+        terms += [*_square(s), 2 * s * err, err * err]
+    return math.ldexp(hs + math.fsum(terms) / (2 * hs), k)
 
 
 def elevation_angle_deg(uav: NodePosition, ground: NodePosition) -> float:
