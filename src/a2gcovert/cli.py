@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .channel import NoiseModel, link_states
 from .detection import expected_min_dep
-from .errors import A2GError
+from .errors import A2GError, ScenarioError
 from .oracle import derived_seed, mc_dep_points, mc_receiver_points
 from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
@@ -188,8 +188,11 @@ def _check_bounds(args, axis: str) -> None:
 def _load_scenario(args) -> tuple[Scenario, dict]:
     text = ""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{args.config}: not UTF-8: {exc}") from None
     flat = scenario_to_flat(text)
     scn = scenario_from_flat(flat)
     if args.seed is not None:
@@ -417,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except A2GError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (A2GError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,9 +20,6 @@ in log space.  Each kernel replaced one ``scipy.special`` call:
   of exp(-z) I0(z) (the coefficients numpy's ``i0`` uses) by quintics on
   512 equal steps of z / (z + 8), tabulated on first use, so a call is
   about fifteen array operations.
-- **Exponential integral** (``expi``).  ``expint_e1`` is E1(x) = -Ei(-x)
-  by the same tabulation: of its power series below 1, and of a 200-term
-  continued fraction above.
 - **Marcum Q** (``chndtr``, ``chndtrix``).  Q1(a, b) = Pr(N <= M) for
   N ~ Poisson(b^2 / 2) and M ~ Poisson(a^2 / 2), the complement of the
   noncentral chi-square CDF with two degrees of freedom.
@@ -87,7 +84,6 @@ __all__ = [
     "GAMMA_SHAPE_MAX",
     "MARCUM_ARG_MAX",
     "MarcumApproxCoeffs",
-    "expint_e1",
     "gammainc_int",
     "i0e",
     "marcum_q1_exact",
@@ -326,7 +322,7 @@ def _chbevl(x, coef) -> np.ndarray:
     return 0.5 * (b0 - b2)
 
 
-# steps of t in [0, 1] and degree of the i0e and E1 tables
+# steps of t in [0, 1] and degree of the i0e table
 _TABLE_STEPS, _TABLE_DEGREE = 512, 5
 
 
@@ -354,46 +350,6 @@ def i0e(z) -> np.ndarray:
     out = _piecewise_eval(_i0e_table(), t)
     out /= np.sqrt(w, out=w)
     return out.reshape(z.shape)
-
-
-# terms of the power series of E1 kept below 1, and of its continued
-# fraction above
-_E1_SERIES_TERMS = 20
-_E1_FRACTION_TERMS = 200
-
-
-@lru_cache(maxsize=None)
-def _e1_table() -> np.ndarray:
-    """``_piecewise`` table, in t = x / 2 on [0, 1/2), of
-    Ein(x) = E1(x) + ln x + Euler's gamma for x < 1, and in t = 1 - 1 / (2x)
-    on [1/2, 1], of x e^x E1(x) for x >= 1; from Ein's power series and from
-    the continued fraction E1(x) = e^-x / (x + 1 - 1 / (x + 3 - 4 /
-    (x + 5 - ...))), within 1e-17 at 200 terms from x = 1 on."""
-    def scaled(t):
-        small = t < 0.5
-        x = np.where(small, 2.0 * t, 1.0)
-        ein = np.zeros_like(x)
-        for k in range(_E1_SERIES_TERMS, 0, -1):
-            ein = x * (ein + (-1.0) ** (k + 1) / (k * math.factorial(k)))
-        x = np.where(small, 1.0, 0.5 / (1.0 - t))
-        frac = x + (2 * _E1_FRACTION_TERMS + 1)
-        for k in range(_E1_FRACTION_TERMS, 0, -1):
-            frac = x + (2 * k - 1) - k * k / frac
-        return np.where(small, ein, x / frac)
-    return _piecewise(scaled, _TABLE_STEPS, _TABLE_DEGREE)
-
-
-def expint_e1(x) -> np.ndarray:
-    """Exponential integral E1(x) = -Ei(-x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1.0
-    inv = 1.0 / np.maximum(x, 1.0)
-    t = np.atleast_1d(np.where(small, 0.5 * x, 1.0 - 0.5 * inv))
-    t *= _TABLE_STEPS
-    f = _piecewise_eval(_e1_table(), t).reshape(x.shape)
-    with np.errstate(divide="ignore"):
-        ein = f - np.euler_gamma - np.log(x)
-    return np.where(small, ein, f * np.exp(-x) * inv)
 
 
 class _MarcumWindow(NamedTuple):

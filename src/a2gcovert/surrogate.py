@@ -16,7 +16,8 @@ line never loads it.  The primary metrics (``detection.expected_min_dep``,
 
 The DEP closed forms weigh each state's surrogate CDF at the warden's cutoff
 by the error level at its truncated mean; the mmWave outage averages the
-Alzer CDF over the noise with the 64-node rule of ``throughput``.
+Alzer CDF over the noise with the noise rule of ``throughput``, in up to
+33 panels at shape 10^4.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .detection import ExpectedDep, _check_noise
 from .errors import DomainError
 from .scenario import Scenario
 from .specfun import marcum_mu_nu
-from .throughput import _GL_WEIGHTS, _mixture, _noise_nodes, snr_threshold
+from .throughput import _LOG_TINY, _mixture, _noise_average, snr_threshold
 
 __all__ = [
     "varrho",
@@ -197,11 +198,16 @@ def expected_min_dep_dm_closed_form(scn: Scenario) -> ExpectedDep:
 
 def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
-    """Outage of a gamma state under Alzer's bound of its CDF, averaged
-    over the noise by the Gauss-Legendre rule: the CDF at x = gamma_th
-    sigma^2 rho^u / (p_a unit)."""
-    x = _noise_nodes(log_ratio - math.log(unit), sigma_n2, rho)
-    return 0.5 * (nakagami_power_cdf(x, s) @ _GL_WEIGHTS)
+    """Outage of a gamma state under Alzer's bound (1 - e^(-xi x))^s of
+    its CDF, averaged over the noise at x = gamma_th sigma^2 rho^u / (p_a
+    unit), ln x capped at 700; the bound lies between (xi x)^s and
+    1 - s e^(-xi x), and so is 0 or 1 to rounding outside its support."""
+    log_xi = math.log(nakagami_xi(s))
+    return _noise_average(
+        lambda t: nakagami_power_cdf(np.exp(np.minimum(t, 700.0)), s),
+        log_ratio + (math.log(sigma_n2) - math.log(unit)), math.log(rho),
+        math.sqrt(s), _LOG_TINY / s - log_xi,
+        math.log(math.log(s) - _LOG_TINY) - log_xi)
 
 
 def outage_dm_closed_form(scn: Scenario) -> float:

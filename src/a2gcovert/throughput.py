@@ -6,23 +6,17 @@ Bob's noise power and in the band it carries (``channel.link_states``):
 functions build the table and call the kernel; the planner and the
 validation grid build each table once and call the kernels directly.
 
-In a Rician ("om") state the outage is a closed form built on the
-exponential-type Marcum-Q surrogate plus the log-uniform noise average; its
-exponent is formed in log space, so no power of it overflows, and where
-the noise spans a wide range it is a difference of exponential integrals
-Ei(-x) = -E1(x) (``specfun.expint_e1``, where ``scipy.special.expi``
-served before).  In a gamma ("dm") state the exact regularized gamma CDF
-is averaged over the noise with a fixed 64-node Gauss-Legendre rule, at
-arguments formed in log space (``_noise_nodes``, which the surrogate's
-Alzer outage uses too); the CDF of integer shape is a Poisson tail sum
-(``specfun.gammainc_int``, where ``scipy.special.gammainc`` served above
-shape 64).  The module needs numpy and ``specfun`` only; scipy is
-imported by ``surrogate`` and the tests alone.  The ergodic (Shannon)
-capacity averages ln(1 + SNR) over the fading with the composite Gauss
-rule that the warden's DEP uses (``channel._state_rule``) and over the
-noise with the same 64-node Gauss-Legendre rule; the integrand is
-positive and nothing cancels, so low SNR keeps full relative accuracy.
-The paper's closed-form mmWave outage, built on Alzer's bound of the gamma
+Every noise average is ``_noise_average``: the mean over the log-uniform
+noise of a function of a log variable, on 64-node Gauss-Legendre panels
+at most 12 units of the integrand's own scale wide, where a span needs
+more than one only where the integrand differs from a closed form.  The
+Rician ("om") outage averages the exponential-type Marcum-Q surrogate in
+the log of its Weibull exponent, the gamma ("dm") outage the exact CDF of
+integer shape (``specfun.gammainc_int``) in ln x, and the ergodic
+(Shannon) capacity ln(1 + SNR) in ln SNR, over the fading by the DEP's
+rule (``channel._state_rule``): nothing cancels, so low SNR keeps full
+relative accuracy.  The module needs numpy and ``specfun`` only.  The
+paper's closed-form mmWave outage, built on Alzer's bound of the gamma
 CDF, is in ``surrogate``.
 """
 
@@ -32,10 +26,11 @@ import math
 
 import numpy as np
 
-from .channel import LinkStates, _check_point, _state_rule, link_states
+from .channel import (_HALF_WIDTH, LinkStates, _check_point, _state_rule,
+                      link_states)
 from .errors import DomainError
 from .scenario import Scenario
-from .specfun import expint_e1, gammainc_int, marcum_mu_nu
+from .specfun import gammainc_int, marcum_mu_nu
 
 __all__ = [
     "snr_threshold",
@@ -68,55 +63,80 @@ def snr_threshold(r_b: float, bandwidth_hz: float):
     return out[()] if r_b.ndim == 0 else out
 
 
-# Gauss-Legendre rule for the bounded log-uniform noise average; the
-# integrand is analytic in the log-noise variable, so 64 nodes are far
-# beyond the accuracy needed anywhere in this package.
+# One Gauss-Legendre panel of the log-uniform noise averages.  Each
+# integrand is analytic in its log variable, and 64 nodes keep its mean to
+# 4e-16 on a panel up to _PANEL units of its own scale wide (the om outage
+# on 16 units is off by up to 2e-14, on 24 by 4e-12).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# Ei(-e^z) is 0 in floating point from z = 6.7 on, and gamma + z below -40
-_EI_Z_MAX, _EI_Z_MIN = 6.7, -40.0
+_PANEL = 12.0
+# ln of the level below which a CDF counts as 0, and its complement as 1
+_LOG_TINY = math.log(1e-17)
+
+
+def _noise_average(f, mid, half: float, scale: float, lo: float, hi: float,
+                   outside=None):
+    """Mean of f(mid + half u) over the noise exponent u ~ U[-1, 1], one
+    entry per entry of ``mid``; f maps a (rows x nodes) array.
+
+    A span 2 half up to _PANEL units of f's own ``scale`` wide is one
+    64-node panel.  A wider one is integrated by equal panels at most that
+    wide on [lo, hi] only, u in [u_lo, u_hi], outside which f is a closed
+    form to rounding: ``outside(mid, half, u_lo, u_hi)`` gives the mean's
+    part from there, by default a CDF's (0 below, 1 above).
+    """
+    if half * scale <= 0.5 * _PANEL:
+        return 0.5 * (f(mid[:, None] + half * _GL_NODES) @ _GL_WEIGHTS)
+    u_lo = np.clip((lo - mid) / half, -1.0, 1.0)
+    u_hi = np.clip((hi - mid) / half, -1.0, 1.0)
+    length = u_hi - u_lo
+    n = max(1, math.ceil(float(length.max()) * half * scale / _PANEL))
+    t = (half * length / n)[:, None] * (
+        np.arange(n)[:, None] + 0.5 + 0.5 * _GL_NODES).ravel()
+    t += (mid + half * u_lo)[:, None]
+    rest = (0.5 * (1.0 - u_hi) if outside is None
+            else outside(mid, half, u_lo, u_hi))
+    return 0.25 / n * length * (f(t) @ np.tile(_GL_WEIGHTS, n)) + rest
+
+
+# 1 - exp(-e^z) is below 1e-17 from z = -40 down and 1 from z = 6.7 up
+_Z_LO, _Z_HI = -40.0, 6.7
 
 
 def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
                    rho: float):
-    """Surrogate outage of a Rician state at log(gamma_th / p_a).
-
-    It is the mean of 1 - exp(-e^z), z = ln(e^mu (2 (k+1) gamma_th noise /
-    (p_a unit))^(nu/2)), over the noise, where z spans nu ln(rho): the Ei
-    difference below, or where that cancels (span < 4) a Gauss rule in z.
-    """
+    """Surrogate outage of a Rician state at log(gamma_th / p_a): the mean
+    over the noise of 1 - exp(-e^z), with z = ln(e^mu (2 (k+1) gamma_th
+    noise / (p_a unit))^(nu/2)) spanning nu ln(rho)."""
     c = marcum_mu_nu(math.sqrt(2.0 * k))
-    width = c.nu * math.log(rho)
     # ln(2 (k+1) sigma^2 / unit) as a sum of logs, so that no quotient
     # under- or overflows
     log_q = math.log(2.0 * (k + 1.0)) + math.log(sigma_n2) - math.log(unit)
     z = c.mu + 0.5 * c.nu * (log_ratio + log_q)
-    if width < 4.0:
-        zs = np.minimum(z[:, None] + 0.5 * width * _GL_NODES, _EI_Z_MAX)
-        return 0.5 * (-np.expm1(-np.exp(zs)) @ _GL_WEIGHTS)
-    zs = z[:, None] + [0.5 * width, -0.5 * width]
-    # Ei(-x) = -E1(x); the clipped argument is never 0, where it is singular
-    ei = -expint_e1(np.exp(np.minimum(np.maximum(zs, _EI_Z_MIN), _EI_Z_MAX)))
-    ei += np.minimum(zs - _EI_Z_MIN, 0.0)
-    out = 1.0 - (ei[:, 0] - ei[:, 1]) / width
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    return _noise_average(lambda t: -np.expm1(-np.exp(np.minimum(t, _Z_HI))),
+                          z, 0.5 * (c.nu * math.log(rho)), 1.0, _Z_LO, _Z_HI)
 
 
-def _noise_nodes(log_scale, sigma_n2: float, rho: float):
-    """x = e^log_scale sigma^2 rho^u at the Gauss-Legendre noise nodes u, one
-    row per entry of ``log_scale``, formed in log space with ln x capped at
-    700, where a CDF of x is 1, so that no product overflows."""
-    return np.exp(np.minimum(log_scale[:, None] + (
-        math.log(sigma_n2) + math.log(rho) * _GL_NODES), 700.0))
+def _gamma_support(s: int) -> tuple[float, float]:
+    """ln x below which P(s, x) <= x^s / s! is under 1e-17, or where the
+    amplitude window b = 2 sqrt(x) of ``channel._state_rule`` starts, and
+    ln x at its end, above which P(s, x) is 1 to rounding."""
+    root, half = math.sqrt(s), 0.5 * _HALF_WIDTH
+    lo = (math.lgamma(s + 1.0) + _LOG_TINY) / s
+    if root > half:
+        lo = max(lo, 2.0 * math.log(root - half))
+    return lo, 2.0 * math.log(root + half)
 
 
 def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
                   rho: float):
-    """Exact outage of a gamma state at log(gamma_th / p_a), averaged over
-    the noise by the Gauss-Legendre rule: the CDF at x = s gamma_th sigma^2
-    rho^u / (p_a unit)."""
-    x = _noise_nodes(log_ratio + (math.log(s) - math.log(unit)), sigma_n2,
-                     rho)
-    return 0.5 * (gammainc_int(s, x) @ _GL_WEIGHTS)
+    """Exact outage of a gamma state at log(gamma_th / p_a): the mean over
+    the noise of the CDF at x = s gamma_th sigma^2 rho^u / (p_a unit),
+    formed in log space with ln x capped at 700, where the CDF is 1, so
+    that no product overflows."""
+    return _noise_average(
+        lambda t: gammainc_int(s, np.exp(np.minimum(t, 700.0))),
+        log_ratio + (math.log(s) - math.log(unit) + math.log(sigma_n2)),
+        math.log(rho), math.sqrt(s), *_gamma_support(s))
 
 
 def _mixture(states: LinkStates, p_a, gamma_th, rho: float, state_outage):
@@ -174,6 +194,20 @@ def ecr(scn: Scenario, mode: str) -> float:
 _REL_TOL = 1e-9
 
 
+# ln(1 + e^t) is e^t to rounding from t = -37 down and t from 37 up
+_T_LO, _T_HI = -37.0, 37.0
+
+
+def _log1p_exp_outside(mid, half: float, u_lo, u_hi):
+    """The part of the noise mean of ln(1 + e^t), t = mid + half u, from
+    u outside [u_lo, u_hi], in closed form: e^t below, t above."""
+    below = (np.exp(mid + half * u_lo) - np.exp(mid - half)) / half
+    # the mean of t above is at least _T_HI where there is a part above;
+    # the bound keeps mid = -inf (a zero SNR) from giving 0 * inf
+    above = (1.0 - u_hi) * np.maximum(mid + 0.5 * half * (1.0 + u_hi), _T_HI)
+    return 0.5 * (below + above)
+
+
 def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     """Ergodic covert Shannon capacity (bits/s) over the states of Bob's
     link, in its band W = ``states.bandwidth_hz``.
@@ -183,7 +217,9 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     and the noise exponent u ~ U[-1, 1]: the fading rule of
     ``channel._state_rule``, graded toward the window start by the
     branch point x = -1 / (g rho) of the logarithm at u = -1, and the
-    64-node Gauss-Legendre rule in u.  An error estimate above 1e-9 of a
+    noise rule ``_noise_average`` in t = ln(g x rho^-u), at scale 1/2 per
+    unit of t, with ln(1 + e^t) as e^t below t = -37 and as t above 37
+    where a span is wider than 24.  An error estimate above 1e-9 of a
     state's value raises ``QuadratureError`` naming the state.
     """
     _check_point(p_a, rho)
@@ -192,11 +228,12 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     gains = [unit / states.sigma_n2 for unit in states.received(p_a)]
     rule = _state_rule(states, [1.0 / (g * rho) if g > 0.0 else math.inf
                                 for g in gains])
-    noise = rho ** -_GL_NODES
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # state by state: nodes x noise nodes, not states x both
-        f = np.array([np.log1p(np.outer(g * x, noise)) @ (0.5 * _GL_WEIGHTS)
-                      for g, x in zip(gains, rule.x)])
+        f = np.array([_noise_average(
+            lambda t: np.log1p(np.exp(t, out=t), out=t), np.log(g * x),
+            math.log(rho), 0.5, _T_LO, _T_HI, _log1p_exp_outside)
+            for g, x in zip(gains, rule.x)])
         val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
                               lambda i: f"mean SNR {gains[i]:.6g}")
     return (states.bandwidth_hz / math.log(2.0)

@@ -234,6 +234,21 @@ class TestGammaStates:
         got = csc_over_states(states, snr, rho)
         assert abs(got / want - 1.0) <= 1e-12, (got, want)
 
+    @pytest.mark.parametrize("rho_db", [100.0, 300.0, 1000.0])
+    def test_capacity_over_wide_noise_spans_matches_mpmath(self, rho_db):
+        # the noise exponent integrated exactly, as (Li2(-y / rho) -
+        # Li2(-y rho)) / (2 ln rho) at y = snr x, at a mean SNR of 1: from
+        # 300 dB on, the noise rule's closed-form tails (e^t below ln SNR =
+        # -37, t above 37) carry part of it; the fixed 64-node rule was off
+        # by 1.2e-12 relative at 100 dB, 4.2e-6 at 300 dB and 1.3e-4 at
+        # 1000 dB
+        rho = 10.0 ** (rho_db / 10.0)
+        want = float(_gamma_reference(3, lambda x: (
+            mpmath.polylog(2, -x / rho) - mpmath.polylog(2, -x * rho))
+            / (2 * mpmath.log(rho)), mpmath.inf))
+        got = csc_over_states(_one_state("gamma", 3, math.log(2.0)), 1.0, rho)
+        assert abs(got / want - 1.0) <= 1e-13, (got, want)
+
 
 class TestNoiseAndPathLoss:
     def test_noise_support(self):

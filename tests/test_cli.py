@@ -544,6 +544,15 @@ class TestDeterminism:
         assert code == 2
         assert "error" in err
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark: the decode error was a traceback
+        cfg = tmp_path / "scn.txt"
+        cfg.write_bytes(b"\xff\xfealice.x = 400\n")
+        code, _, err = run_cli(
+            ["optimize", "--metric", "csc", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err
+
 
 class TestVersion:
     def test_package_metadata_reads_the_module_version(self):

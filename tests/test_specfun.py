@@ -8,7 +8,6 @@ from scipy import optimize, special, stats
 
 from a2gcovert.errors import DomainError
 from a2gcovert.specfun import (
-    expint_e1,
     gammainc_int,
     i0e,
     marcum_mu_nu,
@@ -406,21 +405,6 @@ class TestBesselI0e:
         assert i0e(z).shape == (2, 160)
         assert float(i0e(0.0)) == pytest.approx(1.0, rel=1e-15)
         assert i0e(3.0) == pytest.approx(special.i0e(3.0), rel=1e-14)
-
-
-class TestExpintE1:
-    def test_matches_scipy_relative(self):
-        x = np.concatenate((np.geomspace(1e-300, 1.0, 20001),
-                            np.linspace(0.5, 5.0, 20001),
-                            np.geomspace(1.0, 745.0, 20001)))
-        np.testing.assert_allclose(expint_e1(x), special.exp1(x),
-                                   rtol=1e-14, atol=0)
-
-    def test_is_minus_ei_of_the_negated_argument(self):
-        # the outage's Ei branch reads Ei(-e^z) for z in [-40, 6.7]
-        x = np.exp(np.linspace(-40.0, 6.7, 4001))
-        np.testing.assert_allclose(-expint_e1(x), special.expi(-x),
-                                   rtol=1e-14, atol=0)
 
 
 class TestMarcumKernel:

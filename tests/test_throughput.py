@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,33 @@ def _outage_at(scn, mode, p_a, gamma_th):
     """The outage kernel on the scenario's link to Bob at (p_a, gamma_th)."""
     return outage_over_states(link_states(scn, mode, "bob"), p_a,
                               gamma_th, scn.noise.rho)
+
+
+def _dense_noise_mean(cdf, log_mid, half, width):
+    """Mean of cdf(e^v) over v uniform on [log_mid - half, log_mid + half],
+    ln x capped at 700, by 32-node Gauss-Legendre panels at most ``width``
+    wide in v = ln x."""
+    t, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(log_mid - half, log_mid + half,
+                        math.ceil(2.0 * half / width) + 1)
+    c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    v = np.minimum(c[:, None] + h[:, None] * t, 700.0)
+    return float(cdf(np.exp(v)) @ w @ h) / (2.0 * half)
+
+
+def _dense_gamma_outage(states, p_a, gamma_th, rho):
+    """The exact outage of a gamma table at (p_a, gamma_th): scipy's gamma
+    CDF at x = s gamma_th sigma^2 rho^u / (p_a unit), formed in log space,
+    averaged by ``_dense_noise_mean`` on panels 2 / sqrt(s) wide."""
+    total = 0.0
+    for prob, s, unit in zip(states.probs, states.params,
+                             states.received(p_a)):
+        log_mid = (math.log(s) + math.log(gamma_th) - math.log(unit)
+                   + math.log(states.sigma_n2))
+        total += prob * _dense_noise_mean(
+            lambda x: special.gammainc(s, x), log_mid, math.log(rho),
+            2.0 / math.sqrt(s))
+    return total
 
 
 class TestSnrThreshold:
@@ -286,7 +314,8 @@ class TestSilentState:
 class TestGammaOutage:
     def test_noise_power_that_overflows(self):
         # sigma^2 rho^u overflows at the upper noise nodes: it warned, and
-        # the gamma CDF at x = inf was nan; there the CDF is 1
+        # the gamma CDF at x = inf was nan; there the CDF is 1 (the 64-node
+        # rule read 0.75527 here, 4.7e-3 off)
         scn = scenario_from_flat({"noise.sigma_n2_dbm": 1377.0,
                                   "noise.rho_db": 2913.0})
         with warnings.catch_warnings():
@@ -294,15 +323,7 @@ class TestGammaOutage:
             got = outage(scn, "dm")
         bob = link_states(scn, "dm", "bob")
         gamma_th = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
-        u, w = np.polynomial.legendre.leggauss(64)
-        want = 0.0
-        for prob, s, unit in zip(bob.probs, bob.params, bob.received(
-                scn.p_a)):
-            # x = s gamma_th sigma^2 rho^u / (p_a unit), formed in log space
-            log_x = (min(math.log(s * gamma_th / unit), 700.0)
-                     + math.log(bob.sigma_n2) + u * math.log(scn.noise.rho))
-            x = np.exp(np.minimum(log_x, 700.0))
-            want += prob * 0.5 * (special.gammainc(s, x) @ w)
+        want = _dense_gamma_outage(bob, scn.p_a, gamma_th, scn.noise.rho)
         assert 0.0 < got < 1.0
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -313,13 +334,24 @@ class TestGammaOutage:
         scn = scenario_from_flat({"dm.s_los": shape, "dm.s_nlos": shape})
         bob = link_states(scn, "dm", "bob")
         gamma_th = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
-        u, w = np.polynomial.legendre.leggauss(64)
-        want = 0.0
-        for prob, s, unit in zip(bob.probs, bob.params, bob.received(
-                scn.p_a)):
-            x = s * gamma_th * bob.sigma_n2 * scn.noise.rho ** u / unit
-            want += prob * 0.5 * (special.gammainc(s, x) @ w)
+        want = _dense_gamma_outage(bob, scn.p_a, gamma_th, scn.noise.rho)
         assert outage(scn, "dm") == pytest.approx(want, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [1, 3, 100, 1000, 6850, 10000])
+    def test_matches_a_dense_rule_over_wide_noise_spans(self, shape):
+        # the fixed 64-node rule was off by up to 1e-2 here at 100 dB and
+        # 2e-3 at 4 dB (s = 10^4)
+        for rho_db in (0.5, 4.0, 30.0, 100.0):
+            scn = scenario_from_flat({"dm.s_los": shape, "dm.s_nlos": shape,
+                                      "noise.rho_db": rho_db})
+            bob = link_states(scn, "dm", "bob")
+            g = float(snr_threshold(scn.r_b, bob.bandwidth_hz))
+            gammas = g * np.array([0.01, 1.0, 100.0])
+            got = _outage_at(scn, "dm", scn.p_a, gammas)
+            want = [_dense_gamma_outage(bob, scn.p_a, gamma, scn.noise.rho)
+                    for gamma in gammas]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14,
+                                       err_msg=f"rho = {rho_db} dB")
 
     @pytest.mark.parametrize("law, param", [("rician", 5.0), ("gamma", 2)])
     def test_quotient_of_noise_and_unit_power_out_of_range(self, law, param):
@@ -360,6 +392,28 @@ class TestRicianOutage:
             assert outage(replace(scn, p_a=p_a), "om") == pytest.approx(
                 want, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [0.5, 5.0, 14.3, 50.0])
+    def test_matches_mpmath_over_wide_noise_spans(self, k):
+        # the mean of 1 - exp(-e^z) over z in [a, b] is
+        # 1 - (E1(e^a) - E1(e^b)) / (b - a); spans nu ln(rho) up to 265
+        c = marcum_mu_nu(math.sqrt(2.0 * k))
+        table = _one_state("rician", k, 1.0)
+        log_q = math.log(2.0 * (k + 1.0))
+        gammas = np.exp((np.linspace(-60.0, 60.0, 25) - c.mu) / (0.5 * c.nu)
+                        - log_q)
+        for rho_db in (0.5, 4.0, 10.0, 30.0, 60.0, 100.0):
+            rho = 10.0 ** (rho_db / 10.0)
+            half = 0.5 * (c.nu * math.log(rho))
+            got = outage_over_states(table, 1.0, gammas, rho)
+            with mpmath.workdps(40):
+                for g, v in zip(gammas, got):
+                    # z as the kernel forms it at unit power and noise
+                    z = c.mu + 0.5 * c.nu * (math.log(g) + log_q)
+                    a, b = mpmath.mpf(z) - half, mpmath.mpf(z) + half
+                    want = 1 - (mpmath.e1(mpmath.exp(a))
+                                - mpmath.e1(mpmath.exp(b))) / (b - a)
+                    assert abs(v - float(want)) <= 1e-15, (rho_db, z)
+
     def test_no_overflow_at_large_rice_factors(self):
         # (2 (k+1) gamma sigma^2 / (p_a L))^(nu/2) overflowed here before the
         # exponent was formed in log space; the outage was 1 and stays 1
@@ -395,3 +449,18 @@ class TestReceiverProperties:
         assert all(v >= 0.0 for v in cap)
         assert all(x <= y * (1 + 1e-9) + 1e-12
                    for x, y in zip(cap, cap[1:])), cap
+
+
+def test_noise_rule_cost_at_the_widest_noise_spans():
+    # at rho = 3000 dB neither an outage rate nor a capacity fading node
+    # takes more than 4 panels of the noise rule; the fuzz test reaches
+    # this corner
+    scn = scenario_from_flat({"noise.rho_db": 3000.0, "dm.s_los": 1000,
+                              "dm.s_nlos": 1000})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("om", "dm"):
+            assert 0.0 < outage(scn, mode) < 1.0
+            assert 0.0 < csc(scn, mode) < math.inf
+            res = maximize_ecr(scn, mode)
+            assert 0.0 < res.objective <= res.r_b_opt
