@@ -178,11 +178,16 @@ def _meta_lines(flat, seed: int, extra: list[str]) -> list[str]:
             _UNIT_NOTES] + extra
 
 
-def _check_bounds(args, axis: str) -> None:
-    for name in ("start", "stop"):
-        value = getattr(args, name)
-        if not _finite(value, axis in ("rho", "p_a", "p_max")):
-            raise A2GError(f"--{name} {value} does not give a finite {axis}")
+def _axis_values(args, axis: str) -> np.ndarray:
+    """The axis points, each finite, in linear units too on a dB axis: a
+    span that overflows gives inf or nan points."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(args.start, args.stop, args.points)
+    if not all(_finite(float(v), axis in ("rho", "p_a", "p_max"))
+               for v in values):
+        raise A2GError(f"--start {args.start} to --stop {args.stop} does not "
+                       f"give a finite {axis} at every point")
+    return values
 
 
 def _load_scenario(args) -> tuple[Scenario, dict]:
@@ -215,8 +220,7 @@ def _cmd_sweep(args) -> int:
             raise A2GError(f"a sweep needs at least one {what}")
     if args.points < 2:
         raise A2GError("a sweep needs at least two points")
-    _check_bounds(args, args.axis)
-    values = np.linspace(args.start, args.stop, args.points)
+    values = _axis_values(args, args.axis)
     header = ["axis_value", "mode"] + metrics
     if args.mc:
         for m in metrics:
@@ -287,8 +291,7 @@ def _cmd_mode_map(args) -> int:
     scn, flat = _load_scenario(args)
     if args.points < 2:
         raise A2GError("a mode map needs at least two points")
-    _check_bounds(args, "x_a")
-    values = np.linspace(args.start, args.stop, args.points)
+    values = _axis_values(args, "x_a")
     header = ["axis_value", "metric", "indicator", "objective_om",
               "objective_dm", "objective_hybrid"]
     rows = []

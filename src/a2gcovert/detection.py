@@ -185,14 +185,14 @@ _ABS_TOL = 1e-8
 def dep_over_states(states: LinkStates, p_a: float, rho: float) -> ExpectedDep:
     """Fading-averaged minimum DEP over the states of the warden's link.
 
-    With g = rho unit / sigma^2, at a state's received unit power and the
-    table's noise power, the kernel 1 - ln(1 + g x) / (2 ln rho) is averaged
-    over the state's exact fading density by ``channel._state_rule``, on a
-    window cut at x = (rho^2 - 1) / g, above which it is 0, and clipped to
-    [0, 1].  A silent transmitter leaves the warden erring with certainty in
-    every state; a state whose g overflows has its cutoff, and so its DEP,
-    at 0.  An error estimate above 1e-8 raises ``QuadratureError`` naming
-    the state.
+    At a state's received unit power and the table's noise power, the
+    conditional DEP ``min_dep_values(unit x)`` is averaged over the state's
+    exact fading density by ``channel._state_rule``, on a window cut at its
+    cutoff x = (rho^2 - 1) / g, g = rho unit / sigma^2, above which it is
+    0, and clipped to [0, 1].  A silent transmitter leaves the warden
+    erring with certainty in every state; a state whose g overflows has
+    its cutoff, and so its DEP, at 0.  An error estimate above 1e-8 raises
+    ``QuadratureError`` naming the state.
     """
     _check_point(p_a, rho)
     if p_a == 0.0:
@@ -208,14 +208,13 @@ def dep_over_states(states: LinkStates, p_a: float, rho: float) -> ExpectedDep:
                                   "inf: rho^2 and its mean SNR overflow")
         rule = _state_rule(states, [1.0 / g if g > 0.0 else math.inf
                                     for g in gains], cuts)
-        # the kernel is not evaluated on an empty window (a cutoff at 0)
-        live = np.array([g if cut > 0.0 else 0.0
-                         for g, cut in zip(gains, cuts)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = 1.0 - np.log1p(live[:, None] * rule.x) / (
-                2.0 * math.log(rho))
-            val, errs = rule.average(f, "DEP", _ABS_TOL, 0.0,
-                                     lambda i: f"unit power {units[i]:.6g}")
+        # an overflowed unit power's window is empty, maybe at x = 0: the
+        # largest float keeps inf * 0 out
+        with np.errstate(over="ignore"):
+            f = min_dep_values(np.minimum(units, np.finfo(float).max)[:, None]
+                               * rule.x, states.sigma_n2, rho)
+        val, errs = rule.average(f, "DEP", _ABS_TOL, 0.0,
+                                 lambda i: f"unit power {units[i]:.6g}")
         vals = [min(1.0, max(0.0, v)) for v in val]
     terms = {label: p * v for label, p, v in zip(states.labels, states.probs,
                                                   vals)}

@@ -112,12 +112,12 @@ class Scenario:
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ScenarioError("epsilon must lie in (0, 1)")
-        if self.p_max <= 0:
-            raise ScenarioError("p_max must be positive")
-        if self.p_a < 0:
-            raise ScenarioError("p_a must be nonnegative")
-        if self.r_b < 0:
-            raise ScenarioError("r_b must be nonnegative")
+        if not 0 < self.p_max < math.inf:
+            raise ScenarioError("p_max must be positive and finite")
+        if not 0 <= self.p_a < math.inf:
+            raise ScenarioError("p_a must be nonnegative and finite")
+        if not 0 <= self.r_b < math.inf:
+            raise ScenarioError("r_b must be nonnegative and finite")
         if not (0 < self.d_aw_min <= self.d_aw_max):
             raise ScenarioError("safe-distance bounds must satisfy 0 < min <= max")
         if self.noise.rho < 1.0 + 1e-6:

@@ -11,13 +11,12 @@ line never loads it.  The primary metrics (``detection.expected_min_dep``,
   it overflows.
 - **Gamma ("dm") states.**  Alzer's bound (1 - e^(-xi x))^s of the gamma CDF
   of integer shape s (Math. Comp. 1997), with xi = s (s!)^(-1/s) from
-  lgamma, computed as (-expm1(-xi x))^s rather than as its alternating
+  lgamma, computed as exp(s ln(1 - e^(-xi x))), not as its alternating
   binomial sum, which cancels at large shapes.
 
 The DEP closed forms weigh each state's surrogate CDF at the warden's cutoff
-by the error level at its truncated mean; the mmWave outage averages the
-Alzer CDF over the noise with the noise rule of ``throughput``, in up to
-33 panels at shape 10^4.
+by ``detection.min_dep_values`` at its truncated mean; the mmWave outage
+is ``throughput``'s outage mixture over the Alzer law (``_alzer_cdf``).
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ import numpy as np
 from scipy import special
 
 from .channel import link_states
-from .detection import ExpectedDep, _check_noise
+from .detection import ExpectedDep, _check_noise, min_dep_values
 from .errors import DomainError
 from .scenario import Scenario
 from .specfun import marcum_mu_nu
-from .throughput import _LOG_TINY, _mixture, _noise_average, snr_threshold
+from .throughput import _LOG_TINY, _mixture, snr_threshold
 
 __all__ = [
     "varrho",
@@ -70,12 +69,18 @@ def nakagami_xi(s: int) -> float:
 
 
 def nakagami_power_cdf(x, s: int):
-    """Alzer's CDF (1 - e^(-xi x))^s of the unit-mean gamma power law."""
+    """Alzer's CDF (1 - e^(-y))^s, y = xi x, of the unit-mean gamma power
+    law, as exp(s ln(1 - e^(-y))) to a few ulps (a power would lose s ulps);
+    ln(1 - e^(-y)) by Maechler's (2012) switch at y = ln 2."""
     xi = nakagami_xi(s)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("power must be nonnegative")
-    out = (-np.expm1(-xi * x)) ** s
+    y = xi * x
+    with np.errstate(divide="ignore"):  # ln 0 at x = 0: the CDF is 0
+        log_base = np.where(y < math.log(2.0), np.log(-np.expm1(-y)),
+                            np.log1p(-np.exp(-y)))
+    out = np.exp(s * log_base)
     return out[()] if x.ndim == 0 else out
 
 
@@ -155,11 +160,11 @@ def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
                                            states.received(p_a)):
         term = 1.0  # a silent transmitter
         if p_a > 0.0:
-            # CDF weight at the cutoff times the log-average error level
+            # the CDF at the cutoff times the DEP at the truncated mean,
+            # which can round below 0
             cdf, t = surrogate(param, varrho(unit, states.sigma_n2, rho))
-            level = 1.0 - math.log1p(rho * unit * t / states.sigma_n2) / (
-                2.0 * math.log(rho))
-            term = cdf * min(1.0, max(0.0, level))
+            term = cdf * float(min_dep_values(unit * max(t, 0.0),
+                                              states.sigma_n2, rho))
         terms[label] = p_state * term
     return ExpectedDep(value=sum(terms.values()), terms=terms)
 
@@ -196,18 +201,16 @@ def expected_min_dep_dm_closed_form(scn: Scenario) -> ExpectedDep:
     return _closed_form(scn, "dm", _gamma_surrogate)
 
 
-def _alzer_outage(s: int, unit: float, log_ratio, sigma_n2: float,
-                  rho: float):
-    """Outage of a gamma state under Alzer's bound (1 - e^(-xi x))^s of
-    its CDF, averaged over the noise at x = gamma_th sigma^2 rho^u / (p_a
-    unit), ln x capped at 700; the bound lies between (xi x)^s and
-    1 - s e^(-xi x), and so is 0 or 1 to rounding outside its support."""
+def _alzer_cdf(s: int):
+    """Alzer's bound F = (1 - e^(-y))^s, y = xi x, in t = ln x (capped at
+    700): like exp(-s e^(-y)) it rises around y = ln s, 1 / ln s wide in t,
+    hence the scale max(1, ln s); F < 1e-17 below y = -ln(1 - 1e-17^(1/s)),
+    and 1 - F <= s e^(-y) < 1e-17 above y = ln s - ln 1e-17."""
     log_xi = math.log(nakagami_xi(s))
-    return _noise_average(
-        lambda t: nakagami_power_cdf(np.exp(np.minimum(t, 700.0)), s),
-        log_ratio + (math.log(sigma_n2) - math.log(unit)), math.log(rho),
-        math.sqrt(s), _LOG_TINY / s - log_xi,
-        math.log(math.log(s) - _LOG_TINY) - log_xi)
+    y_lo = -math.log1p(-math.exp(_LOG_TINY / s))
+    return (lambda t: nakagami_power_cdf(np.exp(np.minimum(t, 700.0)), s),
+            max(1.0, math.log(s)), math.log(y_lo) - log_xi,
+            math.log(math.log(s) - _LOG_TINY) - log_xi)
 
 
 def outage_dm_closed_form(scn: Scenario) -> float:
@@ -220,4 +223,4 @@ def outage_dm_closed_form(scn: Scenario) -> float:
     """
     bob = link_states(scn, "dm", "bob")
     return _mixture(bob, scn.p_a, snr_threshold(scn.r_b, bob.bandwidth_hz),
-                    scn.noise.rho, _alzer_outage)
+                    scn.noise.rho, _alzer_cdf)

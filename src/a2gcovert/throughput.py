@@ -9,15 +9,17 @@ validation grid build each table once and call the kernels directly.
 Every noise average is ``_noise_average``: the mean over the log-uniform
 noise of a function of a log variable, on 64-node Gauss-Legendre panels
 at most 12 units of the integrand's own scale wide, where a span needs
-more than one only where the integrand differs from a closed form.  The
-Rician ("om") outage averages the exponential-type Marcum-Q surrogate in
-the log of its Weibull exponent, the gamma ("dm") outage the exact CDF of
-integer shape (``specfun.gammainc_int``) in ln x, and the ergodic
-(Shannon) capacity ln(1 + SNR) in ln SNR, over the fading by the DEP's
-rule (``channel._state_rule``): nothing cancels, so low SNR keeps full
+more than one only where the integrand differs from a closed form.  A
+fading law enters the outage only as its power CDF in t = ln x, with that
+scale and the t outside which it is 0 or 1 (``_rician_cdf``: the
+exponential-type Marcum-Q surrogate; ``_gamma_cdf``: the exact CDF of
+integer shape, ``specfun.gammainc_int``), and ``_mixture`` averages it
+over the states and the noise.  The ergodic (Shannon) capacity averages
+ln(1 + SNR) in ln SNR, over the fading by the DEP's rule
+(``channel._state_rule``): nothing cancels, so low SNR keeps full
 relative accuracy.  The module needs numpy and ``specfun`` only.  The
-paper's closed-form mmWave outage, built on Alzer's bound of the gamma
-CDF, is in ``surrogate``.
+paper's closed-form mmWave outage, Alzer's bound of the gamma CDF as a
+third law, is in ``surrogate``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ _PANEL = 12.0
 _LOG_TINY = math.log(1e-17)
 
 
-def _noise_average(f, mid, half: float, scale: float, lo: float, hi: float,
+def _noise_average(mid, half: float, f, scale: float, lo: float, hi: float,
                    outside=None):
     """Mean of f(mid + half u) over the noise exponent u ~ U[-1, 1], one
     entry per entry of ``mid``; f maps a (rows x nodes) array.
@@ -102,47 +104,37 @@ def _noise_average(f, mid, half: float, scale: float, lo: float, hi: float,
 _Z_LO, _Z_HI = -40.0, 6.7
 
 
-def _rician_outage(k: float, unit: float, log_ratio, sigma_n2: float,
-                   rho: float):
-    """Surrogate outage of a Rician state at log(gamma_th / p_a): the mean
-    over the noise of 1 - exp(-e^z), with z = ln(e^mu (2 (k+1) gamma_th
-    noise / (p_a unit))^(nu/2)) spanning nu ln(rho)."""
+def _rician_cdf(k: float):
+    """Surrogate power CDF of a Rician state, 1 - exp(-e^z) with z = mu +
+    nu/2 (ln 2(k+1) + t) by the exponential-type Marcum-Q form, at scale
+    nu/2 per unit of t = ln x, and the t where z leaves [-40, 6.7]."""
     c = marcum_mu_nu(math.sqrt(2.0 * k))
-    # ln(2 (k+1) sigma^2 / unit) as a sum of logs, so that no quotient
-    # under- or overflows
-    log_q = math.log(2.0 * (k + 1.0)) + math.log(sigma_n2) - math.log(unit)
-    z = c.mu + 0.5 * c.nu * (log_ratio + log_q)
-    return _noise_average(lambda t: -np.expm1(-np.exp(np.minimum(t, _Z_HI))),
-                          z, 0.5 * (c.nu * math.log(rho)), 1.0, _Z_LO, _Z_HI)
+    log_q, half_nu = math.log(2.0 * (k + 1.0)), 0.5 * c.nu
+    return (lambda t: -np.expm1(-np.exp(np.minimum(
+        c.mu + half_nu * (log_q + t), _Z_HI))), half_nu,
+        (_Z_LO - c.mu) / half_nu - log_q, (_Z_HI - c.mu) / half_nu - log_q)
 
 
-def _gamma_support(s: int) -> tuple[float, float]:
-    """ln x below which P(s, x) <= x^s / s! is under 1e-17, or where the
-    amplitude window b = 2 sqrt(x) of ``channel._state_rule`` starts, and
-    ln x at its end, above which P(s, x) is 1 to rounding."""
-    root, half = math.sqrt(s), 0.5 * _HALF_WIDTH
+def _gamma_cdf(s: int):
+    """Exact power CDF P(s, s e^t) of a gamma state of integer shape s in
+    t = ln x, at scale sqrt(s), ln(s x) capped at 700, where it is 1; and
+    the t below which P(s, s x) <= (s x)^s / s! is under 1e-17, or where
+    the amplitude window b = 2 sqrt(s x) of ``channel._state_rule``
+    starts, and the t at its end, above which P is 1 to rounding."""
+    log_s, root, half = math.log(s), math.sqrt(s), 0.5 * _HALF_WIDTH
     lo = (math.lgamma(s + 1.0) + _LOG_TINY) / s
     if root > half:
         lo = max(lo, 2.0 * math.log(root - half))
-    return lo, 2.0 * math.log(root + half)
+    return (lambda t: gammainc_int(s, np.exp(np.minimum(t + log_s, 700.0))),
+            root, lo - log_s, 2.0 * math.log(root + half) - log_s)
 
 
-def _gamma_outage(s: int, unit: float, log_ratio, sigma_n2: float,
-                  rho: float):
-    """Exact outage of a gamma state at log(gamma_th / p_a): the mean over
-    the noise of the CDF at x = s gamma_th sigma^2 rho^u / (p_a unit),
-    formed in log space with ln x capped at 700, where the CDF is 1, so
-    that no product overflows."""
-    return _noise_average(
-        lambda t: gammainc_int(s, np.exp(np.minimum(t, 700.0))),
-        log_ratio + (math.log(s) - math.log(unit) + math.log(sigma_n2)),
-        math.log(rho), math.sqrt(s), *_gamma_support(s))
-
-
-def _mixture(states: LinkStates, p_a, gamma_th, rho: float, state_outage):
-    """Outage over the states; ``state_outage(param, unit,
-    log(gamma_th / p_a), sigma_n2, rho)`` gives each state's; a state of
-    mean received power 0 is in outage."""
+def _mixture(states: LinkStates, p_a, gamma_th, rho: float, law):
+    """Outage over the states: each state's power CDF, ``law(param) ->
+    (F, scale, lo, hi)`` in t = ln x (``_noise_average``), averaged over
+    the noise at x = gamma_th sigma^2 rho^u / (p_a unit), formed as a sum
+    of logs so that no quotient under- or overflows; a state of mean
+    received power 0 is in outage."""
     p_a, gamma_th = np.broadcast_arrays(np.asarray(p_a, dtype=float),
                                         np.asarray(gamma_th, dtype=float))
     _check_point(p_a.min(initial=0.0), rho)
@@ -157,8 +149,9 @@ def _mixture(states: LinkStates, p_a, gamma_th, rho: float, state_outage):
         acc = 0.0
         for prob, param, unit in zip(states.probs, states.params,
                                      states.received(1.0)):
-            acc = acc + prob * (1.0 if unit == 0.0 else state_outage(
-                param, unit, log_ratio, states.sigma_n2, rho))
+            acc = acc + prob * (1.0 if unit == 0.0 else _noise_average(
+                log_ratio + (math.log(states.sigma_n2) - math.log(unit)),
+                math.log(rho), *law(param)))
         total[active] = acc
     total = np.minimum(np.maximum(total, 0.0), 1.0)
     return float(total[0]) if p_a.ndim == 0 else total.reshape(p_a.shape)
@@ -171,8 +164,7 @@ def outage_over_states(states: LinkStates, p_a, gamma_th, rho: float):
     power-rate grid in one shot; two scalars give a float.
     """
     return _mixture(states, p_a, gamma_th, rho,
-                    _rician_outage if states.law == "rician"
-                    else _gamma_outage)
+                    _rician_cdf if states.law == "rician" else _gamma_cdf)
 
 
 def outage(scn: Scenario, mode: str) -> float:
@@ -231,9 +223,9 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # state by state: nodes x noise nodes, not states x both
         f = np.array([_noise_average(
-            lambda t: np.log1p(np.exp(t, out=t), out=t), np.log(g * x),
-            math.log(rho), 0.5, _T_LO, _T_HI, _log1p_exp_outside)
-            for g, x in zip(gains, rule.x)])
+            np.log(g * x), math.log(rho),
+            lambda t: np.log1p(np.exp(t, out=t), out=t), 0.5, _T_LO, _T_HI,
+            _log1p_exp_outside) for g, x in zip(gains, rule.x)])
         val, _ = rule.average(f, "capacity", 0.0, _REL_TOL,
                               lambda i: f"mean SNR {gains[i]:.6g}")
     return (states.bandwidth_hz / math.log(2.0)

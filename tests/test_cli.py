@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -256,6 +257,23 @@ class TestAxisBounds:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("argv, axis", [
+        (["sweep", "--axis", "r_b", "--start=-1.7e308", "--stop=1.7e308",
+          "--metrics", "ecr"], "r_b"),
+        (["mode-map", "--metric", "ecr", "--start=1e308", "--stop=-1e308"],
+         "x_a"),
+    ])
+    def test_span_that_overflows_exits_2(self, argv, axis, capsys):
+        # finite bounds whose difference overflows: linspace warned twice
+        # and gave nan or inf points, and the error named the elevation
+        # angle, gamma_th or the safe distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"finite {axis}" in err
 
 
 class TestOptions:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,17 @@ class TestDepKernel:
             assert 0.0 <= res.abs_err <= 1e-8
             assert expected_min_dep(replace(scn, p_a=0.0),
                                     mode).abs_err == 0.0
+
+    @pytest.mark.parametrize("mode, p_a", [
+        ("dm", 1.7e308), ("dm", math.inf), ("om", math.inf)])
+    def test_unit_power_that_overflows(self, scn, mode, p_a):
+        # at p_a = 1.7e308 mW the dm main-lobe unit powers overflow to inf:
+        # their windows are empty at x = 0, where inf * 0 must not reach
+        # the kernel; the warden always detects
+        willie = link_states(scn, mode, "willie")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dep_over_states(willie, p_a, scn.noise.rho).value == 0.0
 
     def test_starved_rule_raises_naming_the_state(self, monkeypatch):
         scn = scenario_from_flat({

@@ -2,8 +2,8 @@
 
 Each check runs in a fresh interpreter, since this test session has
 imported scipy itself.  The commands are the benchmark's three workloads
-and a microwave outage sweep whose noise uncertainty reaches the
-exponential-integral branch of the outage.
+and an outage sweep of both modes whose noise uncertainty, up to 30 dB,
+takes the multi-panel path of the noise rule for both fading laws.
 """
 
 import json
@@ -21,8 +21,8 @@ BENCH = SRC.parent / "bench"
 
 _WORKLOADS = json.loads((BENCH / "workloads.json").read_text())["workloads"]
 COMMANDS = [w["argv"] + ["--seed", "0"] for w in _WORKLOADS.values()] + [
-    ["sweep", "--axis", "rho", "--start", "2", "--stop", "10",
-     "--metrics", "outage,ecr_opt", "--modes", "om"]]
+    ["sweep", "--axis", "rho", "--start", "2", "--stop", "30",
+     "--metrics", "outage,ecr_opt", "--modes", "om,dm"]]
 
 _RUN = """
 import contextlib, io, json, sys

@@ -109,6 +109,17 @@ class TestParsing:
                                match=re.escape(key) + ".*finite"):
                 build()
 
+    @pytest.mark.parametrize("field", ["r_b", "p_a", "p_max"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rate_or_power_rejected_through_the_api(self, scn,
+                                                               field, value):
+        # these passed the sign checks: ecr was nan at r_b = inf, and the
+        # metrics raised errors that named the transmit power, gamma_th or
+        # an overflowing capacity kernel
+        with pytest.raises(ScenarioError,
+                           match=f"{field} must be .*finite"):
+            replace(scn, **{field: value})
+
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ScenarioError, match=r"alice\.x = '400'"):
             scenario_from_flat({"alice.x": "400"})

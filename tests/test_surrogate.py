@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from scipy import integrate
 
 import a2gcovert
+from a2gcovert import surrogate
 from a2gcovert.channel import link_states
 from a2gcovert.errors import A2GError
 from a2gcovert.scenario import scenario_from_flat
@@ -26,9 +27,10 @@ from a2gcovert.surrogate import (
     outage_dm_closed_form,
     truncated_mean_nakagami,
 )
-from a2gcovert.throughput import snr_threshold
+from a2gcovert.throughput import _mixture, snr_threshold
 
 from test_detection import _corner_scenarios
+from test_throughput import _dense_noise_mean, _one_state
 
 # the powers of TestDepProperties
 POWERS = [0.0, 1e-30, 1e-18, 1e-9] + list(np.logspace(-6, 3, 10))
@@ -130,3 +132,27 @@ def test_alzer_outage_where_the_noise_power_overflows():
             want += prob * (primitive(log_y + log_rho)
                             - primitive(log_y - log_rho)) / (2 * log_rho)
     assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 100, 1000, 10000])
+def test_alzer_outage_matches_a_dense_rule_over_wide_noise_spans(shape):
+    # the noise rule at the Alzer law's own scale and support, with the
+    # rise at xi x = ln s swept through the noise span; the reference
+    # evaluates the bound as exp(s log1p(-e^(-y))), to a few ulps
+    # absolute, on 32-node panels 0.01 wide in ln x (the power
+    # (1 - e^(-y))^s was off by up to 6.2e-14 here at s = 10^4)
+    table = _one_state("gamma", shape, 1.0)
+    xi = nakagami_xi(shape)
+
+    def bound(x):  # ln 0 where e^-y rounds to 1, and the bound to 0
+        with np.errstate(divide="ignore"):
+            return np.exp(shape * np.log1p(-np.exp(-xi * x)))
+    centre = math.log(math.log(shape) + 0.5) - math.log(xi)
+    for rho_db in (0.5, 4.0, 30.0, 100.0):
+        log_rho = math.log(10.0 ** (rho_db / 10.0))
+        log_g = centre + np.linspace(-1.0, 1.0, 15) * (log_rho + 3.0)
+        got = _mixture(table, 1.0, np.exp(log_g), math.exp(log_rho),
+                       surrogate._alzer_cdf)
+        want = [_dense_noise_mean(bound, v, log_rho, 0.01) for v in log_g]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14,
+                                   err_msg=f"rho = {rho_db} dB")

@@ -15,8 +15,10 @@ from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.planner import maximize_ecr
 from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
-from a2gcovert.surrogate import outage_dm_closed_form
+from a2gcovert.surrogate import _alzer_cdf, nakagami_xi, outage_dm_closed_form
 from a2gcovert.throughput import (
+    _gamma_cdf,
+    _rician_cdf,
     csc,
     csc_over_states,
     ecr,
@@ -423,6 +425,38 @@ class TestRicianOutage:
             warnings.simplefilter("error")
             assert [outage(replace(scn, p_a=p), "om")
                     for p in (1e-12, 1e-3)] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("law, param", [
+    *(("rician", k) for k in (0.0, 0.5, 5.0, 30.0, 7200.0)),
+    *(("gamma", s) for s in (1, 3, 32, 33, 1000, 10000)),
+    *(("alzer", s) for s in (1, 3, 100, 10000))])
+def test_law_is_0_below_its_support_and_1_above(law, param):
+    # the noise rule counts a law's mass below lo as 0 and above hi as 1:
+    # the exact CDF is at most 1e-17 below lo, and F is 1 from hi up
+    if law == "rician":
+        cdf, _, lo, hi = _rician_cdf(param)
+        c = marcum_mu_nu(math.sqrt(2.0 * param))
+        log_q = math.log(2.0 * (param + 1.0))
+
+        def exact(t):
+            return -math.expm1(-math.exp(c.mu + 0.5 * c.nu * (log_q + t)))
+    elif law == "gamma":
+        cdf, _, lo, hi = _gamma_cdf(param)
+
+        def exact(t):
+            return special.gammainc(param, param * math.exp(t))
+    else:
+        cdf, _, lo, hi = _alzer_cdf(param)
+        xi = nakagami_xi(param)
+
+        def exact(t):
+            with mpmath.workdps(30):
+                return float((1 - mpmath.exp(-xi * mpmath.exp(t))) ** param)
+    offsets = np.array([0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3])
+    assert np.all(cdf(hi + offsets) == 1.0)
+    for d in offsets[1:]:
+        assert exact(lo - d) <= 1e-17, d
 
 
 class TestReceiverProperties:
