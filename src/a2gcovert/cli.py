@@ -4,8 +4,10 @@ Output is CSV with ``#``-prefixed metadata lines (scenario hash, seed, unit
 interpretations) followed by one header row; ``--json`` emits the same rows
 as a JSON document.  All numbers are serialized with 10 significant digits,
 and outputs are byte-stable for fixed (scenario, seed) regardless of the
-worker count.  ``sweep --mc`` draws each link once per group of points
-with equal state tables (``_mc_cells``).
+worker count.  A sweep or mode-map point is the scenario with one key
+overridden (``_AXIS_KEYS``), built and checked as a scenario file is.
+``sweep --mc`` draws each link once per group of points with equal state
+tables (``_mc_cells``).
 """
 
 from __future__ import annotations
@@ -14,35 +16,43 @@ import argparse
 import json
 import locale  # noqa: F401  argparse's gettext loads it at the first parse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .channel import NoiseModel, link_states
+from .channel import link_states
 from .detection import expected_min_dep
 from .errors import A2GError, ScenarioError
 from .oracle import derived_seed, mc_dep_points, mc_receiver_points
 from .planner import maximize_csc, maximize_ecr, select_mode
 from .scenario import (
-    NodePosition,
     Scenario,
     _finite,
-    db_to_linear,
-    dbm_to_mw,
     scenario_from_flat,
     scenario_hash,
     scenario_to_flat,
 )
 from .throughput import csc, ecr, outage, snr_threshold
-from .validation import run_validation
+from .validation import CellReport, run_validation
 
 __all__ = ["main", "build_parser"]
 
-_AXES = ("rho", "p_a", "x_a", "r_b", "epsilon", "p_max")
-_ANALYTIC_METRICS = ("dep", "outage", "ecr", "csc")
-_OPT_METRICS = ("ecr_opt", "csc_opt")
-_ALL_METRICS = _ANALYTIC_METRICS + _OPT_METRICS
+# The scenario key each sweep axis overrides; a key that ends in _db or
+# _dbm is read in dB, as in a scenario file.
+_AXIS_KEYS = {"rho": "noise.rho_db", "p_a": "p_a_dbm", "x_a": "alice.x",
+              "r_b": "r_b", "epsilon": "epsilon", "p_max": "p_max_dbm"}
+
+# Each sweep column: (scenario, mode) -> value.  The lambdas look their
+# functions up when called, so a wrapper set on this module applies.
+_METRICS = {
+    "dep": lambda scn, mode: expected_min_dep(scn, mode).value,
+    "outage": lambda scn, mode: float(outage(scn, mode)),
+    "ecr": lambda scn, mode: float(ecr(scn, mode)),
+    "csc": lambda scn, mode: float(csc(scn, mode)),
+    "ecr_opt": lambda scn, mode: maximize_ecr(scn, mode).objective,
+    "csc_opt": lambda scn, mode: maximize_csc(scn, mode).objective,
+}
 
 _UNIT_NOTES = (
     "units: fading-anchor readings interpreted as dB ratios; "
@@ -67,44 +77,11 @@ def _json_cell(x):
     return x
 
 
-def _apply_axis(scn: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "rho":
-        return replace(scn, noise=NoiseModel(sigma_n2=scn.noise.sigma_n2,
-                                             rho=db_to_linear(value)))
-    if axis == "p_a":
-        return replace(scn, p_a=dbm_to_mw(value))
-    if axis == "x_a":
-        return replace(scn, alice=NodePosition(value, scn.alice.y, scn.alice.h))
-    if axis == "r_b":
-        return replace(scn, r_b=value)
-    if axis == "epsilon":
-        return replace(scn, epsilon=value)
-    if axis == "p_max":
-        return replace(scn, p_max=dbm_to_mw(value))
-    raise A2GError(f"unknown sweep axis {axis!r}")
-
-
 # Stable ids that place each (mode, metric) column of a group of sweep
 # points in the seed entropy, keyed by the group's first row; never
 # renumber them, or MC outputs change.
 _MODE_IDS = {"om": 0, "dm": 1}
 _MC_METRIC_IDS = {"dep": 0, "outage": 1, "csc": 2}
-
-
-def _analytic_metric(scn: Scenario, mode: str, metric: str) -> float:
-    if metric == "dep":
-        return expected_min_dep(scn, mode).value
-    if metric == "outage":
-        return float(outage(scn, mode))
-    if metric == "ecr":
-        return float(ecr(scn, mode))
-    if metric == "csc":
-        return float(csc(scn, mode))
-    if metric == "ecr_opt":
-        return maximize_ecr(scn, mode).objective
-    if metric == "csc_opt":
-        return maximize_csc(scn, mode).objective
-    raise A2GError(f"unknown metric {metric!r}")
 
 
 def _mc_cells(points: list[Scenario], modes: list[str], metrics: list[str],
@@ -178,19 +155,30 @@ def _meta_lines(flat, seed: int, extra: list[str]) -> list[str]:
             _UNIT_NOTES] + extra
 
 
-def _axis_values(args, axis: str) -> np.ndarray:
-    """The axis points, each finite, in linear units too on a dB axis: a
-    span that overflows gives inf or nan points."""
+def _axis_points(args, flat: dict, seed: int, axis: str):
+    """Yield (value, scenario) along the axis: ``flat`` with the seed and
+    the axis key overridden, built and checked as a scenario file is.  Every
+    value must be finite, and so its linear value where the key is read in
+    dB: a span that overflows gives inf or nan points.  An x_a point outside
+    the safe band raises unless ``--allow-unsafe``."""
+    key = _AXIS_KEYS[axis]
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(args.start, args.stop, args.points)
-    if not all(_finite(float(v), axis in ("rho", "p_a", "p_max"))
+    if not all(_finite(float(v), key.endswith(("_db", "_dbm")))
                for v in values):
         raise A2GError(f"--start {args.start} to --stop {args.stop} does not "
                        f"give a finite {axis} at every point")
-    return values
+    for v in values:
+        point = scenario_from_flat({**flat, "seed": seed, key: float(v)})
+        if axis == "x_a":
+            point.check_safe_distance(point.alice,
+                                      allow_unsafe=args.allow_unsafe)
+        yield float(v), point
 
 
 def _load_scenario(args) -> tuple[Scenario, dict]:
+    """The scenario of ``--config`` with the ``--seed`` override, and the
+    file's flat view, which the metadata hashes."""
     text = ""
     if args.config:
         try:
@@ -199,65 +187,54 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"{args.config}: not UTF-8: {exc}") from None
     flat = scenario_to_flat(text)
-    scn = scenario_from_flat(flat)
-    if args.seed is not None:
-        scn = replace(scn, seed=int(args.seed))
-    return scn, flat
+    seed = {} if args.seed is None else {"seed": args.seed}
+    return scenario_from_flat({**flat, **seed}), flat
+
+
+def _names(text: str, choices, what: str) -> list[str]:
+    """The comma list of ``--metrics`` or ``--modes``: one name at least,
+    each in ``choices``."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    for m in names:
+        if m not in choices:
+            raise A2GError(f"unknown {what} {m!r}; choose from {tuple(choices)}")
+    if not names:
+        raise A2GError(f"a sweep needs at least one {what}")
+    return names
 
 
 def _cmd_sweep(args) -> int:
     scn, flat = _load_scenario(args)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in metrics:
-        if m not in _ALL_METRICS:
-            raise A2GError(f"unknown metric {m!r}; choose from {_ALL_METRICS}")
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for m in modes:
-        if m not in ("om", "dm", "hybrid"):
-            raise A2GError(f"unknown mode {m!r}")
-    for what, names in (("metric", metrics), ("mode", modes)):
-        if not names:
-            raise A2GError(f"a sweep needs at least one {what}")
+    metrics = _names(args.metrics, _METRICS, "metric")
+    modes = _names(args.modes, ("om", "dm", "hybrid"), "mode")
     if args.points < 2:
         raise A2GError("a sweep needs at least two points")
-    values = _axis_values(args, args.axis)
     header = ["axis_value", "mode"] + metrics
     if args.mc:
         for m in metrics:
-            if m in ("dep", "outage", "csc"):
+            if m in _MC_METRIC_IDS:
                 header += [f"mc_{m}", f"mc_{m}_stderr"]
-    points = []
-    for v in values:
-        point = _apply_axis(scn, args.axis, float(v))
-        if args.axis == "x_a":
-            point.check_safe_distance(point.alice,
-                                      allow_unsafe=args.allow_unsafe)
-        points.append(point)
-    mc = (_mc_cells(points, [m for m in ("om", "dm") if m in modes], metrics,
+    points = list(_axis_points(args, flat, scn.seed, args.axis))
+    mc = (_mc_cells([pt for _, pt in points],
+                    [m for m in ("om", "dm") if m in modes], metrics,
                     args.samples, scn.seed, args.workers) if args.mc else {})
     rows: list[dict] = []
-    for i, (v, point) in enumerate(zip(values, points)):
+    for i, (v, point) in enumerate(points):
         per_mode: dict[str, dict] = {}
         for mode in ("om", "dm"):
             if mode not in modes and "hybrid" not in modes:
                 continue
-            row = {"axis_value": float(v), "mode": mode}
+            row = per_mode[mode] = {"axis_value": v, "mode": mode}
             cells = mc.get((i, mode), {})
             for metric in metrics:
-                row[metric] = _analytic_metric(point, mode, metric)
+                row[metric] = _METRICS[metric](point, mode)
                 if metric in cells:
                     row[f"mc_{metric}"] = cells[metric].mean
                     row[f"mc_{metric}_stderr"] = cells[metric].std_error
-            per_mode[mode] = row
-        for mode in modes:
-            if mode == "hybrid":
-                row = {"axis_value": float(v), "mode": "hybrid"}
-                for metric in metrics:
-                    row[metric] = max(per_mode["om"][metric],
-                                      per_mode["dm"][metric])
-                rows.append(row)
-            else:
-                rows.append(per_mode[mode])
+        if "hybrid" in modes:
+            per_mode["hybrid"] = {"axis_value": v, "mode": "hybrid", **{
+                m: max(per_mode["om"][m], per_mode["dm"][m]) for m in metrics}}
+        rows += [per_mode[mode] for mode in modes]
     meta = _meta_lines(flat, scn.seed, [
         f"command=sweep axis={args.axis} start={_fmt(args.start)} "
         f"stop={_fmt(args.stop)} points={args.points} "
@@ -291,15 +268,12 @@ def _cmd_mode_map(args) -> int:
     scn, flat = _load_scenario(args)
     if args.points < 2:
         raise A2GError("a mode map needs at least two points")
-    values = _axis_values(args, "x_a")
     header = ["axis_value", "metric", "indicator", "objective_om",
               "objective_dm", "objective_hybrid"]
     rows = []
-    for v in values:
-        point = _apply_axis(scn, "x_a", float(v))
-        point.check_safe_distance(point.alice, allow_unsafe=args.allow_unsafe)
+    for v, point in _axis_points(args, flat, scn.seed, "x_a"):
         dec = select_mode(point, args.metric)
-        rows.append({"axis_value": float(v), "metric": args.metric,
+        rows.append({"axis_value": v, "metric": args.metric,
                      "indicator": dec.indicator,
                      "objective_om": dec.objective_om,
                      "objective_dm": dec.objective_dm,
@@ -316,17 +290,11 @@ def _cmd_validate(args) -> int:
     if args.samples < 10**4:
         raise A2GError("validation needs at least 10^4 samples per cell")
     reports = run_validation(scn, n=args.samples, workers=args.workers)
-    header = ["metric", "mode", "x_a", "p_a_dbm", "rho_db", "r_b",
-              "analytic", "mc_mean", "mc_std_error", "tolerance", "gap",
-              "passed"]
-    rows = [{"metric": r.metric, "mode": r.mode, "x_a": r.x_a,
-             "p_a_dbm": r.p_a_dbm, "rho_db": r.rho_db, "r_b": r.r_b,
-             "analytic": r.analytic, "mc_mean": r.mc_mean,
-             "mc_std_error": r.mc_std_error, "tolerance": r.tolerance,
-             # |analytic - mc_mean| has no more correct digits than this,
-             # and more would change the output on a 1e-16 change
-             "gap": float(f"{r.gap:.4g}"), "passed": r.passed}
-            for r in reports]
+    header = [f.name for f in fields(CellReport)]
+    # |analytic - mc_mean| has no more correct digits than 4, and more
+    # would change the output on a 1e-16 change
+    rows = [{**{k: getattr(r, k) for k in header},
+             "gap": float(f"{r.gap:.4g}")} for r in reports]
     n_fail = sum(1 for r in reports if not r.passed)
     meta = _meta_lines(flat, scn.seed, [
         f"command=validate samples={args.samples}",
@@ -373,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="sweep one parameter and tabulate metrics")
-    p.add_argument("--axis", required=True, choices=_AXES)
+    p.add_argument("--axis", required=True, choices=_AXIS_KEYS)
     p.add_argument("--start", type=float, required=True,
                    help="axis start (dB for rho, dBm for p_a/p_max, m for x_a)")
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--metrics", default="dep",
-                   help=f"comma list from {','.join(_ALL_METRICS)}")
+                   help=f"comma list from {','.join(_METRICS)}")
     p.add_argument("--modes", default="om,dm",
                    help="comma list from om,dm,hybrid")
     p.add_argument("--mc", action="store_true",

@@ -178,18 +178,17 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
     The outage probability is strictly decreasing in transmit power, so the
     objective is maximized at the covert power limit; what remains is a 1-D
     search over the rate, on a 128-point grid up to the capacity
-    W log2(1 + rho SNR) of the most favourable state (LoS, main lobes) at
-    unit fading gain, that power and the best noise power sigma^2 / rho,
-    then refined: each round evaluates 33 evenly spaced rates between the
-    best point's neighbours in one outage call, and three rounds narrow the
-    bracket by 16^3.
+    W log2(1 + rho SNR) of the strongest state at unit fading gain, that
+    power and the best noise power sigma^2 / rho, then refined: each round
+    evaluates 33 evenly spaced rates between the best point's neighbours in
+    one outage call, and three rounds narrow the bracket by 16^3.
     """
     p_opt, binding = _covert_power_limit(scn, mode)
     bob = link_states(scn, mode, "bob")
     w = bob.bandwidth_hz
-    # state 0 is the LoS state (in the main lobe in mode "dm"); log1p keeps
-    # an SNR below the float epsilon
-    r_hi = w * math.log1p(scn.noise.rho * (bob.received(p_opt)[0]
+    # the strongest state need not be state 0 (LoS, main lobes): an NLoS
+    # state can receive more; log1p keeps an SNR below the float epsilon
+    r_hi = w * math.log1p(scn.noise.rho * (max(bob.received(p_opt))
                                            / bob.sigma_n2)) / math.log(2.0)
 
     def ecr(rates: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .channel import link_states
 from .detection import ExpectedDep, _check_noise, min_dep_values
@@ -47,6 +46,8 @@ __all__ = [
 
 # largest log z of the Marcum-Q form kept: exp(-e^700) is 0 in floating point
 _LOG_Z_MAX = 700.0
+# the Rician truncated mean sums its series below z = 45
+_LOG_Z_SERIES = math.log(45.0)
 
 
 def marcum_q1_approx(a: float, b: float) -> float:
@@ -101,16 +102,23 @@ def truncated_mean_rician(a: float, k: float) -> float:
     if a == 0.0:
         return 0.0
     c = marcum_mu_nu(math.sqrt(2.0 * k))
-    log_z = c.mu + 0.5 * c.nu * math.log(2.0 * a * (k + 1.0))
-    if log_z > _LOG_Z_MAX:  # the law leaves no mass above a
-        z, tail = math.inf, 0.0
-    else:
-        z = math.exp(log_z)
-        tail = a * math.exp(-z)
     s = 2.0 / c.nu
-    head = float(special.gammainc(s, z) * special.gamma(s)) / (
-        (k + 1.0) * c.nu * math.exp(2.0 * c.mu / c.nu))
-    return head - tail
+    log_z = c.mu + 0.5 * c.nu * math.log(2.0 * a * (k + 1.0))
+    if log_z < _LOG_Z_SERIES:
+        # a e^(-z) sum_{j>=1} z^j / prod_{i<=j} (s + i), a sum of positive
+        # terms, which the terms' decay ends
+        z = math.exp(log_z)
+        term, total, j = 1.0, 0.0, 0
+        while True:
+            j += 1
+            term *= z / (s + j)
+            total += term
+            if term <= 1e-17 * total:
+                return a * (math.exp(-z) * total)
+    # the full mean less a e^(-z): the law's mass beyond z is below e^(-45)
+    tail = 0.0 if log_z > _LOG_Z_MAX else a * math.exp(-math.exp(log_z))
+    return math.gamma(s) / ((k + 1.0) * c.nu
+                            * math.exp(2.0 * c.mu / c.nu)) - tail
 
 
 def truncated_mean_nakagami(a: float, s: int) -> float:
@@ -160,11 +168,10 @@ def _closed_form(scn: Scenario, mode: str, surrogate) -> ExpectedDep:
                                            states.received(p_a)):
         term = 1.0  # a silent transmitter
         if p_a > 0.0:
-            # the CDF at the cutoff times the DEP at the truncated mean,
-            # which can round below 0
+            # the CDF at the cutoff times the DEP at the truncated mean
             cdf, t = surrogate(param, varrho(unit, states.sigma_n2, rho))
-            term = cdf * float(min_dep_values(unit * max(t, 0.0),
-                                              states.sigma_n2, rho))
+            term = cdf * float(min_dep_values(unit * t, states.sigma_n2,
+                                              rho))
         terms[label] = p_state * term
     return ExpectedDep(value=sum(terms.values()), terms=terms)
 

@@ -7,8 +7,18 @@ from dataclasses import replace
 import pytest
 
 from a2gcovert import __version__, scenario
-from a2gcovert.cli import _MC_METRIC_IDS, _MODE_IDS, build_parser, main
+from a2gcovert.cli import build_parser, main
 from a2gcovert.oracle import derived_seed
+
+# the ids that place a (mode, metric) column of the sweep in the oracle's
+# seed entropy, written here so that a renumbering fails
+_MODE_IDS = {"om": 0, "dm": 1}
+_MC_METRIC_IDS = {"dep": 0, "outage": 1, "csc": 2}
+
+
+def _fmt(x):
+    """A number as the output writes it: 10 significant digits."""
+    return "%.10g" % x
 
 
 def _row_seed(seed, axis_index, mode, metric):
@@ -87,7 +97,6 @@ class TestSweep:
         # a rho sweep is one group of equal state tables: every row is
         # evaluated on the draws of row 0's outage seed
         from a2gcovert.channel import NoiseModel
-        from a2gcovert.cli import _fmt
         from a2gcovert.oracle import mc_ergodic_capacity, mc_outage
         from a2gcovert.scenario import db_to_linear, default_scenario
         n, seed = 20000, 4
@@ -111,7 +120,6 @@ class TestSweep:
     def test_x_a_rows_keep_their_own_seeds(self, capsys):
         # every x_a point has its own state tables, so each row is a group
         # of one, drawn from its own row's seeds
-        from a2gcovert.cli import _fmt
         from a2gcovert.oracle import (mc_ergodic_capacity,
                                       mc_expected_min_dep, mc_outage)
         from a2gcovert.scenario import NodePosition, default_scenario
@@ -274,6 +282,27 @@ class TestAxisBounds:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"finite {axis}" in err
+
+
+class TestRejectedPoints:
+    @pytest.mark.parametrize("axis, start, stop, named", [
+        ("rho", "0", "4", "noise.rho_db"),
+        ("epsilon", "0.5", "1", "epsilon"),
+        ("r_b", "-1e6", "1e6", "r_b"),
+        ("p_a", "10", "4000", "p_a"),
+        ("p_max", "10", "4000", "p_max"),
+        ("x_a", "2500", "3000", "d_aw"),
+    ])
+    def test_point_that_cannot_be_built_exits_2(self, axis, start, stop,
+                                                named, capsys):
+        # each sweep has one such point: rho = 0 dB, epsilon = 1, a
+        # negative rate, 4000 dBm, or x_a outside the safe band
+        code, out, err = run_cli(
+            ["sweep", "--axis", axis, f"--start={start}", f"--stop={stop}",
+             "--points", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestOptions:

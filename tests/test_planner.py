@@ -31,6 +31,21 @@ def _dep_at(scn, mode, p_a):
     return expected_min_dep(replace(scn, p_a=p_a), mode).value
 
 
+def _assert_no_better_rate(scn, mode):
+    """A fine scan of rates up to four times the capacity of the strongest
+    state, at the optimal power and the best noise power sigma^2 / rho,
+    finds no ECR above the planner's."""
+    res = maximize_ecr(scn, mode)
+    bob = link_states(scn, mode, "bob")
+    w, rho = bob.bandwidth_hz, scn.noise.rho
+    top = w * math.log1p(rho * max(bob.received(res.p_a_opt))
+                         / bob.sigma_n2) / math.log(2.0)
+    rates = np.linspace(4.0 * top / 80_000, 4.0 * top, 80_000)
+    best = np.max(rates * (1.0 - outage_over_states(
+        bob, res.p_a_opt, snr_threshold(rates, w), rho)))
+    assert best <= (1.0 + 1e-9) * res.objective, (scn.alice, mode)
+
+
 class TestCovertPowerLimit:
     @pytest.mark.parametrize("p_max_dbm", [150.0, 200.0])
     def test_huge_power_cap_keeps_the_covert_limit(self, scn, p_max_dbm):
@@ -266,23 +281,26 @@ class TestMaximizeEcr:
     def test_rate_grid_reaches_the_optimum_at_large_rho(self, rho_db):
         # from about rho = 5 dB the best rate lies above the LoS capacity
         # at the nominal noise; the grid tops out at the LoS capacity at
-        # the best noise power sigma^2 / rho, and a fine scan up to four
-        # times that finds nothing better
+        # the best noise power sigma^2 / rho
         scn = scenario_from_flat({"noise.rho_db": rho_db})
-        rho = scn.noise.rho
         for x_a in GRID_X_A:
             point = replace(scn, alice=NodePosition(x_a, scn.alice.y,
                                                     scn.alice.h))
             for mode in ("om", "dm"):
-                res = maximize_ecr(point, mode)
-                bob = link_states(point, mode, "bob")
-                w = bob.bandwidth_hz
-                top = w * math.log1p(rho * bob.received(res.p_a_opt)[0]
-                                     / bob.sigma_n2) / math.log(2.0)
-                rates = np.linspace(4.0 * top / 80_000, 4.0 * top, 80_000)
-                best = np.max(rates * (1.0 - outage_over_states(
-                    bob, res.p_a_opt, snr_threshold(rates, w), rho)))
-                assert best <= (1.0 + 1e-9) * res.objective, (x_a, mode)
+                _assert_no_better_rate(point, mode)
+
+    @pytest.mark.parametrize("mode, flat", [
+        ("om", {"om.beta_nlos": 1e-4, "om.alpha_nlos": 1.64,
+                "scurve.sigma": 30.0, "scurve.f": 0.05}),
+        ("dm", {"dm.beta_nlos": 1e-4, "dm.alpha_nlos": 2.0})])
+    def test_rate_grid_reaches_the_optimum_where_nlos_is_strongest(self, mode,
+                                                                   flat):
+        # an NLoS state receives more than the LoS one: a grid topped at
+        # the LoS capacity read 34,511 b/s (om) and 1,037,683 b/s (dm)
+        scn = scenario_from_flat(flat)
+        received = link_states(scn, mode, "bob").received(1.0)
+        assert max(received) > received[0]
+        _assert_no_better_rate(scn, mode)
 
     def test_validation(self, scn):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""The primary path imports numpy only: no command loads scipy.
+"""The package imports numpy only: no module needs scipy, and no command
+loads it.
 
 Each check runs in a fresh interpreter, since this test session has
 imported scipy itself.  The commands are the benchmark's three workloads
@@ -9,6 +10,7 @@ takes the multi-panel path of the noise rule for both fading laws.
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -70,6 +72,20 @@ def test_commands_run_without_scipy_and_write_the_same_csv(runs):
     assert len(normal) == len(COMMANDS)
     assert all(out.count("\n") > 2 for out in normal)
     assert blocked == normal
+
+
+def test_every_module_imports_without_scipy():
+    # the paper-reproduction layer too
+    names = [m.name for m in pkgutil.iter_modules(a2gcovert.__path__)]
+    assert "surrogate" in names
+    code = f"""
+import importlib, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+for name in {names!r}:
+    importlib.import_module("a2gcovert." + name)
+print(len({names!r}))
+"""
+    assert _fresh_python(code) == str(len(names))
 
 
 def test_tracer_still_wraps_integrate_and_counts_fits():

@@ -20,12 +20,14 @@ from a2gcovert import surrogate
 from a2gcovert.channel import link_states
 from a2gcovert.errors import A2GError
 from a2gcovert.scenario import scenario_from_flat
+from a2gcovert.specfun import marcum_mu_nu
 from a2gcovert.surrogate import (
     expected_min_dep_dm_closed_form,
     expected_min_dep_om_closed_form,
     nakagami_xi,
     outage_dm_closed_form,
     truncated_mean_nakagami,
+    truncated_mean_rician,
 )
 from a2gcovert.throughput import _mixture, snr_threshold
 
@@ -92,6 +94,34 @@ class TestAlzerPrecision:
                 want += prob * 0.5 * val
             got = outage_dm_closed_form(replace(scn, p_a=p_a))
             assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-3, 0.5, 3.16, 30.0, 300.0, 7200.0])
+def test_rician_truncated_mean_matches_a_40_digit_reference(k):
+    # C^(-1/beta) gamma(1/beta + 1, z) with beta = nu / 2, C = e^mu
+    # (2 (k+1))^beta and z = C a^beta, from the same (mu, nu), wherever it
+    # is a normal float; the full mean less the upper part cancelled to
+    # negative values (-5.5e-6 at k = 7200, a = 5.5e-6).  Within 1e-13, or
+    # two ulps of the terms of ln z, whose rounding moves z as much (they
+    # reach 680 at k = 7200)
+    c = marcum_mu_nu(math.sqrt(2.0 * k))
+    checked = 0
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(c.nu) / 2
+        scale = mpmath.exp(c.mu) * (2 * (mpmath.mpf(k) + 1)) ** beta
+        for a in np.logspace(-300, 4, 1217):
+            z = scale * mpmath.mpf(float(a)) ** beta
+            want = float(scale ** (-1 / beta)
+                         * mpmath.gammainc(1 / beta + 1, 0, z))
+            if want < sys.float_info.min:
+                continue
+            log_terms = abs(c.mu) + abs(0.5 * c.nu * math.log(
+                2.0 * a * (k + 1.0)))
+            rel = max(1e-13, 2.0 * sys.float_info.epsilon * log_terms)
+            assert truncated_mean_rician(float(a), k) == pytest.approx(
+                want, rel=rel, abs=0.0), a
+            checked += 1
+    assert checked >= 30
 
 
 def test_primary_path_does_not_load_the_surrogates():
