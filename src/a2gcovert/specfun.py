@@ -9,10 +9,11 @@ in log space.  Each kernel replaced one ``scipy.special`` call:
 - **Poisson tails** (``gammainc``, above shape 64).  The regularised
   incomplete gamma function of integer shape is a Poisson tail:
   P(s, x) = Pr(N >= s) and Q(s, x) = Pr(N < s) for N ~ Poisson(x).  Up to
-  shape 32 ``gammainc_int`` sums all s terms of Q from k = 0; above, it
-  sums the upper tail from k = s up where x < s - sqrt(s), and the lower
-  tail from k = s - 1 down elsewhere, forming P as 1 minus it, each until a
-  term no longer changes the sum (within about 10 sqrt(s) terms).  A first
+  shape 32 ``gammainc_int`` sums all s terms of Q from k = 0 and clips
+  P = 1 - Q at 0; above, it sums the upper tail from k = s up where
+  x < s - sqrt(s), and the lower tail from k = s - 1 down elsewhere,
+  forming P as 1 minus it, each until a term no longer changes the sum
+  (within about 10 sqrt(s) terms).  A first
   term is Loader's saddle-point form of the Poisson probability
   (``_pmf``), accurate to a few ulps where lgamma would lose digits.
   Shapes above ``GAMMA_SHAPE_MAX`` are rejected.
@@ -235,10 +236,12 @@ def gammainc_int(s: int, x):
     Up to shape 32 this is the finite Poisson sum
     P(s, x) = -expm1(-x) - sum_{k=1}^{s-1} t_k with t_k = e^(-x) x^k / k!,
     built by t_k = t_(k-1) x / k from t_0 = e^(-x); where e^(-x) underflows
-    (x > 708) the terms left out sum to less than 1e-170.  Above it, P is
-    the upper Poisson tail (``_upper_tail``) where x < s - sqrt(s), and so
-    P < 0.2, and 1 minus the lower one (``_lower_tail``) elsewhere: each
-    converges within about 10 sqrt(s) terms.
+    (x > 708) the terms left out sum to less than 1e-170.  The sum holds P
+    to a few ulps of 1 only, so it is clipped at 0: where P is smaller it
+    reads 0 or up to about 4e-16.  Above shape 32, P is the upper Poisson
+    tail (``_upper_tail``) where x < s - sqrt(s), and so P < 0.2, and 1
+    minus the lower one (``_lower_tail``) elsewhere: each converges within
+    about 10 sqrt(s) terms.
     """
     x = np.asarray(x, dtype=float)
     if s <= _FULL_SUM_SHAPE:
@@ -249,7 +252,8 @@ def gammainc_int(s: int, x):
             t *= x
             t /= k
             acc += t
-        return -acc
+        # the sum cancels to a few ulps of 1, which may be negative
+        return np.maximum(-acc, 0.0)
     up = x < s - math.sqrt(s)
     out = np.empty_like(x)
     if up.any():

@@ -7,11 +7,12 @@ functions build the table and call the kernel; the planner and the
 validation grid build each table once and call the kernels directly.
 
 Every noise average is ``_noise_average``: the mean over the log-uniform
-noise of a function of a log variable, on 64-node Gauss-Legendre panels
-at most 12 units of the integrand's own scale wide, where a span needs
-more than one only where the integrand differs from a closed form.  A
-fading law enters the outage only as its power CDF in t = ln x, with that
-scale and the t outside which it is 0 or 1 (``_rician_cdf``: the
+noise of a function of a log variable, on 16-node Gauss-Legendre panels
+at most 2 units of the integrand's own scale wide, where a span needs
+more than one only where the integrand differs from a closed form.  In
+the default scenario every span is one panel.  A fading law enters the
+outage only as its power CDF in t = ln x, with that scale and the t
+outside which it is 0 or 1 (``_rician_cdf``: the
 exponential-type Marcum-Q surrogate; ``_gamma_cdf``: the exact CDF of
 integer shape, ``specfun.gammainc_int``), and ``_mixture`` averages it
 over the states and the noise.  The ergodic (Shannon) capacity averages
@@ -66,11 +67,16 @@ def snr_threshold(r_b: float, bandwidth_hz: float):
 
 
 # One Gauss-Legendre panel of the log-uniform noise averages.  Each
-# integrand is analytic in its log variable, and 64 nodes keep its mean to
-# 4e-16 on a panel up to _PANEL units of its own scale wide (the om outage
-# on 16 units is off by up to 2e-14, on 24 by 4e-12).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_PANEL = 12.0
+# integrand is analytic in its log variable, and 16 nodes keep its mean to
+# rounding on a panel up to _PANEL units of its own scale wide.  The
+# weights are rounded to multiples of 2^-52, the middle pair taking the
+# remainder, so that they sum to 2 exactly in any order: a constant
+# integrand averages to itself.
+_GL_NODES, _w = np.polynomial.legendre.leggauss(16)
+_w = np.ldexp(np.round(np.ldexp(_w[:8], 52)), -52)
+_w[7] = 1.0 - _w[:7].sum()
+_GL_WEIGHTS = np.concatenate((_w, _w[::-1]))
+_PANEL = 2.0
 # ln of the level below which a CDF counts as 0, and its complement as 1
 _LOG_TINY = math.log(1e-17)
 
@@ -81,10 +87,11 @@ def _noise_average(mid, half: float, f, scale: float, lo: float, hi: float,
     entry per entry of ``mid``; f maps a (rows x nodes) array.
 
     A span 2 half up to _PANEL units of f's own ``scale`` wide is one
-    64-node panel.  A wider one is integrated by equal panels at most that
+    16-node panel.  A wider one is integrated by equal panels at most that
     wide on [lo, hi] only, u in [u_lo, u_hi], outside which f is a closed
     form to rounding: ``outside(mid, half, u_lo, u_hi)`` gives the mean's
-    part from there, by default a CDF's (0 below, 1 above).
+    part from there, by default a CDF's (0 below, 1 above).  Each panel is
+    summed on its own, so that a constant f gives itself exactly.
     """
     if half * scale <= 0.5 * _PANEL:
         return 0.5 * (f(mid[:, None] + half * _GL_NODES) @ _GL_WEIGHTS)
@@ -97,7 +104,8 @@ def _noise_average(mid, half: float, f, scale: float, lo: float, hi: float,
     t += (mid + half * u_lo)[:, None]
     rest = (0.5 * (1.0 - u_hi) if outside is None
             else outside(mid, half, u_lo, u_hi))
-    return 0.25 / n * length * (f(t) @ np.tile(_GL_WEIGHTS, n)) + rest
+    panels = f(t).reshape(len(t), n, _GL_NODES.size) @ _GL_WEIGHTS
+    return length * panels.sum(axis=1) / (4 * n) + rest
 
 
 # 1 - exp(-e^z) is below 1e-17 from z = -40 down and 1 from z = 6.7 up
@@ -211,7 +219,7 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     branch point x = -1 / (g rho) of the logarithm at u = -1, and the
     noise rule ``_noise_average`` in t = ln(g x rho^-u), at scale 1/2 per
     unit of t, with ln(1 + e^t) as e^t below t = -37 and as t above 37
-    where a span is wider than 24.  An error estimate above 1e-9 of a
+    where a span is wider than 4.  An error estimate above 1e-9 of a
     state's value raises ``QuadratureError`` naming the state.
     """
     _check_point(p_a, rho)

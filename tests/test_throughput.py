@@ -9,15 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from a2gcovert import channel
+from a2gcovert import channel, throughput
 from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
-from a2gcovert.planner import maximize_ecr
+from a2gcovert.planner import maximize_csc, maximize_ecr
 from a2gcovert.scenario import NodePosition, scenario_from_flat
 from a2gcovert.specfun import marcum_mu_nu
 from a2gcovert.surrogate import _alzer_cdf, nakagami_xi, outage_dm_closed_form
 from a2gcovert.throughput import (
     _gamma_cdf,
+    _noise_average,
     _rician_cdf,
     csc,
     csc_over_states,
@@ -459,6 +460,89 @@ def test_law_is_0_below_its_support_and_1_above(law, param):
         assert exact(lo - d) <= 1e-17, d
 
 
+@pytest.mark.parametrize("s", [20, 32])
+def test_gamma_cdf_below_its_support_is_not_negative(s):
+    # the full Poisson sum up to shape 32 cancels to a few ulps of 1: it
+    # read down to -2.2e-16 here (s = 32, lo - 1e-3), and it reads 1.1e-16
+    # at s = 32, lo - 1e-6, where P is 2.6e-19, so the bound is an ulp
+    cdf, _, lo, _ = _gamma_cdf(s)
+    got = cdf(lo - np.array([1e-6, 1e-3, 0.1, 1.0]))
+    assert np.all(got >= 0.0), got
+    assert np.all(got <= np.finfo(float).eps), got
+
+
+def _dense_panel_mean(f, mid, half):
+    """Mean of f(mid + half u) over u ~ U[-1, 1] by 16 panels of 64
+    Gauss-Legendre nodes each, one row per entry of ``mid``."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    u = ((np.arange(16)[:, None] + 0.5 + 0.5 * x) / 8.0 - 1.0).ravel()
+    return f(mid[:, None] + half * u) @ np.tile(w, 16) / 32.0
+
+
+def _log1p_exp(t):
+    return np.log1p(np.exp(t))
+
+
+class TestNoiseRule:
+    @pytest.mark.parametrize("rows", [1, 3, 128, 1000])
+    @pytest.mark.parametrize("half, scale", [(0.7, 1.0), (1.0, 1.0),
+                                             (3.5, 1.0), (48.5, 1.0)])
+    def test_constant_averages_to_itself_exactly(self, rows, half, scale):
+        # the weights sum to 2 in any order, whatever BLAS sums them in;
+        # the spans are one panel, and 4 and 49 panels, where one sum over
+        # all nodes, or scaling by 1/n first, is off by an ulp
+        mid = np.linspace(-3.0, 3.0, rows)
+        got = _noise_average(mid, half, np.ones_like, scale, -math.inf,
+                             math.inf)
+        assert np.all(got == 1.0), got[got != 1.0]
+
+    @pytest.mark.parametrize("law, param, tol, rel", [
+        *(("rician", k, 1e-15, False) for k in (0.0, 0.5, 5.0, 30.0)),
+        ("rician", 7200.0, 1e-14, False),
+        *(("gamma", s, 1e-14, False) for s in (1, 2, 3, 32, 33, 100, 10000)),
+        *(("alzer", s, 1e-14, False) for s in (1, 3, 100, 10000)),
+        ("capacity", None, 1e-13, True)])
+    def test_widest_panel_matches_a_dense_rule(self, law, param, tol, rel):
+        # one panel exactly _PANEL = 2 units of the integrand's scale wide,
+        # its middle swept through the rise; each law at the tolerance of
+        # its dense or mpmath test over wide noise spans, the om law at
+        # k = 7200 at the outage's 1e-14: it rises within 1/71 of a unit
+        # of t, so a node's rounding in ln 2(k+1) + t moves z by about
+        # 1e-13, and 16 nodes average that to 4.3e-15 of the exact mean,
+        # 1024 to 6.7e-16 (the former 64 nodes on 12 units: 3.3e-15)
+        if law == "capacity":
+            f, scale, lo, hi = _log1p_exp, 0.5, -10.0, 10.0
+        else:
+            f, scale, lo, hi = {"rician": _rician_cdf, "gamma": _gamma_cdf,
+                                "alzer": _alzer_cdf}[law](param)
+        half = 0.5 * throughput._PANEL / scale
+        mid = np.linspace(lo - half, hi + half, 401)
+        got = _noise_average(mid, half, f, scale, lo, hi)
+        want = _dense_panel_mean(f, mid, half)
+        err = np.abs(got - want) / (np.abs(want) if rel else 1.0)
+        assert err.max() <= tol, (err.max(), mid[err.argmax()])
+
+    def test_default_scenario_takes_one_panel_per_average(self, scn,
+                                                          monkeypatch):
+        # in the default scenario (rho = 2 dB) every outage and capacity
+        # noise average of the planner is one 16-node panel
+        widths = []
+        average = throughput._noise_average
+
+        def counted(mid, half, f, *args):
+            def g(t):
+                widths.append(t.shape[1])
+                return f(t)
+            return average(mid, half, g, *args)
+        monkeypatch.setattr(throughput, "_noise_average", counted)
+        for mode in ("om", "dm"):
+            outage(scn, mode)
+            csc(scn, mode)
+            maximize_ecr(scn, mode)
+            maximize_csc(scn, mode)
+        assert widths and set(widths) == {16}
+
+
 class TestReceiverProperties:
     @given(_corner_scenarios(), st.sampled_from(["om", "dm"]))
     @settings(max_examples=15, deadline=None)
@@ -486,9 +570,9 @@ class TestReceiverProperties:
 
 
 def test_noise_rule_cost_at_the_widest_noise_spans():
-    # at rho = 3000 dB neither an outage rate nor a capacity fading node
-    # takes more than 4 panels of the noise rule; the fuzz test reaches
-    # this corner
+    # at rho = 3000 dB no outage rate takes more than 24 panels of the
+    # noise rule and no capacity fading node more than 19; the fuzz test
+    # reaches this corner
     scn = scenario_from_flat({"noise.rho_db": 3000.0, "dm.s_los": 1000,
                               "dm.s_nlos": 1000})
     with warnings.catch_warnings():
