@@ -84,22 +84,23 @@ class PathLoss:
     alpha: float
 
     def __post_init__(self):
-        if self.beta <= 0 or self.alpha <= 0:
+        if not (self.beta > 0 and self.alpha > 0):
             raise DomainError("path-loss constants must be positive")
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Bounded log-uniform noise power around the nominal sigma_n2 (mW)."""
+    """Bounded log-uniform noise power around the nominal sigma_n2 > 0 (mW),
+    rho > 1: the one check of the noise model's domain."""
 
     sigma_n2: float
     rho: float
 
     def __post_init__(self):
-        if self.sigma_n2 <= 0:
+        if not self.sigma_n2 > 0:
             raise DomainError("nominal noise power must be positive")
-        if self.rho < 1:
-            raise DomainError("noise uncertainty factor rho must be >= 1")
+        if not self.rho > 1:
+            raise DomainError("noise uncertainty factor rho must exceed 1")
 
     def power(self, u):
         """Noise power sigma_n2 * rho^u at exponent(s) u in [-1, 1].
@@ -222,12 +223,12 @@ def link_states(scn: Scenario, mode: str, receiver: str) -> LinkStates:
         (rx.g_main,) * 2 + (rx.g_side,) * 2, losses * 2, sigma_n2, w)
 
 
-def _check_point(p_a: float, rho: float):
-    """The operating point of a state-table kernel: p_a >= 0, rho > 1."""
+def _check_point(states: LinkStates, p_a: float, rho: float) -> NoiseModel:
+    """The operating point of a state-table kernel: p_a >= 0, and the
+    noise model of the table's noise power at ``rho``."""
     if not p_a >= 0:
         raise DomainError("transmit power must be nonnegative")
-    if not rho > 1:
-        raise DomainError("noise uncertainty factor rho must exceed 1")
+    return NoiseModel(states.sigma_n2, rho)
 
 
 # composite Gauss-Legendre rule: (panels, nodes per panel, nodes per panel

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkStates, _check_point, _state_rule, link_states
+from .channel import (LinkStates, NoiseModel, _check_point, _state_rule,
+                      link_states)
 from .errors import DomainError
 from .scenario import Scenario
 
@@ -45,13 +46,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # bench/spans.py replaces each layer's ``integrate`` to count quadrature
-    # calls; load scipy.integrate only when a traced run reads it.
-    if name == "integrate":
-        from scipy import integrate
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# bench/spans.py replaces each layer's ``integrate`` to count quadrature
+# calls; no module calls it, so there is nothing to load
+integrate = None
 
 
 @dataclass(frozen=True)
@@ -83,13 +80,6 @@ class ExpectedDep:
     abs_err: float = 0.0
 
 
-def _check_noise(sigma_n2: float, rho: float):
-    if sigma_n2 <= 0:
-        raise DomainError("nominal noise power must be positive")
-    if rho <= 1:
-        raise DomainError("noise uncertainty factor rho must exceed 1")
-
-
 def _noise_cdf(x, sigma_n2: float, rho: float, out) -> np.ndarray:
     """P(sigma_n2 rho^U <= x) for U uniform on [-1, 1], written to ``out``
     (x itself allowed): 0 below sigma_n2 / rho, 1 above rho sigma_n2,
@@ -107,7 +97,7 @@ def _noise_cdf(x, sigma_n2: float, rho: float, out) -> np.ndarray:
 
 def false_alarm_probability(tau, sigma_n2: float, rho: float):
     """P(radiometer trips with no transmission), piecewise in tau."""
-    _check_noise(sigma_n2, rho)
+    NoiseModel(sigma_n2, rho)
     tau = np.asarray(tau, dtype=float)
     out = _noise_cdf(tau, sigma_n2, rho, np.empty_like(tau))
     np.subtract(1.0, out, out=out)
@@ -116,7 +106,7 @@ def false_alarm_probability(tau, sigma_n2: float, rho: float):
 
 def missed_detection_probability(tau, k_a, sigma_n2: float, rho: float):
     """P(radiometer stays quiet during transmission) for received power k_a."""
-    _check_noise(sigma_n2, rho)
+    NoiseModel(sigma_n2, rho)
     tau = np.asarray(tau, dtype=float)
     k_a = np.asarray(k_a, dtype=float)
     if np.any(k_a < 0):
@@ -135,7 +125,7 @@ def dep_at_threshold(tau, k_a, sigma_n2: float, rho: float):
 
 def threshold_breakpoints(k_a: float, sigma_n2: float, rho: float) -> np.ndarray:
     """The four thresholds where the error pieces change, sorted ascending."""
-    _check_noise(sigma_n2, rho)
+    NoiseModel(sigma_n2, rho)
     return np.sort(np.array([
         sigma_n2 / rho,
         rho * sigma_n2,
@@ -148,7 +138,7 @@ def min_dep_values(k_a, sigma_n2: float, rho: float, out=None):
     """Vectorised minimum DEP 1 - log1p(rho k_a / sigma_n2) / (2 ln rho),
     exactly 0 from the cutoff (rho^2 - 1) sigma_n2 / rho on, at received
     power(s) k_a; computed in place on ``out`` (k_a itself allowed)."""
-    _check_noise(sigma_n2, rho)
+    NoiseModel(sigma_n2, rho)
     k_a = np.asarray(k_a, dtype=float)
     if k_a.min(initial=0.0) < 0:
         raise DomainError("received signal power k_a must be nonnegative")
@@ -194,7 +184,7 @@ def dep_over_states(states: LinkStates, p_a: float, rho: float) -> ExpectedDep:
     its cutoff, and so its DEP, at 0.  An error estimate above 1e-8 raises
     ``QuadratureError`` naming the state.
     """
-    _check_point(p_a, rho)
+    _check_point(states, p_a, rho)
     if p_a == 0.0:
         vals, errs = [1.0] * len(states.probs), [0.0] * len(states.probs)
     else:

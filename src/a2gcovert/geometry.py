@@ -32,7 +32,7 @@ class NodePosition:
     h: float = 0.0
 
     def __post_init__(self):
-        if self.h < 0:
+        if not self.h >= 0:
             raise DomainError("node height must be nonnegative")
 
 
@@ -45,7 +45,7 @@ class AntennaSpec:
     theta_ed: float
 
     def __post_init__(self):
-        if self.n_elements < 1:
+        if not self.n_elements >= 1:
             raise DomainError("antenna needs at least one element")
         if not (0 < self.theta_h <= 2 * math.pi):
             raise DomainError("theta_h must be in (0, 2*pi]")
@@ -79,7 +79,7 @@ class SCurveParams:
     f: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.f <= 0:
+        if not (self.sigma > 0 and self.f > 0):
             raise DomainError("S-curve parameters must be positive")
 
 

@@ -50,7 +50,6 @@ import numpy.random  # numpy loads it on first use; here, with the package
 
 from .channel import (
     LinkStates,
-    NoiseModel,
     _check_point,
     link_states,
     sample_nakagami_power,
@@ -213,7 +212,7 @@ def mc_dep_points(states: LinkStates, points, n: int, seed: int,
     if not points:
         raise DomainError("need at least one operating point")
     for p_a, rho in points:
-        _check_point(p_a, rho)
+        _check_point(states, p_a, rho)
     draw = _unit_power_sampler(states)
 
     def batch(rng, m):
@@ -240,10 +239,10 @@ def mc_receiver_points(states: LinkStates, points, n: int, seed: int,
     checked = []
     for p_a, rho, gammas in points:
         p_a, gammas = float(p_a), tuple(float(g) for g in gammas)
-        _check_point(p_a, rho)
+        noise = _check_point(states, p_a, float(rho))
         if any(g < 0 for g in gammas):
             raise DomainError("gamma_th must be nonnegative")
-        checked.append((p_a, NoiseModel(states.sigma_n2, float(rho)), gammas))
+        checked.append((p_a, noise, gammas))
     if not any(gammas or capacity for _, _, gammas in checked):
         raise DomainError("need at least one statistic to estimate")
     draw = _unit_power_sampler(states)

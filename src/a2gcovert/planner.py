@@ -7,12 +7,12 @@ the root, found in about 5 DEP kernel calls and cached per warden state
 table, so the ECR and CSC solves at one point share it.  The ECR problem
 additionally searches the target rate, since the rate objective need not be
 concave: on a deterministic grid, then by a vectorised bracket refinement
-that evaluates 33 rates between the best point's neighbours in one outage
-call per round.
+that evaluates 33 rates between the best point's neighbours in one ECR
+kernel call per round.
 
 A solve builds the state tables of the warden's and the receiver's link
 (``channel.link_states``) once; the power search, the rate grid and the
-refinement call the DEP, outage and CSC kernels on them directly.  The
+refinement call the DEP, ECR and CSC kernels on them directly.  The
 module uses numpy alone; it needs no scalar optimiser.
 """
 
@@ -28,7 +28,7 @@ from .channel import LinkStates, link_states
 from .detection import dep_over_states
 from .errors import DomainError
 from .scenario import Scenario
-from .throughput import csc_over_states, outage_over_states, snr_threshold
+from .throughput import csc_over_states, ecr_over_states
 
 __all__ = [
     "OptimizationResult",
@@ -181,29 +181,23 @@ def maximize_ecr(scn: Scenario, mode: str) -> OptimizationResult:
     W log2(1 + rho SNR) of the strongest state at unit fading gain, that
     power and the best noise power sigma^2 / rho, then refined: each round
     evaluates 33 evenly spaced rates between the best point's neighbours in
-    one outage call, and three rounds narrow the bracket by 16^3.
+    one ECR kernel call, and three rounds narrow the bracket by 16^3.
     """
     p_opt, binding = _covert_power_limit(scn, mode)
-    bob = link_states(scn, mode, "bob")
-    w = bob.bandwidth_hz
+    rho, bob = scn.noise.rho, link_states(scn, mode, "bob")
     # the strongest state need not be state 0 (LoS, main lobes): an NLoS
     # state can receive more; log1p keeps an SNR below the float epsilon
-    r_hi = w * math.log1p(scn.noise.rho * (max(bob.received(p_opt))
-                                           / bob.sigma_n2)) / math.log(2.0)
-
-    def ecr(rates: np.ndarray) -> np.ndarray:
-        return rates * (1.0 - outage_over_states(
-            bob, p_opt, snr_threshold(rates, w), scn.noise.rho))
-
+    r_hi = bob.bandwidth_hz * math.log1p(
+        rho * (max(bob.received(p_opt)) / bob.sigma_n2)) / math.log(2.0)
     rates = np.linspace(r_hi / _N_RATE, r_hi, _N_RATE)
-    obj = ecr(rates)
+    obj = ecr_over_states(bob, p_opt, rates, rho)
     j = int(np.argmax(obj))
     r_opt, objective = float(rates[j]), float(obj[j])
     for _ in range(_REFINE_ROUNDS):
         rates = np.linspace(rates[max(j - 1, 0)],
                             rates[min(j + 1, len(rates) - 1)],
                             _REFINE_POINTS)
-        obj = ecr(rates)
+        obj = ecr_over_states(bob, p_opt, rates, rho)
         j = int(np.argmax(obj))
         if obj[j] > objective:
             r_opt, objective = float(rates[j]), float(obj[j])

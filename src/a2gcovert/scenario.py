@@ -70,7 +70,7 @@ class BandModel:
     def __post_init__(self):
         if self.mode not in ("om", "dm"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ScenarioError("bandwidth_hz must be positive")
         if self.mode == "om" and self.rician is None:
             raise ScenarioError("OM band needs a Rician law")
@@ -120,11 +120,7 @@ class Scenario:
             raise ScenarioError("r_b must be nonnegative and finite")
         if not (0 < self.d_aw_min <= self.d_aw_max):
             raise ScenarioError("safe-distance bounds must satisfy 0 < min <= max")
-        if self.noise.rho < 1.0 + 1e-6:
-            raise ScenarioError(
-                "noise.rho_db too small: rho = 1 makes the detector perfect"
-            )
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ScenarioError(f"seed = {self.seed} must be >= 0")
 
     def band(self, mode: str) -> BandModel:
@@ -256,7 +252,9 @@ def _build(values: dict[str, float | int]) -> Scenario:
             raise ScenarioError(f"{key} = {val!r} does not give a finite value")
         if key in _INT_KEYS and not float(val).is_integer():
             raise ScenarioError(f"{key} = {val!r} must be an integer")
-    if values["noise.rho_db"] <= 0:
+    # the noise model's own check, here to name the key: a rho_db that
+    # rounds rho to 1 is refused too
+    if db_to_linear(values["noise.rho_db"]) <= 1:
         raise ScenarioError("noise.rho_db must be > 0 (rho = 1 is a perfect detector)")
     if db_to_linear(values["om.k_half_pi_db"]) > _K_HALF_PI_MAX:
         raise ScenarioError(

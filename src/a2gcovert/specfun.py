@@ -1,10 +1,10 @@
 """Special-function kernels, on numpy alone, for the analytic expressions.
 
-Everything here is pure and reentrant.  No primary module imports scipy:
-``surrogate`` and the tests are the only users left, the tests as the
-reference these kernels are checked against.  Each value is a sum of
-positive terms or a fixed polynomial, and terms that could underflow start
-in log space.  Each kernel replaced one ``scipy.special`` call:
+Everything here is pure and reentrant.  No module of the package imports
+scipy: the tests are its only users, as the reference these kernels are
+checked against.  Each value is a sum of positive terms or a fixed
+polynomial, and terms that could underflow start in log space.  Each
+kernel replaced one ``scipy.special`` call:
 
 - **Poisson tails** (``gammainc``, above shape 64).  The regularised
   incomplete gamma function of integer shape is a Poisson tail:
@@ -92,13 +92,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # bench/spans.py replaces each layer's ``integrate`` to count quadrature
-    # calls; load scipy.integrate only when a traced run reads it.
-    if name == "integrate":
-        from scipy import integrate
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# bench/spans.py replaces each layer's ``integrate`` to count quadrature
+# calls; no module calls it, so there is nothing to load
+integrate = None
 
 
 # Degree-6 polynomial coefficients (highest power first) of the

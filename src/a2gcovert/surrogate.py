@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .channel import link_states
-from .detection import ExpectedDep, _check_noise, min_dep_values
+from .channel import NoiseModel, link_states
+from .detection import ExpectedDep, min_dep_values
 from .errors import DomainError
 from .scenario import Scenario
 from .specfun import marcum_mu_nu
@@ -149,7 +149,7 @@ def varrho(p_received_unit: float, sigma_n2: float, rho: float) -> float:
     ``p_received_unit`` is the received power for unit fading gain, i.e. the
     transmit power times every deterministic loss and antenna factor.
     """
-    _check_noise(sigma_n2, rho)
+    NoiseModel(sigma_n2, rho)
     if p_received_unit < 0:
         raise DomainError("received unit power must be nonnegative")
     if p_received_unit == 0.0:

@@ -2,9 +2,10 @@
 
 Each metric is a kernel over the state table of Alice's link to Bob, at
 Bob's noise power and in the band it carries (``channel.link_states``):
-``outage_over_states`` and ``csc_over_states``.  The scenario-level
-functions build the table and call the kernel; the planner and the
-validation grid build each table once and call the kernels directly.
+``outage_over_states``, ``ecr_over_states`` and ``csc_over_states``.  The
+scenario-level functions build the table and call the kernel; the planner
+and the validation grid build each table once and call the kernels
+directly.
 
 Every noise average is ``_noise_average``: the mean over the log-uniform
 noise of a function of a log variable, on 16-node Gauss-Legendre panels
@@ -39,19 +40,16 @@ __all__ = [
     "snr_threshold",
     "outage_over_states",
     "outage",
+    "ecr_over_states",
     "ecr",
     "csc_over_states",
     "csc",
 ]
 
 
-def __getattr__(name):
-    # bench/spans.py replaces each layer's ``integrate`` to count quadrature
-    # calls; load scipy.integrate only when a traced run reads it.
-    if name == "integrate":
-        from scipy import integrate
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# bench/spans.py replaces each layer's ``integrate`` to count quadrature
+# calls; no module calls it, so there is nothing to load
+integrate = None
 
 
 def snr_threshold(r_b: float, bandwidth_hz: float):
@@ -145,7 +143,7 @@ def _mixture(states: LinkStates, p_a, gamma_th, rho: float, law):
     received power 0 is in outage."""
     p_a, gamma_th = np.broadcast_arrays(np.asarray(p_a, dtype=float),
                                         np.asarray(gamma_th, dtype=float))
-    _check_point(p_a.min(initial=0.0), rho)
+    _check_point(states, p_a.min(initial=0.0), rho)
     if not gamma_th.min(initial=0.0) >= 0:
         raise DomainError("gamma_th must be nonnegative")
     p, g = p_a.ravel(), gamma_th.ravel()
@@ -184,9 +182,18 @@ def outage(scn: Scenario, mode: str) -> float:
                               scn.noise.rho)
 
 
+def ecr_over_states(states: LinkStates, p_a, r_b, rho: float):
+    """Effective covert rate R_b * (1 - P_out) in bits/s over the states of
+    Bob's link, in its band; ``p_a`` and ``r_b`` broadcast as in
+    ``outage_over_states``."""
+    return r_b * (1.0 - outage_over_states(
+        states, p_a, snr_threshold(r_b, states.bandwidth_hz), rho))
+
+
 def ecr(scn: Scenario, mode: str) -> float:
     """Effective covert rate R_b * (1 - P_out) in bits/s."""
-    return scn.r_b * (1.0 - outage(scn, mode))
+    return ecr_over_states(link_states(scn, mode, "bob"), scn.p_a, scn.r_b,
+                           scn.noise.rho)
 
 
 # largest error estimate a state's capacity average may carry, relative
@@ -222,7 +229,7 @@ def csc_over_states(states: LinkStates, p_a: float, rho: float) -> float:
     where a span is wider than 4.  An error estimate above 1e-9 of a
     state's value raises ``QuadratureError`` naming the state.
     """
-    _check_point(p_a, rho)
+    _check_point(states, p_a, rho)
     if p_a == 0.0:
         return 0.0
     gains = [unit / states.sigma_n2 for unit in states.received(p_a)]

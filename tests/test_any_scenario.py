@@ -12,11 +12,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from a2gcovert.detection import expected_min_dep
-from a2gcovert.errors import A2GError
+from a2gcovert.errors import A2GError, ScenarioError
 from a2gcovert.planner import maximize_csc, maximize_ecr
 from a2gcovert.scenario import scenario_from_flat, scenario_to_flat
 from a2gcovert.throughput import csc, outage
@@ -108,3 +109,27 @@ def test_nakagami_shapes_up_to_the_ceiling():
             assert 0.0 <= dep.value <= 1.0 and 0.0 <= dep.abs_err < math.inf
             assert 0.0 < outage(scn, "dm") < 1.0
             assert 0.0 < csc(scn, "dm") < math.inf
+
+
+@pytest.mark.parametrize("rho_db", [1e-6, 1e-15])
+def test_noise_uncertainty_just_above_one(rho_db):
+    # rho - 1 = 2.3e-7 and 2.2e-16: every metric is in range; the parser
+    # refused both, below rho = 1 + 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scn = scenario_from_flat({"noise.rho_db": rho_db})
+        assert scn.noise.rho > 1.0
+        for mode in ("om", "dm"):
+            dep = expected_min_dep(scn, mode)
+            assert 0.0 <= dep.value <= 1.0 and 0.0 <= dep.abs_err < math.inf
+            assert 0.0 <= outage(scn, mode) <= 1.0
+            assert 0.0 <= csc(scn, mode) < math.inf
+            for res in (maximize_ecr(scn, mode), maximize_csc(scn, mode)):
+                assert 0.0 < res.p_a_opt <= scn.p_max
+                assert 0.0 <= res.objective < math.inf
+
+
+def test_noise_uncertainty_that_rounds_to_one_names_its_key():
+    # 10^(1e-18) is 1 in floating point: a perfect detector
+    with pytest.raises(ScenarioError, match="noise.rho_db"):
+        scenario_from_flat({"noise.rho_db": 1e-17})

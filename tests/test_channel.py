@@ -270,6 +270,13 @@ class TestNoiseAndPathLoss:
         with pytest.raises(DomainError):
             NoiseModel(sigma_n2=1e-8, rho=0.9)
 
+    @pytest.mark.parametrize("sigma_n2, rho", [
+        (1e-8, 1.0), (1e-8, math.nan), (math.nan, 2.0)])
+    def test_perfect_detector_and_nan_rejected(self, sigma_n2, rho):
+        # rho = 1 makes the detector perfect; a NaN fails every bound
+        with pytest.raises(DomainError):
+            NoiseModel(sigma_n2, rho)
+
     def test_path_loss_power_law(self):
         pl = PathLoss(beta=1e-6, alpha=2.0)
         assert path_loss(100.0, pl) == pytest.approx(1e-10)

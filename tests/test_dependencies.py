@@ -1,6 +1,8 @@
 """Every third-party package a test file imports is declared in
 ``pyproject.toml``, as a dependency or in the ``test`` extra, so that
-``pip install .[test]`` is enough to collect the suite."""
+``pip install .[test]`` is enough to collect the suite; every one a
+package module imports is a dependency, so that ``pip install .`` is
+enough to run it."""
 
 import ast
 import pathlib
@@ -16,10 +18,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 
 
-def _declared():
-    """Distribution names of the dependencies and the ``test`` extra."""
+def _declared(extras=("test",)):
+    """Distribution names of the dependencies and of ``extras``."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    specs = project["dependencies"] + project["optional-dependencies"]["test"]
+    specs = project["dependencies"] + [
+        spec for extra in extras
+        for spec in project["optional-dependencies"][extra]]
     return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
             for spec in specs}
 
@@ -35,13 +39,21 @@ def _imported(path):
     return names
 
 
+def _undeclared(paths, local, declared):
+    return sorted(
+        (path.name, name) for path in paths for name in _imported(path)
+        if name not in sys.stdlib_module_names and name not in local
+        and name.lower() not in declared)
+
+
 def test_third_party_imports_of_the_tests_are_declared():
     local = {"a2gcovert"} | {p.stem for p in TESTS.glob("*.py")}
-    declared = _declared()
-    undeclared = {
-        (path.name, name)
-        for path in sorted(TESTS.glob("*.py"))
-        for name in _imported(path)
-        if name not in sys.stdlib_module_names and name not in local
-        and name.lower() not in declared}
-    assert not undeclared, sorted(undeclared)
+    undeclared = _undeclared(sorted(TESTS.glob("*.py")), local, _declared())
+    assert not undeclared, undeclared
+
+
+def test_third_party_imports_of_the_package_are_dependencies():
+    paths = sorted((ROOT / "src" / "a2gcovert").glob("*.py"))
+    assert paths
+    undeclared = _undeclared(paths, {"a2gcovert"}, _declared(extras=()))
+    assert not undeclared, undeclared

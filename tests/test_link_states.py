@@ -28,6 +28,7 @@ from a2gcovert.scenario import (
 from a2gcovert.throughput import (
     csc,
     csc_over_states,
+    ecr_over_states,
     outage,
     outage_over_states,
 )
@@ -104,10 +105,11 @@ class TestTable:
             link_states(scn, "om", "eve")
 
 
-# the five kernels over a state table, at an operating point (p_a, rho)
+# the six kernels over a state table, at an operating point (p_a, rho)
 _KERNELS = {
     "dep": lambda t, p_a, rho: dep_over_states(t, p_a, rho),
     "outage": lambda t, p_a, rho: outage_over_states(t, p_a, 1.0, rho),
+    "ecr": lambda t, p_a, rho: ecr_over_states(t, p_a, 1e6, rho),
     "csc": lambda t, p_a, rho: csc_over_states(t, p_a, rho),
     "mc_dep": lambda t, p_a, rho: mc_dep_points(t, [(p_a, rho)], 1000, 0),
     "mc_receiver": lambda t, p_a, rho: mc_receiver_points(

@@ -90,7 +90,7 @@ print(len({names!r}))
 
 def test_tracer_still_wraps_integrate_and_counts_fits():
     # bench/spans.py replaces ``integrate`` in specfun, detection and
-    # throughput; those modules load it only when it is read
+    # throughput; each of those modules holds it as None, and none calls it
     code = f"""
 import contextlib, io, sys
 sys.path.insert(0, {str(BENCH)!r})

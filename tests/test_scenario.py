@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from a2gcovert.errors import ScenarioError
+from a2gcovert.channel import NakagamiLaw, PathLoss
+from a2gcovert.errors import A2GError, ScenarioError
+from a2gcovert.geometry import AntennaSpec, SCurveParams
 from a2gcovert.scenario import (
     DEFAULT_FLAT,
+    BandModel,
     NodePosition,
     db_to_linear,
     dbm_to_mw,
@@ -224,3 +227,25 @@ class TestOverrides:
         s = default_scenario(epsilon=0.1, seed=7)
         assert s.epsilon == 0.1
         assert s.seed == 7
+
+
+_PL = PathLoss(1e-6, 2.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda scn: PathLoss(math.nan, 2.0),
+    lambda scn: PathLoss(1e-6, math.nan),
+    lambda scn: SCurveParams(math.nan, 0.429),
+    lambda scn: SCurveParams(4.88, math.nan),
+    lambda scn: NodePosition(0.0, 0.0, math.nan),
+    lambda scn: AntennaSpec(math.nan, 0.5, 0.5),
+    lambda scn: BandModel("dm", _PL, _PL, math.nan,
+                          nakagami=NakagamiLaw(3, 2)),
+    lambda scn: replace(scn, seed=math.nan),
+], ids=["PathLoss.beta", "PathLoss.alpha", "SCurveParams.sigma",
+        "SCurveParams.f", "NodePosition.h", "AntennaSpec.n_elements",
+        "BandModel.bandwidth_hz", "Scenario.seed"])
+def test_model_type_rejects_a_nan_bound(scn, build):
+    # NaN fails every comparison, so each bound is written as not (...)
+    with pytest.raises(A2GError):
+        build(scn)

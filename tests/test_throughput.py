@@ -13,7 +13,8 @@ from a2gcovert import channel, throughput
 from a2gcovert.channel import LinkStates, link_states
 from a2gcovert.errors import A2GError, DomainError, QuadratureError
 from a2gcovert.planner import maximize_csc, maximize_ecr
-from a2gcovert.scenario import NodePosition, scenario_from_flat
+from a2gcovert.scenario import (NodePosition, db_to_linear, dbm_to_mw,
+                                scenario_from_flat)
 from a2gcovert.specfun import marcum_mu_nu
 from a2gcovert.surrogate import _alzer_cdf, nakagami_xi, outage_dm_closed_form
 from a2gcovert.throughput import (
@@ -23,10 +24,13 @@ from a2gcovert.throughput import (
     csc,
     csc_over_states,
     ecr,
+    ecr_over_states,
     outage,
     outage_over_states,
     snr_threshold,
 )
+from a2gcovert.validation import (GRID_P_A_DBM, GRID_R_B, GRID_RHO_DB,
+                                  GRID_X_A)
 
 from test_detection import _corner_scenarios
 
@@ -156,6 +160,27 @@ class TestEcr:
     def test_bounded_by_target_rate(self, scn):
         for mode in ("om", "dm"):
             assert 0.0 <= float(ecr(scn, mode)) <= scn.r_b
+
+    def test_kernel_is_the_rate_times_the_success_probability(self, scn):
+        # on the validation grid's tables: a power column against a rate
+        # row broadcasts to the grid, bit for bit the outage kernel's
+        rates = np.array(GRID_R_B)
+        p_a = np.array([dbm_to_mw(p) for p in GRID_P_A_DBM])[:, None]
+        for x_a in GRID_X_A:
+            point = replace(scn, alice=NodePosition(x_a, 0.0, 500.0))
+            for mode in ("om", "dm"):
+                bob = link_states(point, mode, "bob")
+                for rho in map(db_to_linear, GRID_RHO_DB):
+                    got = ecr_over_states(bob, p_a, rates, rho)
+                    want = rates * (1.0 - outage_over_states(
+                        bob, p_a, snr_threshold(rates, bob.bandwidth_hz),
+                        rho))
+                    assert got.shape == (len(p_a), len(rates))
+                    np.testing.assert_array_equal(got, want)
+                    one = ecr_over_states(bob, float(p_a[1, 0]),
+                                          float(rates[2]), rho)
+                    assert isinstance(one, float)
+                    assert one == pytest.approx(got[1, 2], rel=1e-14)
 
 
 class TestCsc:
