@@ -254,8 +254,10 @@ def _build(values: dict[str, float | int]) -> Scenario:
             raise ScenarioError(f"{key} = {val!r} must be an integer")
     # the noise model's own check, here to name the key: a rho_db that
     # rounds rho to 1 is refused too
-    if db_to_linear(values["noise.rho_db"]) <= 1:
-        raise ScenarioError("noise.rho_db must be > 0 (rho = 1 is a perfect detector)")
+    rho = db_to_linear(values["noise.rho_db"])
+    if rho <= 1:
+        raise ScenarioError(f"noise.rho_db = {values['noise.rho_db']!r} gives "
+                            f"rho = {rho!r}, which must exceed 1")
     if db_to_linear(values["om.k_half_pi_db"]) > _K_HALF_PI_MAX:
         raise ScenarioError(
             f"om.k_half_pi_db = {values['om.k_half_pi_db']:g} dB exceeds "
@@ -292,7 +294,7 @@ def _build(values: dict[str, float | int]) -> Scenario:
             r_b=values["r_b"],
             noise=NoiseModel(
                 sigma_n2=dbm_to_mw(values["noise.sigma_n2_dbm"]),
-                rho=db_to_linear(values["noise.rho_db"]),
+                rho=rho,
             ),
             scurve=SCurveParams(values["scurve.sigma"], values["scurve.f"]),
             om=om,

@@ -27,8 +27,8 @@ kernel replaced one ``scipy.special`` call:
   ``marcum_q1_exact`` sums it over the window of M's values that carries
   all but 2^-60 of its mass, by Horner's rule with coefficients that
   depend on a alone, so an array of b costs two array operations per
-  window point; ``_marcum_window_ends`` finds the fit's window by Newton's
-  method on the same sums.
+  window point (a scalar b is a 0-d array); ``_marcum_window_end`` finds
+  the b where Q1 = 1e-4 by Newton's method on the same sums.
 
 ``marcum_mu_nu`` gives the coefficients of the exponential-type Marcum-Q
 approximation exp(-e^mu(a) * b^nu(a)), which ``surrogate.marcum_q1_approx``
@@ -37,30 +37,31 @@ polynomials for mu/nu on [10, 120] plus a locally fitted extension on
 (0, 10), where the polynomials are undefined but the operating Rice factors
 of this system actually live.
 
-The fit (``_fitted_mu_nu``) needs no root finder and no least squares: the
-ends of its window, where Q1(a, b) is 0.9999 and 1e-4, come from Newton's
-method on Q1 (``_marcum_window_ends``), and ``_minimax`` minimises the
-truncated-mean objective, the largest |e| over an 801-point grid, from the
-``polyfit`` linearisation.  The errors e are linear in the CDF mismatch, so
+The fit (``_fitted_mu_nu``) needs no root finder and no least squares:
+``_minimax`` minimises the truncated-mean objective, the largest |e| over
+801 points of the power variable up to the larger of 6 and the point where
+Q1 = 1e-4 (``_marcum_window_end``, solved only below a = 2.28, where it
+can exceed 6), from the ``polyfit`` linearisation over the same points, so
+Q1 is evaluated once.  The errors e are linear in the CDF mismatch, so
 their first derivatives in (mu, nu) come in the same pass and the second in
 one more (``_trunc_mean_errors``), and the solve is a discrete minimax one
 (Madsen 1975; Hald and Madsen 1981): trust-region LP steps over the peaks
 of the error curve.  Where three grid points of alternating sign are active
 at the minimum, as for most a and every a the benchmark's workloads fit
 (2.87 to 5.35), the LP step at that vertex is Newton's step on their
-equal-error equations, and a fit takes 6-11 evaluations.  For a near
+equal-error equations, and a fit takes 6-8 evaluations.  For a near
 1.95-2.25 two extrema of one sign are active instead, a ridge; the grid
 turns the ridge into a bowl with a sawtooth, each kink (where the lead
 passes between neighbouring grid points of one extremum) a local
 minimiser, and the second-order models pick the best kink
-(``_ridge_step``), in 9-30 evaluations.  Below about a = 1e-3 the curve is
+(``_ridge_step``), in 9-28 evaluations.  Below about a = 1e-3 the curve is
 at rounding level and changes sign hundreds of times; the LP looks at the
 largest eight runs of one sign only, and the solve stops once the
 predicted decrease is within 2 ulps of 1, the rounding level of errors
 formed from probabilities.  Not a simplex: Nelder-Mead on this objective
-takes about 208 evaluations, and on a maximum over a grid it can stall
+takes about 200 evaluations, and on a maximum over a grid it can stall
 short of the minimiser (McKinnon 1998); from the same start it stops up to
-7e-4 away, with an objective up to 4e-5 higher, at some a in 1.9-2.3.
+2e-3 away, with an objective up to 2e-6 higher, at some a in 1.9-2.3.
 
 The polynomials are printed for [10, 8000], but they stop tracking Q1 just
 above 120, the top of the range the test suite verifies: the worst
@@ -396,13 +397,8 @@ def _marcum_window(a: float) -> _MarcumWindow:
 
 
 def _horner(coef, r):
-    """sum_j coef[j] r^(J - j) by Horner's rule: in Python floats for a
-    float r, in place for an array, with the same roundings."""
-    if isinstance(r, float):
-        h = 0.0
-        for c in coef:
-            h = h * r + c
-        return h
+    """sum_j coef[j] r^(J - j) by Horner's rule, in place in a new array of
+    r's shape."""
     h = np.zeros_like(r)
     for c in coef:
         h *= r
@@ -412,12 +408,11 @@ def _horner(coef, r):
 
 def _marcum_sum(window: _MarcumWindow, coef, y):
     """Pr(N = n_lo) times the window polynomial ``coef`` at r = y / scale,
-    for N ~ Poisson(y); y a float or an array."""
+    for N ~ Poisson(y); y a float or an array, the result an array."""
     r = y / window.scale
     kept = r <= window.r_max
     r = np.minimum(r, window.r_max)
-    h = _horner(coef, float(r) if np.ndim(y) == 0 else r)
-    return _pmf(window.n_lo, y) * h * kept
+    return _pmf(window.n_lo, y) * _horner(coef, r) * kept
 
 
 def _marcum_q1(window: _MarcumWindow, y):
@@ -444,44 +439,35 @@ def marcum_q1_exact(a: float, b):
     if a < 0 or np.any(b < 0):
         raise DomainError("marcum_q1_exact requires a >= 0 and b >= 0")
     y = 0.5 * b * b
-    q = _marcum_q1(_marcum_window(float(a)), float(y) if b.ndim == 0 else y)
+    q = _marcum_q1(_marcum_window(float(a)), y)
     q = np.where(b == 0.0, 1.0, np.clip(q, 0.0, 1.0))
     return float(q) if b.ndim == 0 else q
 
 
-def _marcum_window_ends(a: float) -> tuple[float, float]:
-    """The b where Q1(a, b) = 0.9999 and where it is 1e-4, for 0 < a < 10.
+# b - a where the bound Q1(a, b) <= exp(-(b - a)^2 / 2), b >= a, is 1e-4
+_TAIL_OFFSET = math.sqrt(-2.0 * math.log(1e-4))
 
-    Newton's method on ln(1 - Q1) and on ln Q1 (both concave in b: Q1 is
-    the survival function of the log-concave Rician amplitude) rises from
-    the left of the low root and falls from a + sqrt(-2 ln 1e-4), right of
-    the high one, so that it is monotone, and stops after a step under
-    1e-10 of b.  As I0 <= exp, 1 - Q1 <= b^2 / 2 exp(a b - a^2 / 2), and
-    Newton's method on the log of that bound (concave in b) gives the low
-    start.  dQ1/db = -b sum_n Pr(N = n) Pr(M = n).
+
+def _marcum_window_end(a: float) -> float:
+    """The b where Q1(a, b) = 1e-4, for 0 < a < 10.
+
+    Newton's method on ln Q1 (concave in b: Q1 is the survival function of
+    the log-concave Rician amplitude) falls from a + ``_TAIL_OFFSET``, right
+    of the root, so that it is monotone, and stops after a step under 1e-10
+    of b.  dQ1/db = -b sum_n Pr(N = n) Pr(M = n).
     """
     window = _marcum_window(float(a))
-    level = math.log(2.0 * (1.0 - 0.9999)) + 0.5 * a * a
-    low = math.exp(0.5 * level)  # the root at a = 0
-    if level > 0.0:
-        low = min(low, level / a)
-    for _ in range(6):  # 2 ln b + a b = level, from either side to the left
-        low += (level - 2.0 * math.log(low) - a * low) / (2.0 / low + a)
-    ends = []
-    for b, is_low in ((low, True),
-                      (a + math.sqrt(-2.0 * math.log(1e-4)), False)):
-        target = math.log(1.0 - 0.9999 if is_low else 1e-4)
-        for _ in range(50):
-            y = 0.5 * b * b
-            q = float(_marcum_q1(window, y))
-            slope = b * float(_marcum_sum(window, window.point, y))
-            tail, slope = (1.0 - q, slope) if is_low else (q, -slope)
-            step = (target - math.log(tail)) * tail / slope
-            b += step
-            if abs(step) <= 1e-10 * b:
-                break
-        ends.append(b)
-    return ends[0], ends[1]
+    target = math.log(1e-4)
+    b = a + _TAIL_OFFSET
+    for _ in range(50):
+        y = 0.5 * b * b
+        q = float(_marcum_q1(window, y))
+        slope = b * float(_marcum_sum(window, window.point, y))
+        step = (math.log(q) - target) * q / slope
+        b += step
+        if abs(step) <= 1e-10 * b:
+            break
+    return b
 
 
 def _trunc_mean_errors(xs: np.ndarray, bs_x: np.ndarray, qs_x: np.ndarray):
@@ -538,21 +524,24 @@ def _trunc_mean_errors(xs: np.ndarray, bs_x: np.ndarray, qs_x: np.ndarray):
 def _fit_problem(a: float):
     """The errors of the Marcum fit at a and its start point (mu, nu).
 
-    The fit window runs from Q1 = 0.9999 to Q1 = 1e-4
-    (``_marcum_window_ends``).  The start is the linearisation
-    ln(-ln Q1) = mu + nu ln b over that window; the errors are the running
-    CDF-area mismatches in the power variable x = b^2 / (2(k+1)),
-    k = a^2/2 (``_trunc_mean_errors``), and the objective is the largest
-    of them in size.  Q1 is evaluated on both grids in one call.
+    The errors are the running CDF-area mismatches in the power variable
+    x = b^2 / (2(k+1)), k = a^2/2 (``_trunc_mean_errors``), on 801 points
+    from 0 to the larger of 6 and the x where Q1 = 1e-4; the objective is
+    the largest of them in size.  The start is the linearisation
+    ln(-ln Q1) = mu + nu ln b over the points with 1e-4 < Q1 < 0.9999.
     """
-    b_lo, b_hi = _marcum_window_ends(a)
-    bs = np.linspace(b_lo, b_hi, 48)
     k1 = a * a / 2.0 + 1.0  # k + 1
-    xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
+    b_top = a + _TAIL_OFFSET
+    extent = max(6.0, (b_top * b_top) / (2.0 * k1))
+    if extent > 6.0:  # the end, below b_top, may set it (a < 2.28)
+        b_hi = _marcum_window_end(a)
+        extent = max(6.0, (b_hi * b_hi) / (2.0 * k1))
+    xs = np.linspace(0.0, extent, 801)
     bs_x = np.sqrt(2.0 * k1 * xs)
-    qs, qs_x = np.split(marcum_q1_exact(a, np.concatenate((bs, bs_x))), [48])
-    mask = (qs > 1e-4) & (qs < 0.9999)
-    nu0, mu0 = np.polyfit(np.log(bs[mask]), np.log(-np.log(qs[mask])), 1)
+    qs_x = marcum_q1_exact(a, bs_x)
+    inside = (qs_x > 1e-4) & (qs_x < 0.9999)
+    nu0, mu0 = np.polyfit(np.log(bs_x[inside]),
+                          np.log(-np.log(qs_x[inside])), 1)
     return _trunc_mean_errors(xs, bs_x, qs_x), (float(mu0), float(nu0))
 
 

@@ -131,5 +131,6 @@ def test_noise_uncertainty_just_above_one(rho_db):
 
 def test_noise_uncertainty_that_rounds_to_one_names_its_key():
     # 10^(1e-18) is 1 in floating point: a perfect detector
-    with pytest.raises(ScenarioError, match="noise.rho_db"):
+    with pytest.raises(ScenarioError, match=r"noise\.rho_db = 1e-17 gives "
+                       r"rho = 1\.0, which must exceed 1"):
         scenario_from_flat({"noise.rho_db": 1e-17})

@@ -17,7 +17,7 @@ from a2gcovert.specfun import (
     _fit_problem,
     _fitted_mu_nu,
     _lower_tail,
-    _marcum_window_ends,
+    _marcum_window_end,
     _minimax,
     _trunc_mean_errors,
     _upper_tail,
@@ -136,7 +136,7 @@ class TestFittedMuNu:
 def _fit_grid(a):
     """The grids of the fit at a, written out: x, b(x) and exact Q1(a, b(x))."""
     k1 = a * a / 2.0 + 1.0
-    b_hi = _marcum_window_ends(a)[1]
+    b_hi = _marcum_window_end(a)
     xs = np.linspace(0.0, max(6.0, (b_hi * b_hi) / (2.0 * k1)), 801)
     bs_x = np.sqrt(2.0 * k1 * xs)
     return xs, bs_x, marcum_q1_exact(a, bs_x)
@@ -199,18 +199,107 @@ WORKLOAD_ARGUMENTS = [
     4.311344696872655, 4.740038837774626, 5.351729180252546]
 
 
+class TestFitProblem:
+    # (mu, nu) of the earlier fit, which started from the linearisation
+    # over 48 points of b between Q1 = 0.9999 and 1e-4
+    RECORDED_FITS = {
+        2.8760801269974867: (-4.299205756669735, 3.525064297852196),
+        2.8946330060886902: (-4.34057980887497, 3.5437096512671946),
+        2.9063502849370533: (-4.366802228258423, 3.555516154416147),
+        2.915165923204646: (-4.386573216429799, 3.5644102398700652),
+        2.9380086074501337: (-4.437971919978903, 3.5875033135317578),
+        2.96356702468551: (-4.495774501291275, 3.6134248696489677),
+        2.992346337857267: (-4.561230009805163, 3.642716497488475),
+        3.024982516054812: (-4.635921413532217, 3.6760599988251195),
+        3.0486394386228866: (-4.690377044846978, 3.700318233444466),
+        3.062286551002993: (-4.721900168609738, 3.7143369037601603),
+        3.1053073918632874: (-4.821829972547026, 3.7586779302102404),
+        3.155423222651038: (-4.939273221292951, 3.810589599760653),
+        3.1836944488019006: (-5.006018206152409, 3.839999115042918),
+        3.2144765606417947: (-5.0790683898509075, 3.8721021174157904),
+        3.2849786046057554: (-5.247901234278215, 3.9459842111686485),
+        3.3704254793154447: (-5.455251653912061, 4.036111353155458),
+        3.4757991885278043: (-5.71496588823475, 4.1480714419361275),
+        3.608378950353355: (-6.047735332306377, 4.29004065190586),
+        3.6469471105304234: (-6.145737398729344, 4.331534979050478),
+        3.779078631884802: (-6.48549936883926, 4.474335225986005),
+        4.004664141150825: (-7.0790701529184235, 4.719962736611782),
+        4.311344696872655: (-7.9110417245974, 5.056511807236254),
+        4.740038837774626: (-9.116787251320053, 5.529784605012628),
+        5.351729180252546: (-10.910525901326688, 6.206438963182534),
+        1.9639: (-2.4915040799343466, 2.6838533232247666),
+        2.1407: (-2.8071974804461632, 2.834827359962808),
+        2.1975: (-2.9102831814847523, 2.8829859768412174),
+        2.2: (-2.914830802837206, 2.885091834032164),
+        2.2786: (-3.0631379347469476, 2.9559336341960587),
+        0.05: (-0.6943971124438303, 2.000001118927868),
+        9.95: (-26.098067743749663, 11.165775507864478),
+    }
+
+    # the workloads' arguments, ridges of the minimax fit (two extrema of
+    # one sign active at the minimum) and the ends of (0, 10)
+    @pytest.mark.parametrize("a", WORKLOAD_ARGUMENTS + [
+        1.9639, 2.1407, 2.1975, 2.2, 2.2786, 0.05, 9.95])
+    def test_fit_matches_the_recorded_fit(self, a):
+        np.testing.assert_allclose(_fitted_mu_nu(a), self.RECORDED_FITS[a],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.05, 0.7, 2.2, 2.2786, 4.3, 9.95])
+    def test_start_is_the_linearisation_over_the_objective_grid(self, a):
+        # below a = 2.28 the grid's extent comes from the window end; above
+        # it is 6, and the fit does not solve for the end
+        xs, bs_x, qs_x = _fit_grid(a)
+        inside = (qs_x > 1e-4) & (qs_x < 0.9999)
+        nu, mu = np.polyfit(np.log(bs_x[inside]),
+                            np.log(-np.log(qs_x[inside])), 1)
+        errors, start = _fit_problem(a)
+        assert start == (float(mu), float(nu))
+        assert np.array_equal(errors(start),
+                              _trunc_mean_errors(xs, bs_x, qs_x)(start))
+
+
 class TestNelderMead:
     """The minimax fit against scipy's Nelder-Mead on the same objective."""
 
-    # across (0, 10), densest on 2.88-5.35, the arguments of the 20-point
-    # mode-map track of the benchmark
-    @pytest.mark.parametrize("a", [
-        0.05, 0.4, 0.9, 1.3, 1.75, 2.2, 2.6, 2.88, 3.1, 3.35, 3.6, 3.85,
-        4.1, 4.35, 4.6, 4.85, 5.1, 5.35, 5.9, 6.5, 7.2, 7.9, 8.6, 9.3, 9.95])
+    # arguments across (0, 10), densest on 2.88-5.35, the arguments of the
+    # 20-point mode-map track of the benchmark; scipy starts from an earlier
+    # fit's start (the linearisation over 48 points of b between
+    # Q1 = 0.9999 and 1e-4), so that its result does not move with the
+    # fit's own: at 2.2 a start 1e-11 away can leave Nelder-Mead 5e-9 from
+    # the minimiser
+    SCIPY_STARTS = {
+        0.05: (-0.6943964831788695, 2.000001023912721),
+        0.4: (-0.7707177787692051, 2.0034223555631874),
+        0.9: (-1.0570520438263205, 2.0546275235341556),
+        1.3: (-1.4123578697636876, 2.1620196674699494),
+        1.75: (-1.9401996870529445, 2.353326724364884),
+        2.2: (-2.6125104342776906, 2.63132071244644),
+        2.6: (-3.348832387936175, 2.949364481999024),
+        2.88: (-3.958136906683744, 3.2244135762655977),
+        3.1: (-4.501398435985442, 3.475066014934952),
+        3.35: (-5.026235002502924, 3.670548054732766),
+        3.6: (-5.983890481007817, 4.172440244651502),
+        3.85: (-6.841541864555864, 4.567075393749909),
+        4.1: (-7.75361466098614, 4.980885303009135),
+        4.35: (-8.693173539610827, 5.39357851238679),
+        4.6: (-9.648606552782004, 5.7995345690732005),
+        4.85: (-10.652996736328257, 6.23046499084053),
+        5.1: (-11.640774960762895, 6.628121020739285),
+        5.35: (-12.70846120125325, 7.045850603778757),
+        5.9: (-14.872946345845158, 7.865491731333675),
+        6.5: (-17.366028445204417, 8.76859926518032),
+        7.2: (-20.188472209188873, 9.713369628675855),
+        7.9: (-23.690610183023967, 10.943646026177635),
+        8.6: (-26.275714177636658, 11.712393305122806),
+        9.3: (-30.1134346079266, 12.998433109818263),
+        9.95: (-32.387370559625595, 13.611213597754523),
+    }
+
+    @pytest.mark.parametrize("a", sorted(SCIPY_STARTS))
     def test_production_fit_matches_scipy_bit_for_bit(self, a):
-        # scipy from the same start ends within its xatol = 1e-10 of the
+        # scipy from a recorded start ends within its xatol = 1e-10 of the
         # minimiser, at an objective no lower
-        ref = _scipy_fit(a)
+        ref = _scipy_fit(a, x0=self.SCIPY_STARTS[a])
         fit, calls = _counted_fit(a)
         assert fit == _fitted_mu_nu(a)
         assert np.max(np.abs(np.subtract(fit, ref.x))) <= 1e-9
@@ -418,9 +507,11 @@ class TestMarcumKernel:
 
     @pytest.mark.parametrize("a", [1e-300, 0.05, 0.7, 2.9, 5.35, 9.95])
     def test_window_ends_match_chndtrix(self, a):
-        b_lo, b_hi = _marcum_window_ends(a)
-        ref = np.sqrt(special.chndtrix([1.0 - 0.9999, 1.0 - 1e-4], 2.0,
-                                      a * a))
-        # the low end solves 1 - Q1 = 1e-4, formed against 1
-        assert b_lo == pytest.approx(ref[0], rel=1e-11)
-        assert b_hi == pytest.approx(ref[1], rel=1e-12)
+        ref = math.sqrt(special.chndtrix(1.0 - 1e-4, 2.0, a * a))
+        assert _marcum_window_end(a) == pytest.approx(ref, rel=1e-12)
+
+    def test_window_end_is_below_its_newton_start(self):
+        # the fit skips the solve where this bound cannot set its grid
+        for a in np.random.default_rng(29).uniform(0.0, 10.0, 500):
+            top = a + math.sqrt(-2.0 * math.log(1e-4))
+            assert _marcum_window_end(a) <= top
